@@ -6,7 +6,6 @@ Writes plot-ready CSVs plus a Touchstone export into --outdir.
 """
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -21,6 +20,7 @@ from herd import (
     check_claims,
     filter_response,
     inband_loss_curve,
+    insertion_loss_db,
     mismatch_loss_db,
     prototype_design,
     write_touchstone,
@@ -43,8 +43,8 @@ def main() -> int:
     table = filter_response(design, grid)
     with open(outdir / "full_band_response.csv", "w") as fh:
         fh.write("frequency_hz,s21_db\n")
-        for f, port in zip(table.grid, table.entries):
-            fh.write(f"{f:.12g},{20 * math.log10(abs(port.s21)):.12g}\n")
+        for f, s21_db in zip(table.f.tolist(), (-insertion_loss_db(table.s21)).tolist()):
+            fh.write(f"{f:.12g},{s21_db:.12g}\n")
     (outdir / "full_band_response.s2p").write_text(write_touchstone(table, "DB", "GHZ"))
 
     # in-band leakage curve vs mismatch references

@@ -35,6 +35,7 @@ from .tsio import (
     check_claims,
     insertion_loss_db,
     parse_touchstone,
+    return_loss_db,
     write_touchstone,
 )
 
@@ -66,6 +67,13 @@ def _json_safe(x):
     if isinstance(x, float) and not math.isfinite(x):
         return None
     return x
+
+
+def _json_column(values: np.ndarray) -> list:
+    """An array as a list of floats, with None in place of non-finite values."""
+    column = values.astype(object)
+    column[~np.isfinite(values)] = None
+    return column.tolist()
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -250,6 +258,8 @@ def _cmd_analyze(args) -> int:
     profile = CLAIM_PROFILES[args.claims] if args.claims else CLAIM_PROFILES["default"]
     metrics = _metric_rows(table, profile)
     report = check_claims(table, profile) if args.claims else None
+    s21_db = -insertion_loss_db(table.s21)
+    s11_db = return_loss_db(table.s11)
 
     if args.format == "touchstone":
         _emit(write_touchstone(table, fmt="DB", unit="GHZ"), args.out)
@@ -266,14 +276,10 @@ def _cmd_analyze(args) -> int:
                 "spacing": "log" if args.log else "linear",
             },
             "response": [
-                {
-                    "frequency_hz": f,
-                    "s21_db": _json_safe(-insertion_loss_db(port)),
-                    "s11_db": _json_safe(
-                        -math.inf if abs(port.s11) == 0 else 20.0 * math.log10(abs(port.s11))
-                    ),
-                }
-                for f, port in zip(table.grid, table.entries)
+                {"frequency_hz": f, "s21_db": s21, "s11_db": s11}
+                for f, s21, s11 in zip(
+                    table.f.tolist(), _json_column(s21_db), _json_column(s11_db)
+                )
             ],
             "band_metrics": metrics,
             "claims_profile": args.claims,
@@ -282,12 +288,10 @@ def _cmd_analyze(args) -> int:
         }
         _emit(_json_doc(doc), args.out)
     else:
+        # "%.12g" formats a float exactly as _fmt does.
         lines = ["frequency_hz,s21_db,s11_db"]
-        for f, port in zip(table.grid, table.entries):
-            s21_db = -insertion_loss_db(port)
-            s11 = abs(port.s11)
-            s11_db = -math.inf if s11 == 0 else 20.0 * math.log10(s11)
-            lines.append(f"{_fmt(f)},{_fmt(s21_db)},{_fmt(s11_db)}")
+        rows = zip(table.f.tolist(), s21_db.tolist(), s11_db.tolist())
+        lines.extend(map("%.12g,%.12g,%.12g".__mod__, rows))
         for row in _metric_text(metrics):
             lines.append(f"# {row}")
         if report is not None:
@@ -419,6 +423,7 @@ def _cmd_compare(args) -> int:
     report = check_claims(measured, profile)
     model = filter_response(design, measured.grid)
 
+    deltas = np.abs(insertion_loss_db(measured.s21) - insertion_loss_db(model.s21))
     deviations = []
     seen = set()
     for claim in profile:
@@ -426,13 +431,12 @@ def _cmd_compare(args) -> int:
             continue
         seen.add(claim.band)
         lo, hi = claim.band
-        deltas = [
-            abs(insertion_loss_db(meas) - insertion_loss_db(mod))
-            for f, meas, mod in zip(measured.grid, measured.entries, model.entries)
-            if lo <= f <= hi
-        ]
+        inside = (measured.f >= lo) & (measured.f <= hi)
         deviations.append(
-            {"band_hz": [lo, hi], "max_abs_il_delta_db": max(deltas) if deltas else None}
+            {
+                "band_hz": [lo, hi],
+                "max_abs_il_delta_db": float(deltas[inside].max()) if inside.any() else None,
+            }
         )
 
     if args.format == "json":

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -99,19 +99,31 @@ class FilterDesign:
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Strictly increasing, non-empty list of frequencies in Hz."""
+    """Strictly increasing, non-empty list of frequencies in Hz.
+
+    ``f`` holds the same points as a read-only float64 array.
+    """
 
     points: tuple[float, ...]
+    f: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.points) == 0:
             raise DomainError("frequency grid must not be empty")
-        for f in self.points:
-            if not (math.isfinite(f) and f > 0.0):
-                raise DomainError(f"frequency grid points must be finite and > 0 (got {f!r})")
-        for lo, hi in zip(self.points, self.points[1:]):
-            if not hi > lo:
-                raise DomainError(f"frequency grid must be strictly increasing ({lo!r} -> {hi!r})")
+        f = np.array(self.points, dtype=float)
+        bad = ~(np.isfinite(f) & (f > 0.0))
+        if bad.any():
+            got = self.points[int(bad.argmax())]
+            raise DomainError(f"frequency grid points must be finite and > 0 (got {got!r})")
+        falling = ~(f[1:] > f[:-1])
+        if falling.any():
+            i = int(falling.argmax())
+            raise DomainError(
+                f"frequency grid must be strictly increasing "
+                f"({self.points[i]!r} -> {self.points[i + 1]!r})"
+            )
+        f.flags.writeable = False
+        object.__setattr__(self, "f", f)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -123,7 +135,7 @@ class FrequencyGrid:
     def linear(cls, start: float, stop: float, points: int) -> "FrequencyGrid":
         if points < 2:
             raise DomainError(f"a linear grid needs at least 2 points (got {points})")
-        return cls(tuple(float(f) for f in np.linspace(start, stop, points)))
+        return cls(tuple(np.linspace(start, stop, points).tolist()))
 
     @classmethod
     def logarithmic(cls, start: float, stop: float, points: int) -> "FrequencyGrid":
@@ -131,7 +143,7 @@ class FrequencyGrid:
             raise DomainError(f"a logarithmic grid needs at least 2 points (got {points})")
         if start <= 0.0:
             raise DomainError("a logarithmic grid requires start > 0")
-        return cls(tuple(float(f) for f in np.geomspace(start, stop, points)))
+        return cls(tuple(np.geomspace(start, stop, points).tolist()))
 
 
 def prototype_design() -> FilterDesign:

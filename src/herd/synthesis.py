@@ -26,6 +26,7 @@ from .model import (
     with_aperture,
 )
 from .modes import corner_frequency, solve_inner_radius
+from .tsio import insertion_loss_db
 
 # The aperture rings sit on the flats of an octagonal outer body.
 OCTAGON_FACES = 8
@@ -146,7 +147,7 @@ def verify(design: FilterDesign, spec: DesignSpec, points: int = 101) -> Synthes
 
     stop_grid = FrequencyGrid.linear(spec.f_stopband_start, 2.0 * spec.f_stopband_start, points)
     response = filter_response(design, stop_grid)
-    least_attenuation = min(-20.0 * math.log10(abs(port.s21)) for port in response.entries)
+    least_attenuation = float(insertion_loss_db(response.s21).min())
     margin_stopband = least_attenuation - spec.stopband_min_attenuation_db
 
     return SynthesisReport(

@@ -10,12 +10,13 @@ metric valid.
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass
 
-from .cascade import Provenance, SParamTable, TwoPort
+import numpy as np
+
+from .cascade import Provenance, SParamTable
 from .errors import DomainError, ParseError
 from .model import FrequencyGrid
 
@@ -25,6 +26,13 @@ FORMATS = ("RI", "MA", "DB")
 # Zero magnitude cannot be written in DB format; clamp at -400 dB (1e-20),
 # indistinguishable from zero at any metric tolerance used here.
 _DB_FLOOR = -400.0
+
+# Frequency plus four complex pairs per data row.
+_ROW_FORMAT = " ".join(["%.17g"] * 9)
+
+# Parsed rows are moved from Python floats into an array this many at a time,
+# so a long file never holds one float object per value.
+_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -78,22 +86,31 @@ class ComplianceReport:
         return all(result.passed for result in self.results)
 
 
-def _pair_to_complex(fmt: str, first: float, second: float) -> complex:
+def _pairs_to_complex(fmt: str, first: np.ndarray, second: np.ndarray) -> np.ndarray:
     if fmt == "RI":
-        return complex(first, second)
-    if fmt == "MA":
-        return first * cmath.exp(1j * math.radians(second))
-    return 10.0 ** (first / 20.0) * cmath.exp(1j * math.radians(second))
+        out = np.empty(first.shape, dtype=complex)
+        out.real = first
+        out.imag = second
+        return out
+    mag = first if fmt == "MA" else 10.0 ** (first / 20.0)
+    return mag * np.exp(1j * np.radians(second))
 
 
 def parse_touchstone(text: str) -> SParamTable:
-    """Parse Touchstone v1 two-port text into a MEASURED table."""
+    """Parse Touchstone v1 two-port text into a MEASURED table.
+
+    Structural faults (option line, column count, non-numeric tokens) are
+    reported as they are met. Value faults (non-finite numbers, frequencies
+    that are not positive or not strictly increasing) are checked on the
+    whole block once every row is read; the first offending row is reported.
+    """
     unit_scale = None
     fmt = None
     z0 = 50.0
     mag_only = False
-    freqs: list[float] = []
-    entries: list[TwoPort] = []
+    blocks: list[np.ndarray] = []
+    rows: list[list[float]] = []
+    row_lines: list[int] = []
     lineno = 0
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -130,6 +147,11 @@ def parse_touchstone(text: str) -> SParamTable:
                 z0 = float(tokens[4])
             except ValueError:
                 raise ParseError(f"bad reference impedance {tokens[4]!r}", line=lineno) from None
+            if not (math.isfinite(z0) and z0 > 0.0):
+                raise ParseError(
+                    f"reference impedance must be finite and > 0 ohm (got {tokens[4]!r})",
+                    line=lineno,
+                )
             unit_scale = FREQUENCY_UNITS[tokens[0].upper()]
             fmt = tokens[2].upper()
             continue
@@ -140,56 +162,64 @@ def parse_touchstone(text: str) -> SParamTable:
         if len(tokens) != 9:
             raise ParseError(f"expected 9 columns, got {len(tokens)}", line=lineno)
         try:
-            values = [float(token) for token in tokens]
+            rows.append(list(map(float, tokens)))
         except ValueError:
             raise ParseError(f"non-numeric data in row {raw.strip()!r}", line=lineno) from None
-
-        f_hz = values[0] * unit_scale
-        if freqs and f_hz <= freqs[-1]:
-            raise ParseError(
-                f"frequencies must be strictly increasing ({freqs[-1]!r} Hz -> {f_hz!r} Hz)",
-                line=lineno,
-            )
-        s11 = _pair_to_complex(fmt, values[1], values[2])
-        s21 = _pair_to_complex(fmt, values[3], values[4])
-        s12 = _pair_to_complex(fmt, values[5], values[6])
-        s22 = _pair_to_complex(fmt, values[7], values[8])
-        freqs.append(f_hz)
-        entries.append(TwoPort(s11=s11, s12=s12, s21=s21, s22=s22, z0=z0))
+        row_lines.append(lineno)
+        if len(rows) == _BLOCK_ROWS:
+            blocks.append(np.array(rows, dtype=float))
+            rows.clear()
 
     if fmt is None:
         raise ParseError("missing option line", line=lineno)
-    if not entries:
+    if not row_lines:
         raise ParseError("no data rows", line=lineno)
+
+    blocks.append(np.array(rows, dtype=float).reshape(-1, 9))
+    data = np.concatenate(blocks)
+    with np.errstate(over="ignore"):
+        f_hz = data[:, 0] * unit_scale
+    bad = ~(np.isfinite(data).all(axis=1) & np.isfinite(f_hz) & (f_hz > 0.0))
+    bad[1:] |= ~(f_hz[1:] > f_hz[:-1])
+    if bad.any():
+        i = int(bad.argmax())
+        f = f_hz[i].item()
+        if not (np.isfinite(data[i]).all() and math.isfinite(f)):
+            message = f"non-finite value in row {data[i].tolist()!r}"
+        elif not f > 0.0:
+            message = f"frequency must be > 0 Hz (got {f!r} Hz)"
+        else:
+            before = f_hz[i - 1].item()
+            message = f"frequencies must be strictly increasing ({before!r} Hz -> {f!r} Hz)"
+        raise ParseError(message, line=row_lines[i])
+
+    s11, s21, s12, s22 = (
+        _pairs_to_complex(fmt, data[:, col], data[:, col + 1]) for col in (1, 3, 5, 7)
+    )
     if mag_only:
-        entries = [
-            TwoPort(
-                s11=complex(abs(p.s11), 0.0),
-                s12=complex(abs(p.s12), 0.0),
-                s21=complex(abs(p.s21), 0.0),
-                s22=complex(abs(p.s22), 0.0),
-                z0=p.z0,
-            )
-            for p in entries
-        ]
+        s11, s21, s12, s22 = (np.abs(s).astype(complex) for s in (s11, s21, s12, s22))
     return SParamTable(
-        grid=FrequencyGrid(tuple(freqs)),
-        entries=tuple(entries),
+        grid=FrequencyGrid(tuple(f_hz.tolist())),
+        entries=None,
         provenance=Provenance.MEASURED,
         mag_only=mag_only,
+        s11=s11,
+        s21=s21,
+        s12=s12,
+        s22=s22,
+        z0=z0,
     )
 
 
-def _complex_to_pair(fmt: str, value: complex) -> tuple[float, float]:
+def _complex_to_pairs(fmt: str, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if fmt == "RI":
-        return value.real, value.imag
-    mag = abs(value)
-    ang = math.degrees(cmath.phase(value))
+        return values.real, values.imag
+    mag = np.abs(values)
+    ang = np.degrees(np.angle(values))
     if fmt == "MA":
         return mag, ang
-    if mag == 0.0:
-        return _DB_FLOOR, ang
-    return max(20.0 * math.log10(mag), _DB_FLOOR), ang
+    with np.errstate(divide="ignore"):
+        return np.maximum(20.0 * np.log10(mag), _DB_FLOOR), ang
 
 
 def write_touchstone(table: SParamTable, fmt: str = "RI", unit: str = "HZ") -> str:
@@ -200,34 +230,30 @@ def write_touchstone(table: SParamTable, fmt: str = "RI", unit: str = "HZ") -> s
         raise DomainError(f"format must be one of {FORMATS} (got {fmt!r})")
     if unit not in FREQUENCY_UNITS:
         raise DomainError(f"unit must be one of {tuple(FREQUENCY_UNITS)} (got {unit!r})")
-    if not table.entries:
-        raise DomainError("cannot write an empty table")
 
-    scale = FREQUENCY_UNITS[unit]
+    columns = [table.f / FREQUENCY_UNITS[unit]]
+    for values in (table.s11, table.s21, table.s12, table.s22):
+        columns.extend(_complex_to_pairs(fmt, values))
     lines = [f"! herd S-parameter table: {table.label or table.provenance.value}"]
     if table.mag_only:
         lines.append("!MAGONLY")
-    lines.append(f"# {unit} S {fmt} R {table.entries[0].z0:.17g}")
-    for f, port in zip(table.grid, table.entries):
-        fields = [f"{f / scale:.17g}"]
-        for s in (port.s11, port.s21, port.s12, port.s22):
-            first, second = _complex_to_pair(fmt, s)
-            fields.append(f"{first:.17g}")
-            fields.append(f"{second:.17g}")
-        lines.append(" ".join(fields))
+    lines.append(f"# {unit} S {fmt} R {table.z0:.17g}")
+    lines.extend(map(_ROW_FORMAT.__mod__, zip(*(column.tolist() for column in columns))))
     return "\n".join(lines) + "\n"
 
 
-def insertion_loss_db(port: TwoPort) -> float:
-    """-20 log10 |s21|; +inf for zero transmission."""
-    mag = abs(port.s21)
-    return math.inf if mag == 0.0 else -20.0 * math.log10(mag)
+def insertion_loss_db(s21):
+    """-20 log10 |s21| [dB], elementwise over an array or for one value;
+    +inf for zero transmission."""
+    with np.errstate(divide="ignore"):
+        return -20.0 * np.log10(np.abs(s21))
 
 
-def return_loss_db(port: TwoPort) -> float:
-    """20 log10 |s11|; -inf for a perfect match."""
-    mag = abs(port.s11)
-    return -math.inf if mag == 0.0 else 20.0 * math.log10(mag)
+def return_loss_db(s11):
+    """20 log10 |s11| [dB], elementwise over an array or for one value;
+    -inf for a perfect match."""
+    with np.errstate(divide="ignore"):
+        return 20.0 * np.log10(np.abs(s11))
 
 
 def band_metrics(table: SParamTable, band: tuple[float, float]) -> BandMetric:
@@ -236,16 +262,18 @@ def band_metrics(table: SParamTable, band: tuple[float, float]) -> BandMetric:
     lo, hi = band
     if not lo < hi:
         raise DomainError(f"band must satisfy f_low < f_high (got {lo!r}, {hi!r})")
-    inside = [port for f, port in zip(table.grid, table.entries) if lo <= f <= hi]
-    if not inside:
+    inside = (table.f >= lo) & (table.f <= hi)
+    if not inside.any():
         raise DomainError(f"no grid points inside band [{lo!r}, {hi!r}] Hz")
-    losses = [insertion_loss_db(port) for port in inside]
+    losses = insertion_loss_db(table.s21[inside])
+    worst_loss = float(losses.max())
+    least_loss = float(losses.min())
     return BandMetric(
         band=band,
-        max_insertion_loss_db=max(losses),
-        min_attenuation_db=min(losses),
-        max_ripple_db=max(losses) - min(losses),
-        worst_return_loss_db=max(return_loss_db(port) for port in inside),
+        max_insertion_loss_db=worst_loss,
+        min_attenuation_db=least_loss,
+        max_ripple_db=worst_loss - least_loss,
+        worst_return_loss_db=float(return_loss_db(table.s11[inside]).max()),
     )
 
 
