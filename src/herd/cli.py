@@ -26,7 +26,7 @@ from .modes import (
     mode_chart,
     solve_inner_radius,
 )
-from .model import AIR, Material
+from .model import AIR, DESIGN_FILE, Material
 from .synthesis import loads_design_spec, synthesize
 from .tsio import (
     Claim,
@@ -89,23 +89,6 @@ def _load_design(path: str) -> FilterDesign:
 
 def _json_doc(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
-
-
-def _design_doc(design: FilterDesign) -> dict:
-    return {
-        "a_m": design.aperture.width_a,
-        "b_m": design.aperture.height_b,
-        "d_m": design.aperture.depth_d,
-        "r_inner_m": design.coax.r_inner,
-        "r_outer_m": design.coax.r_outer,
-        "coax_eps_r": design.coax_fill.eps_r,
-        "aperture_eps_r": design.aperture_fill.eps_r,
-        "apertures_per_section": design.apertures_per_section,
-        "sections": design.sections,
-        "section_pitch_m": design.section_pitch,
-        "stopband_kappa": design.stopband_kappa,
-        "dominant_mode_axis": design.dominant_mode_axis.value,
-    }
 
 
 def _claim_doc(result) -> dict:
@@ -391,20 +374,18 @@ def _cmd_synthesize(args) -> int:
     if args.format == "json":
         doc = {
             "command": "synthesize",
-            "design": _design_doc(report.design),
+            "design": DESIGN_FILE.values(report.design),
             "margin_passband_db": report.margin_passband_db,
             "margin_stopband_db": report.margin_stopband_db,
             "total_length_m": report.total_length,
         }
         sys.stdout.write(_json_doc(doc))
     else:
-        design = report.design
-        print(f"a_m = {_fmt(design.aperture.width_a)}")
-        print(f"b_m = {_fmt(design.aperture.height_b)}")
-        print(f"d_m = {_fmt(design.aperture.depth_d)}")
-        print(f"r_inner_m = {_fmt(design.coax.r_inner)}")
-        print(f"r_outer_m = {_fmt(design.coax.r_outer)}")
-        print(f"sections = {design.sections}")
+        # the design file's required keys: the geometry and the section count
+        values = DESIGN_FILE.values(report.design)
+        for field in DESIGN_FILE.fields:
+            if field.default is None:
+                print(f"{field.key} = {_fmt(values[field.key])}")
         print(f"margin_passband_db = {_fmt(report.margin_passband_db)}")
         print(f"margin_stopband_db = {_fmt(report.margin_stopband_db)}")
         print(f"total_length_m = {_fmt(report.total_length)}")

@@ -7,9 +7,11 @@ is the single authority on design invariants.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -30,11 +32,10 @@ DEFAULT_APERTURES_PER_SECTION = 8
 
 @dataclass(frozen=True)
 class Material:
-    """Fill medium: relative permittivity/permeability and loss tangent."""
+    """Fill medium: relative permittivity and permeability."""
 
     eps_r: float
     mu_r: float = 1.0
-    loss_tangent: float = 0.0
 
     @property
     def refractive_index(self) -> float:
@@ -43,7 +44,7 @@ class Material:
 
 
 AIR = Material(eps_r=1.0)
-PTFE = Material(eps_r=2.2, loss_tangent=0.0004)
+PTFE = Material(eps_r=2.2)
 
 
 @dataclass(frozen=True)
@@ -97,45 +98,49 @@ class FilterDesign:
         return self.sections * self.apertures_per_section
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrequencyGrid:
     """Strictly increasing, non-empty list of frequencies in Hz.
 
-    ``f`` holds the same points as a read-only float64 array.
+    ``points`` is kept as one read-only float64 array, also named ``f``.
+    Iterating yields Python floats. Grids compare by identity.
     """
 
-    points: tuple[float, ...]
-    f: np.ndarray = field(init=False, repr=False, compare=False)
+    points: np.ndarray
 
     def __post_init__(self):
-        if len(self.points) == 0:
-            raise DomainError("frequency grid must not be empty")
         f = np.array(self.points, dtype=float)
+        if len(f) == 0:
+            raise DomainError("frequency grid must not be empty")
         bad = ~(np.isfinite(f) & (f > 0.0))
         if bad.any():
-            got = self.points[int(bad.argmax())]
+            got = f[int(bad.argmax())].item()
             raise DomainError(f"frequency grid points must be finite and > 0 (got {got!r})")
         falling = ~(f[1:] > f[:-1])
         if falling.any():
             i = int(falling.argmax())
             raise DomainError(
                 f"frequency grid must be strictly increasing "
-                f"({self.points[i]!r} -> {self.points[i + 1]!r})"
+                f"({f[i].item()!r} -> {f[i + 1].item()!r})"
             )
         f.flags.writeable = False
-        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "points", f)
+
+    @property
+    def f(self) -> np.ndarray:
+        return self.points
 
     def __len__(self) -> int:
         return len(self.points)
 
     def __iter__(self):
-        return iter(self.points)
+        return iter(self.points.tolist())
 
     @classmethod
     def linear(cls, start: float, stop: float, points: int) -> "FrequencyGrid":
         if points < 2:
             raise DomainError(f"a linear grid needs at least 2 points (got {points})")
-        return cls(tuple(np.linspace(start, stop, points).tolist()))
+        return cls(np.linspace(start, stop, points))
 
     @classmethod
     def logarithmic(cls, start: float, stop: float, points: int) -> "FrequencyGrid":
@@ -143,7 +148,7 @@ class FrequencyGrid:
             raise DomainError(f"a logarithmic grid needs at least 2 points (got {points})")
         if start <= 0.0:
             raise DomainError("a logarithmic grid requires start > 0")
-        return cls(tuple(np.geomspace(start, stop, points).tolist()))
+        return cls(np.geomspace(start, stop, points))
 
 
 def prototype_design() -> FilterDesign:
@@ -158,13 +163,43 @@ def prototype_design() -> FilterDesign:
     )
 
 
-def _check_material(name: str, mat: Material, out: list[str]) -> None:
-    if not (math.isfinite(mat.eps_r) and mat.eps_r >= 1.0):
+# --- invariants ---------------------------------------------------------------
+#
+# The part checks format nothing for a valid part: the mode functions run them
+# on every call. `0.0 < x < math.inf` is false for nan and infinities.
+
+
+def material_violations(name: str, mat: Material) -> list[str]:
+    """Violations of a fill medium, named ``<name>.eps_r`` and ``<name>.mu_r``."""
+    out = []
+    if not 1.0 <= mat.eps_r < math.inf:
         out.append(f"{name}.eps_r must be finite and >= 1 (got {mat.eps_r!r})")
-    if not (math.isfinite(mat.mu_r) and mat.mu_r >= 1.0):
+    if not 1.0 <= mat.mu_r < math.inf:
         out.append(f"{name}.mu_r must be finite and >= 1 (got {mat.mu_r!r})")
-    if not (math.isfinite(mat.loss_tangent) and mat.loss_tangent >= 0.0):
-        out.append(f"{name}.loss_tangent must be finite and >= 0 (got {mat.loss_tangent!r})")
+    return out
+
+
+def coax_violations(coax: CoaxGeometry) -> list[str]:
+    out = []
+    if not 0.0 < coax.r_inner < math.inf:
+        out.append(f"coax.r_inner must be finite and > 0 (got {coax.r_inner!r})")
+    if not coax.r_inner < coax.r_outer < math.inf:
+        out.append(
+            "coax.r_outer must exceed coax.r_inner "
+            f"(got r_inner={coax.r_inner!r}, r_outer={coax.r_outer!r})"
+        )
+    return out
+
+
+def aperture_violations(ap: RectAperture) -> list[str]:
+    out = []
+    if not 0.0 < ap.width_a < math.inf:
+        out.append(f"aperture.width_a must be finite and > 0 (got {ap.width_a!r})")
+    if not 0.0 < ap.height_b < math.inf:
+        out.append(f"aperture.height_b must be finite and > 0 (got {ap.height_b!r})")
+    if not 0.0 < ap.depth_d < math.inf:
+        out.append(f"aperture.depth_d must be finite and > 0 (got {ap.depth_d!r})")
+    return out
 
 
 def validate(design: FilterDesign) -> list[str]:
@@ -173,165 +208,163 @@ def validate(design: FilterDesign) -> list[str]:
     An empty list means the design is valid. Nothing is raised: violations
     are the return value.
     """
-    out: list[str] = []
-    _check_material("coax_fill", design.coax_fill, out)
-    _check_material("aperture_fill", design.aperture_fill, out)
-
-    coax = design.coax
-    if not (math.isfinite(coax.r_inner) and coax.r_inner > 0.0):
-        out.append(f"coax.r_inner must be finite and > 0 (got {coax.r_inner!r})")
-    if not (math.isfinite(coax.r_outer) and coax.r_outer > coax.r_inner):
-        out.append(
-            "coax.r_outer must exceed coax.r_inner "
-            f"(got r_inner={coax.r_inner!r}, r_outer={coax.r_outer!r})"
-        )
-
-    ap = design.aperture
-    for dim, value in (("width_a", ap.width_a), ("height_b", ap.height_b), ("depth_d", ap.depth_d)):
-        if not (math.isfinite(value) and value > 0.0):
-            out.append(f"aperture.{dim} must be finite and > 0 (got {value!r})")
-
+    out = [
+        *material_violations("coax_fill", design.coax_fill),
+        *material_violations("aperture_fill", design.aperture_fill),
+        *coax_violations(design.coax),
+        *aperture_violations(design.aperture),
+    ]
     if design.sections < 1:
         out.append(f"sections must be >= 1 (got {design.sections!r})")
     if design.apertures_per_section < 1:
         out.append(f"apertures_per_section must be >= 1 (got {design.apertures_per_section!r})")
-    if not (math.isfinite(design.section_pitch) and design.section_pitch > 0.0):
+    if not 0.0 < design.section_pitch < math.inf:
         out.append(f"section_pitch must be finite and > 0 (got {design.section_pitch!r})")
-    if not (math.isfinite(design.stopband_kappa) and 0.0 < design.stopband_kappa < 1.0):
+    if not 0.0 < design.stopband_kappa < 1.0:
         out.append(f"stopband_kappa must lie strictly between 0 and 1 (got {design.stopband_kappa!r})")
     if not isinstance(design.dominant_mode_axis, DominantModeAxis):
         out.append(f"dominant_mode_axis must be a DominantModeAxis (got {design.dominant_mode_axis!r})")
     return out
 
 
-# --- design files -----------------------------------------------------------
+# --- key-value files -----------------------------------------------------------
 #
-# Flat key-value text, one `key = value` per line, `#` comments. Geometry keys
-# are mandatory; the rest fall back to toolkit defaults.
+# Flat text, one `key = value` per line, `#` comments. Each format is one
+# table of fields, which drives reading, writing and listing its values.
 
-DESIGN_KEYS = (
-    "a_m",
-    "b_m",
-    "d_m",
-    "r_inner_m",
-    "r_outer_m",
-    "coax_eps_r",
-    "aperture_eps_r",
-    "apertures_per_section",
-    "sections",
-    "section_pitch_m",
-    "stopband_kappa",
-    "dominant_mode_axis",
+
+@dataclass(frozen=True)
+class Field:
+    """One key: the attribute it fills (dotted for a part, ``coax.r_inner``),
+    its type (``float``, ``int`` or an enum of accepted words) and its
+    default. A field without a default is required."""
+
+    key: str
+    attr: str
+    kind: type
+    default: object = None
+
+    def read(self, text: str, lineno: int):
+        try:
+            return self.kind(text.upper()) if issubclass(self.kind, enum.Enum) else self.kind(text)
+        except ValueError:
+            expects = {float: "a number", int: "an integer"}.get(self.kind)
+            expects = expects or " or ".join(member.value for member in self.kind)
+            raise ParseError(f"key {self.key!r} expects {expects}, got {text!r}", line=lineno) from None
+
+
+class KeyValueFormat:
+    """The file format of ``cls``. ``parts`` maps each attribute of ``cls``
+    that is itself a value object to its type; ``check`` lists the invariant
+    violations of a value, which :meth:`loads` raises as a :class:`ParseError`.
+    """
+
+    def __init__(self, name: str, cls: type, parts: dict[str, type], fields: tuple[Field, ...], check):
+        self.name = name
+        self.cls = cls
+        self.parts = parts
+        self.fields = fields
+        self.check = check
+        self._by_key = {field.key: field for field in fields}
+        self._getters = [attrgetter(field.attr) for field in fields]
+        # (part or "", attribute name) that each field fills
+        self._targets = [field.attr.rpartition(".")[::2] for field in fields]
+        # part attributes that no field carries, with the default they must hold
+        carried = {field.attr for field in fields}
+        self._fixed = [
+            (f"{part}.{attr.name}", attr.default)
+            for part, part_cls in parts.items()
+            for attr in dataclasses.fields(part_cls)
+            if f"{part}.{attr.name}" not in carried
+        ]
+
+    def loads(self, text: str):
+        """Parse and validate. Errors name the first bad line; a missing
+        required key is reported after every line has been read."""
+        read: dict[str, object] = {}
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            body = line.split("#", 1)[0].strip()
+            if not body:
+                continue
+            key, equals, value = body.partition("=")
+            if not equals:
+                raise ParseError(f"expected 'key = value', got {line.strip()!r}", line=lineno)
+            key, value = key.strip(), value.strip()
+            field = self._by_key.get(key)
+            if field is None:
+                raise ParseError(f"unknown key {key!r}", line=lineno)
+            if key in read:
+                raise ParseError(f"duplicate key {key!r}", line=lineno)
+            if not value:
+                raise ParseError(f"missing value for key {key!r}", line=lineno)
+            read[key] = field.read(value, lineno)
+        kwargs, parts = {}, {part: {} for part in self.parts}
+        for field, (part, attr) in zip(self.fields, self._targets):
+            if field.default is None and field.key not in read:
+                raise ParseError(f"missing required key {field.key!r}")
+            (parts[part] if part else kwargs)[attr] = read.get(field.key, field.default)
+        for part, part_cls in self.parts.items():
+            kwargs[part] = part_cls(**parts[part])
+        obj = self.cls(**kwargs)
+        violations = self.check(obj)
+        if violations:
+            raise ParseError(f"invalid {self.name}: " + "; ".join(violations))
+        return obj
+
+    def values(self, obj) -> dict[str, object]:
+        """Key -> value in table order, enum members as their value."""
+        out = {}
+        for field, get in zip(self.fields, self._getters):
+            value = get(obj)
+            out[field.key] = value.value if isinstance(value, enum.Enum) else value
+        return out
+
+    def dumps(self, obj, header: str = "") -> str:
+        """Serialize ``obj`` with exact floats. A part attribute the fields do
+        not carry must hold its default, else :class:`DomainError`."""
+        for attr, default in self._fixed:
+            value = attrgetter(attr)(obj)
+            if value != default:
+                raise DomainError(f"{self.name} files cannot carry {attr} = {value!r}")
+        lines = [f"# {line}" for line in header.splitlines()]
+        for key, value in self.values(obj).items():
+            lines.append(f"{key} = {value if isinstance(value, str) else repr(value)}")
+        return "\n".join(lines) + "\n"
+
+
+# Geometry keys and `sections` are required; the rest fall back to toolkit
+# defaults.
+DESIGN_FILE = KeyValueFormat(
+    "design",
+    FilterDesign,
+    {"coax": CoaxGeometry, "coax_fill": Material, "aperture": RectAperture, "aperture_fill": Material},
+    (
+        Field("a_m", "aperture.width_a", float),
+        Field("b_m", "aperture.height_b", float),
+        Field("d_m", "aperture.depth_d", float),
+        Field("r_inner_m", "coax.r_inner", float),
+        Field("r_outer_m", "coax.r_outer", float),
+        Field("coax_eps_r", "coax_fill.eps_r", float, 1.0),
+        Field("aperture_eps_r", "aperture_fill.eps_r", float, 1.0),
+        Field("apertures_per_section", "apertures_per_section", int, DEFAULT_APERTURES_PER_SECTION),
+        Field("sections", "sections", int),
+        Field("section_pitch_m", "section_pitch", float, DEFAULT_SECTION_PITCH),
+        Field("stopband_kappa", "stopband_kappa", float, DEFAULT_STOPBAND_KAPPA),
+        Field("dominant_mode_axis", "dominant_mode_axis", DominantModeAxis, DominantModeAxis.WIDTH),
+    ),
+    validate,
 )
-
-_REQUIRED_DESIGN_KEYS = ("a_m", "b_m", "d_m", "r_inner_m", "r_outer_m", "sections")
-
-
-def parse_key_values(text: str, allowed: tuple[str, ...]) -> dict[str, tuple[str, int]]:
-    """Tokenize `key = value` lines; returns key -> (raw value, line number)."""
-    out: dict[str, tuple[str, int]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ParseError(f"expected 'key = value', got {raw.strip()!r}", line=lineno)
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in allowed:
-            raise ParseError(f"unknown key {key!r}", line=lineno)
-        if key in out:
-            raise ParseError(f"duplicate key {key!r}", line=lineno)
-        if not value:
-            raise ParseError(f"missing value for key {key!r}", line=lineno)
-        out[key] = (value, lineno)
-    return out
-
-
-def _take_float(raw: dict[str, tuple[str, int]], key: str, default: float | None = None) -> float:
-    if key not in raw:
-        if default is None:
-            raise ParseError(f"missing required key {key!r}")
-        return default
-    value, lineno = raw[key]
-    try:
-        return float(value)
-    except ValueError:
-        raise ParseError(f"key {key!r} expects a number, got {value!r}", line=lineno) from None
-
-
-def _take_int(raw: dict[str, tuple[str, int]], key: str, default: int | None = None) -> int:
-    if key not in raw:
-        if default is None:
-            raise ParseError(f"missing required key {key!r}")
-        return default
-    value, lineno = raw[key]
-    try:
-        return int(value)
-    except ValueError:
-        raise ParseError(f"key {key!r} expects an integer, got {value!r}", line=lineno) from None
 
 
 def loads_design(text: str) -> FilterDesign:
     """Parse a design file into a validated :class:`FilterDesign`."""
-    raw = parse_key_values(text, DESIGN_KEYS)
-    for key in _REQUIRED_DESIGN_KEYS:
-        if key not in raw:
-            raise ParseError(f"missing required key {key!r}")
-
-    axis = DominantModeAxis.WIDTH
-    if "dominant_mode_axis" in raw:
-        value, lineno = raw["dominant_mode_axis"]
-        try:
-            axis = DominantModeAxis[value.upper()]
-        except KeyError:
-            raise ParseError(
-                f"dominant_mode_axis must be WIDTH or HEIGHT, got {value!r}", line=lineno
-            ) from None
-
-    design = FilterDesign(
-        coax=CoaxGeometry(
-            r_inner=_take_float(raw, "r_inner_m"),
-            r_outer=_take_float(raw, "r_outer_m"),
-        ),
-        coax_fill=Material(eps_r=_take_float(raw, "coax_eps_r", 1.0)),
-        aperture=RectAperture(
-            width_a=_take_float(raw, "a_m"),
-            height_b=_take_float(raw, "b_m"),
-            depth_d=_take_float(raw, "d_m"),
-        ),
-        aperture_fill=Material(eps_r=_take_float(raw, "aperture_eps_r", 1.0)),
-        sections=_take_int(raw, "sections"),
-        apertures_per_section=_take_int(raw, "apertures_per_section", DEFAULT_APERTURES_PER_SECTION),
-        section_pitch=_take_float(raw, "section_pitch_m", DEFAULT_SECTION_PITCH),
-        stopband_kappa=_take_float(raw, "stopband_kappa", DEFAULT_STOPBAND_KAPPA),
-        dominant_mode_axis=axis,
-    )
-    violations = validate(design)
-    if violations:
-        raise ParseError("invalid design: " + "; ".join(violations))
-    return design
+    return DESIGN_FILE.loads(text)
 
 
 def dumps_design(design: FilterDesign, header: str = "") -> str:
-    """Serialize a design to the key-value file format (exact float round-trip)."""
-    lines = []
-    if header:
-        lines.append(f"# {header}")
-    lines += [
-        f"a_m = {design.aperture.width_a!r}",
-        f"b_m = {design.aperture.height_b!r}",
-        f"d_m = {design.aperture.depth_d!r}",
-        f"r_inner_m = {design.coax.r_inner!r}",
-        f"r_outer_m = {design.coax.r_outer!r}",
-        f"coax_eps_r = {design.coax_fill.eps_r!r}",
-        f"aperture_eps_r = {design.aperture_fill.eps_r!r}",
-        f"apertures_per_section = {design.apertures_per_section}",
-        f"sections = {design.sections}",
-        f"section_pitch_m = {design.section_pitch!r}",
-        f"stopband_kappa = {design.stopband_kappa!r}",
-        f"dominant_mode_axis = {design.dominant_mode_axis.value}",
-    ]
-    return "\n".join(lines) + "\n"
+    """Serialize a design to the key-value file format (exact float round-trip);
+    a fill with ``mu_r != 1``, which the format does not carry, is a DomainError."""
+    return DESIGN_FILE.dumps(design, header)
 
 
 def with_aperture(design: FilterDesign, **dims: float) -> FilterDesign:

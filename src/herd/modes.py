@@ -11,6 +11,11 @@ from dataclasses import dataclass
 from .constants import C0, ETA0
 from .errors import DomainError
 from .model import CoaxGeometry, DominantModeAxis, FilterDesign, Material, RectAperture
+from .model import aperture_violations, coax_violations, material_violations
+
+# Largest number of (m, n) candidates mode_chart examines, (m_max+1)(n_max+1);
+# on the stock design this charts up to about 2.3e13 Hz.
+MODE_CHART_MAX_CANDIDATES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -33,26 +38,10 @@ class ModeEntry:
     cutoff_hz: float
 
 
-def _check_geometry(geom: CoaxGeometry) -> None:
-    if not (math.isfinite(geom.r_inner) and geom.r_inner > 0.0):
-        raise DomainError(f"r_inner must be finite and > 0 (got {geom.r_inner!r})")
-    if not (math.isfinite(geom.r_outer) and geom.r_outer > geom.r_inner):
-        raise DomainError(
-            f"r_outer must exceed r_inner (got r_inner={geom.r_inner!r}, r_outer={geom.r_outer!r})"
-        )
-
-
-def _check_fill(fill: Material) -> None:
-    if not (math.isfinite(fill.eps_r) and fill.eps_r >= 1.0):
-        raise DomainError(f"eps_r must be finite and >= 1 (got {fill.eps_r!r})")
-    if not (math.isfinite(fill.mu_r) and fill.mu_r >= 1.0):
-        raise DomainError(f"mu_r must be finite and >= 1 (got {fill.mu_r!r})")
-
-
-def _check_aperture(ap: RectAperture) -> None:
-    for name, value in (("width_a", ap.width_a), ("height_b", ap.height_b), ("depth_d", ap.depth_d)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise DomainError(f"aperture.{name} must be finite and > 0 (got {value!r})")
+def _require(violations: list[str]) -> None:
+    """Raise the first violation found by the model's part checks."""
+    if violations:
+        raise DomainError(violations[0])
 
 
 def coax_char_impedance(geom: CoaxGeometry, fill: Material) -> float:
@@ -60,8 +49,7 @@ def coax_char_impedance(geom: CoaxGeometry, fill: Material) -> float:
 
     Z0 = eta0/(2 pi) * sqrt(mu_r/eps_r) * ln(r_outer/r_inner)
     """
-    _check_geometry(geom)
-    _check_fill(fill)
+    _require(coax_violations(geom) or material_violations("coax_fill", fill))
     return ETA0 / (2.0 * math.pi) * math.sqrt(fill.mu_r / fill.eps_r) * math.log(geom.ratio)
 
 
@@ -70,15 +58,14 @@ def coax_ratio_for_impedance(z0: float, fill: Material) -> float:
     :func:`coax_char_impedance`)."""
     if not (math.isfinite(z0) and z0 > 0.0):
         raise DomainError(f"z0 must be finite and > 0 (got {z0!r})")
-    _check_fill(fill)
+    _require(material_violations("coax_fill", fill))
     return math.exp(2.0 * math.pi * z0 / (ETA0 * math.sqrt(fill.mu_r / fill.eps_r)))
 
 
 def coax_first_higher_mode_cutoff(geom: CoaxGeometry, fill: Material) -> float:
     """Onset of the lowest non-TEM coax mode, from the mean-circumference
     approximation lambda = pi (r_outer + r_inner) [Hz]."""
-    _check_geometry(geom)
-    _check_fill(fill)
+    _require(coax_violations(geom) or material_violations("coax_fill", fill))
     return C0 / (fill.refractive_index * math.pi * (geom.r_outer + geom.r_inner))
 
 
@@ -94,8 +81,7 @@ def solve_inner_radius(z0: float, f_single_mode: float, fill: Material) -> CoaxG
 
 def rect_cutoff(index: ModeIndex, ap: RectAperture, fill: Material) -> float:
     """TE(m,n) cutoff frequency of a filled rectangular waveguide [Hz]."""
-    _check_aperture(ap)
-    _check_fill(fill)
+    _require(aperture_violations(ap) or material_violations("aperture_fill", fill))
     return (
         C0
         / (2.0 * fill.refractive_index)
@@ -124,18 +110,27 @@ def mode_chart(ap: RectAperture, fill: Material, f_max: float) -> list[ModeEntry
     """All TE modes with cutoff <= ``f_max``, sorted ascending by cutoff."""
     if not (math.isfinite(f_max) and f_max > 0.0):
         raise DomainError(f"f_max must be finite and > 0 (got {f_max!r})")
-    _check_aperture(ap)
-    _check_fill(fill)
+    _require(aperture_violations(ap) or material_violations("aperture_fill", fill))
     # Index bound guarantees completeness: TE(m,0) cutoff exceeds f_max once
-    # m > 2 f_max a sqrt(eps mu) / c0, and likewise along the height.
-    m_max = math.ceil(2.0 * f_max * ap.width_a * fill.refractive_index / C0) + 1
-    n_max = math.ceil(2.0 * f_max * ap.height_b * fill.refractive_index / C0) + 1
+    # m > 2 f_max a sqrt(eps mu) / c0, and likewise along the height. The
+    # min() keeps an overflowing bound finite until the size check rejects it.
+    m_top = 2.0 * f_max * ap.width_a * fill.refractive_index / C0
+    n_top = 2.0 * f_max * ap.height_b * fill.refractive_index / C0
+    m_max = math.ceil(min(m_top, MODE_CHART_MAX_CANDIDATES)) + 1
+    n_max = math.ceil(min(n_top, MODE_CHART_MAX_CANDIDATES)) + 1
+    if (m_max + 1) * (n_max + 1) > MODE_CHART_MAX_CANDIDATES:
+        raise DomainError(
+            f"f_max = {f_max!r} Hz needs more than {MODE_CHART_MAX_CANDIDATES} mode "
+            "candidates; chart a lower f_max"
+        )
+    scale = C0 / (2.0 * fill.refractive_index)
     entries = []
     for m in range(m_max + 1):
         for n in range(n_max + 1):
             if m == 0 and n == 0:
                 continue
-            fc = rect_cutoff(ModeIndex(m, n), ap, fill)
+            # rect_cutoff without its per-call input checks, done once above
+            fc = scale * math.hypot(m / ap.width_a, n / ap.height_b)
             if fc <= f_max:
                 entries.append(ModeEntry(ModeIndex(m, n), fc))
     entries.sort(key=lambda e: (e.cutoff_hz, e.index.m, e.index.n))

@@ -12,19 +12,10 @@ from dataclasses import dataclass
 
 from .cascade import filter_response
 from .constants import C0, ELEMENTARY_CHARGE, PLANCK_H
-from .errors import DomainError, InfeasibleDesignError, ParseError
+from .errors import DomainError, InfeasibleDesignError
 from .leakage import inband_transmission, min_depth_for_budget
-from .model import (
-    DEFAULT_STOPBAND_KAPPA,
-    FilterDesign,
-    FrequencyGrid,
-    Material,
-    RectAperture,
-    _take_float,
-    _take_int,
-    parse_key_values,
-    with_aperture,
-)
+from .model import DEFAULT_APERTURES_PER_SECTION, DEFAULT_STOPBAND_KAPPA, FilterDesign, FrequencyGrid
+from .model import Field, KeyValueFormat, Material, RectAperture, material_violations, with_aperture
 from .modes import corner_frequency, solve_inner_radius
 from .tsio import insertion_loss_db
 
@@ -38,6 +29,10 @@ HEIGHT_TO_WIDTH = 1.25
 # loss check lands strictly inside the budget instead of on its boundary.
 _DEPTH_SAFETY = 1e-9
 
+# Points of each of verify's two grids: the passband up to its top and the
+# stopband from its start to twice that.
+_VERIFY_POINTS = 101
+
 
 @dataclass(frozen=True)
 class DesignSpec:
@@ -50,7 +45,7 @@ class DesignSpec:
     stopband_min_attenuation_db: float
     aperture_fill: Material
     coax_fill: Material
-    apertures_per_section: int = 8
+    apertures_per_section: int = DEFAULT_APERTURES_PER_SECTION
 
 
 @dataclass(frozen=True)
@@ -72,9 +67,9 @@ def pair_breaking_frequency(gap_energy_ev: float) -> float:
     return 2.0 * gap_energy_ev * ELEMENTARY_CHARGE / PLANCK_H
 
 
-def octagon_face_width(r_outer: float, faces: int = OCTAGON_FACES) -> float:
-    """Flat width of a regular polygon with apothem ``r_outer``."""
-    return 2.0 * r_outer * math.tan(math.pi / faces)
+def octagon_face_width(r_outer: float) -> float:
+    """Flat width of a regular octagon with apothem ``r_outer``."""
+    return 2.0 * r_outer * math.tan(math.pi / OCTAGON_FACES)
 
 
 def per_section_attenuation_db(
@@ -84,32 +79,48 @@ def per_section_attenuation_db(
     return -10.0 * apertures_per_section * math.log10(1.0 - kappa)
 
 
-def synthesize(spec: DesignSpec, margin_factor: float = 1.0, faces: int = OCTAGON_FACES) -> SynthesisReport:
+def validate_spec(spec: DesignSpec) -> list[str]:
+    """One message per violated spec invariant. A stopband start at or below
+    the passband top is valid: :func:`synthesize` reports it as infeasible."""
+    out = []
+    for name, value in (
+        ("z0", spec.z0),
+        ("f_passband_top", spec.f_passband_top),
+        ("passband_il_budget_db", spec.passband_il_budget_db),
+        ("f_stopband_start", spec.f_stopband_start),
+        ("stopband_min_attenuation_db", spec.stopband_min_attenuation_db),
+    ):
+        if not 0.0 < value < math.inf:
+            out.append(f"{name} must be finite and > 0 (got {value!r})")
+    out += material_violations("aperture_fill", spec.aperture_fill)
+    out += material_violations("coax_fill", spec.coax_fill)
+    if spec.apertures_per_section < 1:
+        out.append(f"apertures_per_section must be >= 1 (got {spec.apertures_per_section!r})")
+    return out
+
+
+def synthesize(spec: DesignSpec) -> SynthesisReport:
     """Produce a design meeting ``spec``, with forward-model margins.
 
-    ``margin_factor`` scales where the coax single-mode limit is placed
-    relative to the passband top (1.0 puts it exactly there).
+    The coax single-mode limit is placed at the passband top.
     """
-    if not (math.isfinite(spec.f_stopband_start) and spec.f_stopband_start > spec.f_passband_top):
+    violations = validate_spec(spec)
+    if violations:
+        raise DomainError("invalid spec: " + "; ".join(violations))
+    if spec.f_stopband_start <= spec.f_passband_top:
         raise InfeasibleDesignError(
             "binding constraint: f_stopband_start must exceed f_passband_top "
             f"(got {spec.f_stopband_start!r} vs {spec.f_passband_top!r})"
         )
-    if spec.apertures_per_section < 1:
-        raise DomainError(f"apertures_per_section must be >= 1 (got {spec.apertures_per_section!r})")
-    if not (math.isfinite(spec.stopband_min_attenuation_db) and spec.stopband_min_attenuation_db > 0.0):
-        raise DomainError(
-            f"stopband attenuation target must be > 0 dB (got {spec.stopband_min_attenuation_db!r})"
-        )
 
-    coax = solve_inner_radius(spec.z0, spec.f_passband_top * margin_factor, spec.coax_fill)
+    coax = solve_inner_radius(spec.z0, spec.f_passband_top, spec.coax_fill)
 
     width = C0 / (2.0 * spec.f_stopband_start * spec.aperture_fill.refractive_index)
-    face = octagon_face_width(coax.r_outer, faces)
+    face = octagon_face_width(coax.r_outer)
     if width >= face:
         raise InfeasibleDesignError(
             f"binding constraint: aperture width {width!r} m does not fit the "
-            f"{face!r} m face of the {faces}-sided outer body"
+            f"{face!r} m face of the {OCTAGON_FACES}-sided outer body"
         )
 
     sections = math.ceil(
@@ -129,7 +140,7 @@ def synthesize(spec: DesignSpec, margin_factor: float = 1.0, faces: int = OCTAGO
     return verify(design, spec)
 
 
-def verify(design: FilterDesign, spec: DesignSpec, points: int = 101) -> SynthesisReport:
+def verify(design: FilterDesign, spec: DesignSpec) -> SynthesisReport:
     """Forward-model margins of a design against a spec.
 
     Negative margins are reported, never raised. Passband points at or above
@@ -138,14 +149,15 @@ def verify(design: FilterDesign, spec: DesignSpec, points: int = 101) -> Synthes
     fc = corner_frequency(design)
 
     worst_il = 0.0
-    for f in FrequencyGrid.linear(spec.f_passband_top / points, spec.f_passband_top, points):
+    top = spec.f_passband_top
+    for f in FrequencyGrid.linear(top / _VERIFY_POINTS, top, _VERIFY_POINTS):
         if f >= fc:
             worst_il = math.inf
             break
         worst_il = max(worst_il, inband_transmission(design, f).insertion_loss_db)
     margin_passband = spec.passband_il_budget_db - worst_il
 
-    stop_grid = FrequencyGrid.linear(spec.f_stopband_start, 2.0 * spec.f_stopband_start, points)
+    stop_grid = FrequencyGrid.linear(spec.f_stopband_start, 2.0 * spec.f_stopband_start, _VERIFY_POINTS)
     response = filter_response(design, stop_grid)
     least_attenuation = float(insertion_loss_db(response.s21).min())
     margin_stopband = least_attenuation - spec.stopband_min_attenuation_db
@@ -160,56 +172,32 @@ def verify(design: FilterDesign, spec: DesignSpec, points: int = 101) -> Synthes
 
 # --- spec files --------------------------------------------------------------
 
-SPEC_KEYS = (
-    "z0_ohm",
-    "f_passband_top_hz",
-    "passband_il_budget_db",
-    "f_stopband_start_hz",
-    "stopband_min_attenuation_db",
-    "aperture_eps_r",
-    "coax_eps_r",
-    "apertures_per_section",
-)
-
-_REQUIRED_SPEC_KEYS = (
-    "z0_ohm",
-    "f_passband_top_hz",
-    "passband_il_budget_db",
-    "f_stopband_start_hz",
-    "stopband_min_attenuation_db",
+# Same grammar as design files. The five targets are required; the fills
+# default to air.
+SPEC_FILE = KeyValueFormat(
+    "spec",
+    DesignSpec,
+    {"aperture_fill": Material, "coax_fill": Material},
+    (
+        Field("z0_ohm", "z0", float),
+        Field("f_passband_top_hz", "f_passband_top", float),
+        Field("passband_il_budget_db", "passband_il_budget_db", float),
+        Field("f_stopband_start_hz", "f_stopband_start", float),
+        Field("stopband_min_attenuation_db", "stopband_min_attenuation_db", float),
+        Field("aperture_eps_r", "aperture_fill.eps_r", float, 1.0),
+        Field("coax_eps_r", "coax_fill.eps_r", float, 1.0),
+        Field("apertures_per_section", "apertures_per_section", int, DEFAULT_APERTURES_PER_SECTION),
+    ),
+    validate_spec,
 )
 
 
 def loads_design_spec(text: str) -> DesignSpec:
-    """Parse a spec file (same key-value grammar as design files)."""
-    raw = parse_key_values(text, SPEC_KEYS)
-    for key in _REQUIRED_SPEC_KEYS:
-        if key not in raw:
-            raise ParseError(f"missing required key {key!r}")
-    return DesignSpec(
-        z0=_take_float(raw, "z0_ohm"),
-        f_passband_top=_take_float(raw, "f_passband_top_hz"),
-        passband_il_budget_db=_take_float(raw, "passband_il_budget_db"),
-        f_stopband_start=_take_float(raw, "f_stopband_start_hz"),
-        stopband_min_attenuation_db=_take_float(raw, "stopband_min_attenuation_db"),
-        aperture_fill=Material(eps_r=_take_float(raw, "aperture_eps_r", 1.0)),
-        coax_fill=Material(eps_r=_take_float(raw, "coax_eps_r", 1.0)),
-        apertures_per_section=_take_int(raw, "apertures_per_section", 8),
-    )
+    """Parse a spec file into a validated :class:`DesignSpec`."""
+    return SPEC_FILE.loads(text)
 
 
 def dumps_design_spec(spec: DesignSpec, header: str = "") -> str:
-    lines = []
-    if header:
-        lines.append(f"# {header}")
-    lines += [
-        f"z0_ohm = {spec.z0!r}",
-        f"f_passband_top_hz = {spec.f_passband_top!r}",
-        f"passband_il_budget_db = {spec.passband_il_budget_db!r}",
-        f"f_stopband_start_hz = {spec.f_stopband_start!r}",
-        f"stopband_min_attenuation_db = {spec.stopband_min_attenuation_db!r}",
-        f"aperture_eps_r = {spec.aperture_fill.eps_r!r}",
-        f"coax_eps_r = {spec.coax_fill.eps_r!r}",
-        f"apertures_per_section = {spec.apertures_per_section}",
-    ]
-    return "\n".join(lines) + "\n"
+    """Serialize a spec (exact float round-trip); raises :class:`DomainError`
+    for a fill with ``mu_r != 1``, which the format does not carry."""
+    return SPEC_FILE.dumps(spec, header)

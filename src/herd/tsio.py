@@ -199,7 +199,7 @@ def parse_touchstone(text: str) -> SParamTable:
     if mag_only:
         s11, s21, s12, s22 = (np.abs(s).astype(complex) for s in (s11, s21, s12, s22))
     return SParamTable(
-        grid=FrequencyGrid(tuple(f_hz.tolist())),
+        grid=FrequencyGrid(f_hz),
         entries=None,
         provenance=Provenance.MEASURED,
         mag_only=mag_only,

@@ -1,0 +1,176 @@
+"""Design and spec files: exact round trips over every field, input that
+always ends in a value or a ParseError, and refusal to write what a file
+cannot carry."""
+
+import math
+from dataclasses import replace
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from herd import (
+    CoaxGeometry,
+    DesignSpec,
+    DomainError,
+    DominantModeAxis,
+    FilterDesign,
+    Material,
+    ParseError,
+    RectAperture,
+    dumps_design,
+    dumps_design_spec,
+    loads_design,
+    loads_design_spec,
+    prototype_design,
+    validate,
+)
+from herd.model import DESIGN_FILE
+from herd.synthesis import SPEC_FILE, validate_spec
+
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False, allow_nan=False)
+_eps_r = st.floats(min_value=1.0, allow_infinity=False, allow_nan=False)
+_count = st.integers(min_value=1, max_value=10**6)
+
+
+@st.composite
+def valid_designs(draw):
+    r_inner = draw(st.floats(min_value=1e-9, max_value=1.0))
+    return FilterDesign(
+        coax=CoaxGeometry(r_inner=r_inner, r_outer=r_inner * draw(st.floats(1.001, 1e3))),
+        coax_fill=Material(eps_r=draw(_eps_r)),
+        aperture=RectAperture(width_a=draw(_positive), height_b=draw(_positive), depth_d=draw(_positive)),
+        aperture_fill=Material(eps_r=draw(_eps_r)),
+        sections=draw(_count),
+        apertures_per_section=draw(_count),
+        section_pitch=draw(_positive),
+        stopband_kappa=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        dominant_mode_axis=draw(st.sampled_from(DominantModeAxis)),
+    )
+
+
+@st.composite
+def valid_specs(draw):
+    return DesignSpec(
+        z0=draw(_positive),
+        f_passband_top=draw(_positive),
+        passband_il_budget_db=draw(_positive),
+        f_stopband_start=draw(_positive),
+        stopband_min_attenuation_db=draw(_positive),
+        aperture_fill=Material(eps_r=draw(_eps_r)),
+        coax_fill=Material(eps_r=draw(_eps_r)),
+        apertures_per_section=draw(_count),
+    )
+
+
+@given(valid_designs())
+def test_design_round_trip_is_exact(design):
+    assert validate(design) == []
+    assert loads_design(dumps_design(design, header="round trip")) == design
+
+
+@given(valid_specs())
+def test_spec_round_trip_is_exact(spec):
+    assert validate_spec(spec) == []
+    assert loads_design_spec(dumps_design_spec(spec, header="round trip")) == spec
+
+
+def test_prototype_round_trip_is_exact():
+    assert loads_design(dumps_design(prototype_design())) == prototype_design()
+
+
+def _key_value_texts(keys):
+    value = st.one_of(
+        st.text(max_size=12),
+        st.floats().map(repr),
+        st.integers(min_value=-10, max_value=10**30).map(str),
+        st.sampled_from(["WIDTH", "height", "nan", "-inf", "1e999", "0", "1_0", ""]),
+    )
+    line = st.one_of(
+        st.tuples(st.sampled_from(keys), value).map(lambda kv: f"{kv[0]} = {kv[1]}"),
+        st.text(max_size=20),
+    )
+    return st.one_of(st.text(), st.lists(line, max_size=16).map("\n".join))
+
+
+@given(_key_value_texts([field.key for field in DESIGN_FILE.fields]))
+def test_any_design_text_gives_a_valid_design_or_a_parse_error(text):
+    try:
+        design = loads_design(text)
+    except ParseError:
+        return
+    assert validate(design) == []
+
+
+@given(_key_value_texts([field.key for field in SPEC_FILE.fields]))
+def test_any_spec_text_gives_a_valid_spec_or_a_parse_error(text):
+    try:
+        spec = loads_design_spec(text)
+    except ParseError:
+        return
+    assert validate_spec(spec) == []
+
+
+class TestUncarriedFields:
+    @pytest.mark.parametrize("part", ["coax_fill", "aperture_fill"])
+    def test_design_with_mu_r_is_not_written(self, proto, part):
+        design = replace(proto, **{part: Material(eps_r=1.0, mu_r=2.0)})
+        with pytest.raises(DomainError, match=f"{part}.mu_r = "):
+            dumps_design(design)
+
+    @pytest.mark.parametrize("part", ["coax_fill", "aperture_fill"])
+    def test_spec_with_mu_r_is_not_written(self, part):
+        spec = DesignSpec(
+            z0=50.0,
+            f_passband_top=10e9,
+            passband_il_budget_db=0.15,
+            f_stopband_start=25.3e9,
+            stopband_min_attenuation_db=60.0,
+            aperture_fill=Material(eps_r=2.2),
+            coax_fill=Material(eps_r=1.0),
+        )
+        with pytest.raises(DomainError, match=f"{part}.mu_r = "):
+            dumps_design_spec(replace(spec, **{part: Material(eps_r=1.0, mu_r=math.nan)}))
+
+
+class TestSchema:
+    def test_json_design_block_follows_the_file(self, proto):
+        values = DESIGN_FILE.values(proto)
+        assert list(values) == [field.key for field in DESIGN_FILE.fields]
+        text = "".join(f"{key} = {value}\n" for key, value in values.items())
+        assert loads_design(text) == proto
+
+    def test_bad_value_reported_before_missing_key(self, proto):
+        text = dumps_design(proto).replace("= 0.004", "= wide")
+        text = "\n".join(line for line in text.splitlines() if not line.startswith("sections"))
+        with pytest.raises(ParseError, match="'a_m' expects a number") as err:
+            loads_design(text)
+        assert err.value.line == 1
+
+    def test_bad_value_names_key_and_line(self, proto):
+        text = dumps_design(proto).replace("= WIDTH", "= SIDEWAYS")
+        with pytest.raises(ParseError, match="WIDTH or HEIGHT") as err:
+            loads_design(text)
+        assert err.value.line == len(DESIGN_FILE.fields)
+
+    def test_invalid_spec_is_a_parse_error(self):
+        text = dumps_design_spec(
+            DesignSpec(
+                z0=50.0,
+                f_passband_top=10e9,
+                passband_il_budget_db=-1.0,
+                f_stopband_start=25.3e9,
+                stopband_min_attenuation_db=60.0,
+                aperture_fill=Material(eps_r=0.5),
+                coax_fill=Material(eps_r=1.0),
+            )
+        )
+        with pytest.raises(ParseError, match="invalid spec") as err:
+            loads_design_spec(text)
+        assert "passband_il_budget_db" in str(err.value)
+        assert "aperture_fill.eps_r" in str(err.value)
+
+    def test_multi_line_header_stays_a_comment(self, proto):
+        text = dumps_design(proto, header="two\nlines = 1")
+        assert text.startswith("# two\n# lines = 1\n")
+        assert loads_design(text) == proto

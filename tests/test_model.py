@@ -78,8 +78,6 @@ def _expected_valid(design: FilterDesign) -> bool:
             and m.eps_r >= 1.0
             and math.isfinite(m.mu_r)
             and m.mu_r >= 1.0
-            and math.isfinite(m.loss_tangent)
-            and m.loss_tangent >= 0.0
         )
 
     return (
@@ -119,7 +117,6 @@ _maybe_bad_length = st.one_of(
 @given(
     eps1=_maybe_bad_float,
     mu1=_maybe_bad_float,
-    lt1=_maybe_bad_float,
     eps2=_maybe_bad_float,
     r_inner=_maybe_bad_length,
     r_outer=_maybe_bad_length,
@@ -132,11 +129,11 @@ _maybe_bad_length = st.one_of(
     kappa=_maybe_bad_float,
 )
 def test_validate_matches_invariants(
-    eps1, mu1, lt1, eps2, r_inner, r_outer, a, b, d, sections, per_section, pitch, kappa
+    eps1, mu1, eps2, r_inner, r_outer, a, b, d, sections, per_section, pitch, kappa
 ):
     design = FilterDesign(
         coax=CoaxGeometry(r_inner=r_inner, r_outer=r_outer),
-        coax_fill=Material(eps_r=eps1, mu_r=mu1, loss_tangent=lt1),
+        coax_fill=Material(eps_r=eps1, mu_r=mu1),
         aperture=RectAperture(width_a=a, height_b=b, depth_d=d),
         aperture_fill=Material(eps_r=eps2),
         sections=sections,
