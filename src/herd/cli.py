@@ -33,6 +33,7 @@ from .tsio import (
     ClaimKind,
     band_metrics,
     check_claims,
+    format_columns,
     insertion_loss_db,
     parse_touchstone,
     return_loss_db,
@@ -67,13 +68,6 @@ def _json_safe(x):
     if isinstance(x, float) and not math.isfinite(x):
         return None
     return x
-
-
-def _json_column(values: np.ndarray) -> list:
-    """An array as a list of floats, with None in place of non-finite values."""
-    column = values.astype(object)
-    column[~np.isfinite(values)] = None
-    return column.tolist()
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -178,15 +172,25 @@ def _cmd_modes(args) -> int:
 
 
 def _analysis_grid(args) -> FrequencyGrid:
-    if not (args.fstart > 0.0 and args.fstop > args.fstart):
-        raise DomainError(
-            f"need 0 < fstart < fstop (got fstart={args.fstart!r}, fstop={args.fstop!r})"
-        )
-    if args.points < 2:
-        raise DomainError(f"need at least 2 grid points (got {args.points!r})")
-    if args.log:
-        return FrequencyGrid.logarithmic(args.fstart, args.fstop, args.points)
-    return FrequencyGrid.linear(args.fstart, args.fstop, args.points)
+    spacing = FrequencyGrid.logarithmic if args.log else FrequencyGrid.linear
+    return spacing(args.fstart, args.fstop, args.points)
+
+
+# One element of the "response" array as json.dumps(..., indent=2) lays it out
+# at that depth, and the string that stands in for the array until it is
+# spliced in. Only "command" and "grid" precede "response", so the first
+# occurrence of the slot is the response's.
+_RESPONSE_ROW = '    {\n      "frequency_hz": %s,\n      "s21_db": %s,\n      "s11_db": %s\n    }'
+_RESPONSE_SLOT = "\0response"
+
+
+def _splice_response(text: str, columns) -> str:
+    """``text`` with its response slot replaced by the list of objects built
+    from ``columns`` (frequency, s21 and s11 arrays), as json.dumps would
+    write it, but with each distinct column formatted once."""
+    head, _, tail = text.partition(json.dumps(_RESPONSE_SLOT))
+    rows = map(_RESPONSE_ROW.__mod__, zip(*format_columns(columns, "json")))
+    return "".join((head, "[\n", ",\n".join(rows), "\n  ]", tail))
 
 
 def _metric_rows(table, profile: list[Claim]) -> list[dict]:
@@ -258,23 +262,18 @@ def _cmd_analyze(args) -> int:
                 "points": args.points,
                 "spacing": "log" if args.log else "linear",
             },
-            "response": [
-                {"frequency_hz": f, "s21_db": s21, "s11_db": s11}
-                for f, s21, s11 in zip(
-                    table.f.tolist(), _json_column(s21_db), _json_column(s11_db)
-                )
-            ],
+            "response": _RESPONSE_SLOT,
             "band_metrics": metrics,
             "claims_profile": args.claims,
             "claims": None if report is None else [_claim_doc(r) for r in report.results],
             "claims_passed": None if report is None else report.passed,
         }
-        _emit(_json_doc(doc), args.out)
+        _emit(_splice_response(_json_doc(doc), (table.f, s21_db, s11_db)), args.out)
     else:
         # "%.12g" formats a float exactly as _fmt does.
         lines = ["frequency_hz,s21_db,s11_db"]
-        rows = zip(table.f.tolist(), s21_db.tolist(), s11_db.tolist())
-        lines.extend(map("%.12g,%.12g,%.12g".__mod__, rows))
+        columns = format_columns((table.f, s21_db, s11_db), "%.12g")
+        lines.extend(map(",".join, zip(*columns)))
         for row in _metric_text(metrics):
             lines.append(f"# {row}")
         if report is not None:
@@ -292,12 +291,13 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_sweep(args) -> int:
     design = _load_design(args.design)
-    if not (args.sweep_from > 0.0 and args.sweep_to > 0.0):
-        raise DomainError("sweep bounds must be positive")
     if args.steps < 1:
         raise DomainError(f"steps must be >= 1 (got {args.steps!r})")
     field = _SWEEP_FIELDS[args.param]
-    values = [float(v) for v in np.linspace(args.sweep_from, args.sweep_to, args.steps)]
+    # An infinite or overflowing span gives nan values, which the aperture
+    # check in corner_frequency refuses like any other non-positive value.
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.linspace(args.sweep_from, args.sweep_to, args.steps).tolist()
 
     rows = []
     for value in values:

@@ -138,17 +138,24 @@ class FrequencyGrid:
 
     @classmethod
     def linear(cls, start: float, stop: float, points: int) -> "FrequencyGrid":
-        if points < 2:
-            raise DomainError(f"a linear grid needs at least 2 points (got {points})")
+        _check_span("linear", start, stop, points)
         return cls(np.linspace(start, stop, points))
 
     @classmethod
     def logarithmic(cls, start: float, stop: float, points: int) -> "FrequencyGrid":
-        if points < 2:
-            raise DomainError(f"a logarithmic grid needs at least 2 points (got {points})")
-        if start <= 0.0:
-            raise DomainError("a logarithmic grid requires start > 0")
+        _check_span("logarithmic", start, stop, points)
         return cls(np.geomspace(start, stop, points))
+
+
+def _check_span(spacing: str, start: float, stop: float, points: int) -> None:
+    # Checked before numpy sees the bounds: geomspace raises ValueError for a
+    # zero stop, and both spacings warn on an infinite one.
+    if points < 2:
+        raise DomainError(f"a {spacing} grid needs at least 2 points (got {points})")
+    if not 0.0 < start < stop < math.inf:
+        raise DomainError(
+            f"a {spacing} grid needs 0 < start < stop < inf (got start={start!r}, stop={stop!r})"
+        )
 
 
 def prototype_design() -> FilterDesign:

@@ -27,9 +27,6 @@ FORMATS = ("RI", "MA", "DB")
 # indistinguishable from zero at any metric tolerance used here.
 _DB_FLOOR = -400.0
 
-# Frequency plus four complex pairs per data row.
-_ROW_FORMAT = " ".join(["%.17g"] * 9)
-
 # Parsed rows are moved from Python floats into an array this many at a time,
 # so a long file never holds one float object per value.
 _BLOCK_ROWS = 1024
@@ -222,6 +219,42 @@ def _complex_to_pairs(fmt: str, values: np.ndarray) -> tuple[np.ndarray, np.ndar
         return np.maximum(20.0 * np.log10(mag), _DB_FLOOR), ang
 
 
+def _format_column(values: np.ndarray, style: str) -> list[str]:
+    if style == "json":
+        strings = list(map(float.__repr__, values.tolist()))
+        for i in np.flatnonzero(~np.isfinite(values)).tolist():
+            strings[i] = "null"
+        return strings
+    return list(map(style.__mod__, values.tolist()))
+
+
+def format_columns(columns, style: str) -> list[list[str]]:
+    """The strings of each float64 column, one per value.
+
+    ``style`` is a printf format such as ``"%.17g"`` or ``"%.12g"``, or
+    ``"json"``: the float's repr, as ``json.dumps`` writes it, and ``null``
+    for a non-finite value. A column whose bits equal those of an earlier
+    column reuses its strings (so ``-0.0`` and ``0.0`` stay distinct), and a
+    constant column is formatted once.
+    """
+    done: list[tuple[np.ndarray, list[str]]] = []
+    out = []
+    for column in columns:
+        values = np.ascontiguousarray(column, dtype=np.float64)
+        bits = values.view(np.int64)
+        for seen, strings in done:
+            if np.array_equal(seen, bits):
+                break
+        else:
+            if len(bits) > 1 and (bits == bits[0]).all():
+                strings = _format_column(values[:1], style) * len(values)
+            else:
+                strings = _format_column(values, style)
+            done.append((bits, strings))
+        out.append(strings)
+    return out
+
+
 def write_touchstone(table: SParamTable, fmt: str = "RI", unit: str = "HZ") -> str:
     """Serialize a table as Touchstone v1 text, 17 significant digits."""
     fmt = fmt.upper()
@@ -238,7 +271,9 @@ def write_touchstone(table: SParamTable, fmt: str = "RI", unit: str = "HZ") -> s
     if table.mag_only:
         lines.append("!MAGONLY")
     lines.append(f"# {unit} S {fmt} R {table.z0:.17g}")
-    lines.extend(map(_ROW_FORMAT.__mod__, zip(*(column.tolist() for column in columns))))
+    # A model table's s12 equals its s21 and its s22 its s11, and a matched
+    # model's s11 is constant: about three of the nine columns are formatted.
+    lines.extend(map(" ".join, zip(*format_columns(columns, "%.17g"))))
     return "\n".join(lines) + "\n"
 
 

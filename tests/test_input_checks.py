@@ -145,3 +145,67 @@ class TestGridArray:
 
     def test_keyword_and_tuple_construction(self):
         assert FrequencyGrid(points=(1e9, 2e9)).points.tolist() == [1e9, 2e9]
+
+
+# Grid and sweep bounds are checked once, by FrequencyGrid and by the aperture
+# check of corner_frequency; the CLI passes them on unchecked.
+BAD_GRIDS = {
+    "one_point": (["--points", "1"], "needs at least 2 points (got 1)"),
+    "zero_start": (["--fstart", "0"], "needs 0 < start < stop < inf"),
+    "reversed": (["--fstart", "2e9", "--fstop", "1e9"], "needs 0 < start < stop < inf"),
+    "infinite_stop": (["--fstop", "inf"], "needs 0 < start < stop < inf"),
+    "nan_start": (["--fstart", "nan"], "needs 0 < start < stop < inf"),
+    "log_zero_stop": (["--log", "--fstop", "0"], "logarithmic grid needs 0 < start"),
+    "log_negative_stop": (["--log", "--fstop=-1"], "logarithmic grid needs 0 < start"),
+}
+
+
+class TestGridBounds:
+    @pytest.mark.parametrize("name", sorted(BAD_GRIDS))
+    def test_analyze_exits_2_with_the_grid_message(self, capsys, tmp_path, proto, name):
+        path = tmp_path / "stock.design"
+        path.write_text(dumps_design(proto))
+        argv, message = BAD_GRIDS[name]
+        with np.errstate(all="raise"):
+            code = main(["analyze", "--design", str(path), *argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("herd: input error:") and message in err
+
+    @pytest.mark.parametrize("spacing", ["linear", "logarithmic"])
+    @pytest.mark.parametrize("start, stop", [(1e9, 0.0), (1e9, -1.0), (1e8, math.inf), (0.0, 1e9)])
+    def test_constructors_raise_before_numpy(self, spacing, start, stop):
+        with pytest.raises(DomainError, match=f"a {spacing} grid needs 0 < start < stop < inf"):
+            with np.errstate(all="raise"):
+                getattr(FrequencyGrid, spacing)(start, stop, 5)
+
+
+BAD_SWEEPS = {
+    "zero_start": (["--from", "0", "--to", "6e-3"], "aperture.width_a must be finite and > 0 (got 0.0)"),
+    "negative_end": (["--from", "3e-3", "--to=-1e-3"], "(got -0.001)"),
+    "overflowing_span": (["--from=-1e308", "--to=1e308"], "(got nan)"),
+    "infinite_end": (["--from", "3e-3", "--to", "inf"], "(got nan)"),
+    "no_steps": (["--from", "3e-3", "--to", "6e-3", "--steps", "0"], "steps must be >= 1"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(BAD_SWEEPS))
+def test_sweep_bounds_exit_2(capsys, tmp_path, proto, name):
+    path = tmp_path / "stock.design"
+    path.write_text(dumps_design(proto))
+    argv, message = BAD_SWEEPS[name]
+    steps = [] if "--steps" in argv else ["--steps", "4"]
+    code = main(["sweep", "--design", str(path), "--param", "a", *argv, *steps])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("herd: input error:") and message in err
+
+
+def test_sweep_of_depth_refuses_a_zero_depth(capsys, tmp_path, proto):
+    path = tmp_path / "stock.design"
+    path.write_text(dumps_design(proto))
+    code = main(["sweep", "--design", str(path), "--param", "d", "--from", "0", "--to", "6e-3",
+                 "--steps", "3"])
+    assert code == 2
+    assert "aperture.depth_d must be finite and > 0 (got 0.0)" in capsys.readouterr().err

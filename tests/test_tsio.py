@@ -2,7 +2,7 @@ import cmath
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from herd import (
@@ -262,3 +262,55 @@ class TestCheckClaims:
         row = report.results[0]
         assert row.error is not None and "band" in row.error
         assert row.observed_db is None
+
+
+_odd_tokens = ["nan", "-inf", "1e999", "1e-999", "-0", "1_0", "0x10", "x", "1e308", ""]
+_odd_lines = ["!MAGONLY", "! comment", "[Version] 2.0", "#", "# HZ S RI R 50", ""]
+
+
+@st.composite
+def _touchstone_texts(draw):
+    """A well-formed file (one option line, rows of 9 numbers at increasing
+    frequencies) with up to three faults: a token replaced or dropped, an
+    extra line, or two rows swapped."""
+    rows = [
+        "# {} S {} R {}".format(
+            draw(st.sampled_from(["HZ", "ghz", "MHz", "KHZ"])),
+            draw(st.sampled_from(["RI", "ma", "DB"])),
+            repr(draw(st.floats(min_value=1e-3, max_value=1e3)))
+            if draw(st.integers(0, 4))
+            else draw(st.sampled_from(_odd_tokens)),
+        ).split()
+    ]
+    freqs = draw(st.lists(st.floats(min_value=1e-3, max_value=1e12), max_size=8, unique=True))
+    for f in sorted(freqs):
+        values = draw(st.lists(st.floats(-1e3, 1e3), min_size=8, max_size=8))
+        rows.append([repr(v) for v in (f, *values)])
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.integers(0, len(rows) - 1))
+        fault = draw(st.sampled_from(["token", "drop", "line", "swap"]))
+        if fault == "token":
+            column = draw(st.integers(0, len(rows[row]) - 1)) if rows[row] else 0
+            token = draw(st.one_of(st.sampled_from(_odd_tokens), st.floats().map(repr)))
+            rows[row][column : column + 1] = [token]
+        elif fault == "drop" and rows[row]:
+            del rows[row][draw(st.integers(0, len(rows[row]) - 1))]
+        elif fault == "line":
+            line = draw(st.one_of(st.sampled_from(_odd_lines), st.text(max_size=20)))
+            rows.insert(row, [line])
+        else:
+            other = draw(st.integers(0, len(rows) - 1))
+            rows[row], rows[other] = rows[other], rows[row]
+    return "\n".join(" ".join(row) for row in rows)
+
+
+# Each fault is a few percent of the drawn files, so this takes more examples
+# than the default.
+@settings(max_examples=600)
+@given(st.one_of(st.text(), _touchstone_texts()))
+def test_any_text_gives_a_table_or_a_parse_error(text):
+    try:
+        table = parse_touchstone(text)
+    except ParseError:
+        return
+    assert isinstance(table, SParamTable)
