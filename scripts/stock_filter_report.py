@@ -19,7 +19,7 @@ from herd import (
     FrequencyGrid,
     check_claims,
     filter_response,
-    inband_loss_curve,
+    inband_transmission,
     insertion_loss_db,
     mismatch_loss_db,
     prototype_design,
@@ -49,16 +49,13 @@ def main() -> int:
 
     # in-band leakage curve vs mismatch references
     inband = FrequencyGrid.linear(0.5e9, 12e9, 200)
-    curve = inband_loss_curve(design, inband)
+    curve = inband_transmission(design, inband.f)
     ref20 = mismatch_loss_db(-20.0)
     ref23 = mismatch_loss_db(-23.0)
     with open(outdir / "inband_loss.csv", "w") as fh:
         fh.write("frequency_hz,leakage_il_db,mismatch_il_db_20,mismatch_il_db_23\n")
-        for point in curve:
-            fh.write(
-                f"{point.frequency:.12g},{point.insertion_loss_db:.12g},"
-                f"{ref20:.12g},{ref23:.12g}\n"
-            )
+        for f, loss in zip(curve.frequency.tolist(), curve.insertion_loss_db.tolist()):
+            fh.write(f"{f:.12g},{loss:.12g},{ref20:.12g},{ref23:.12g}\n")
 
     report = check_claims(table, CLAIM_PROFILES["default"])
     for result in report.results:

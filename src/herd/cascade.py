@@ -16,12 +16,13 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .constants import C0
 from .errors import DomainError
+from .leakage import evanescent_gamma
 from .model import FilterDesign, FrequencyGrid
 from .modes import corner_frequency
 
@@ -67,10 +68,6 @@ class TwoPort:
 
     def is_passive(self, tol: float = 1e-9) -> bool:
         return self.max_singular_value() <= 1.0 + tol
-
-    @property
-    def is_reciprocal(self) -> bool:
-        return self.s12 == self.s21
 
 
 class SParamTable:
@@ -192,12 +189,9 @@ def _section(
     fc = corner_frequency(design)
     n_ap = design.apertures_per_section
 
-    # Evanescent decay of the dominant aperture mode (rect_gamma's real
-    # branch). At and above the corner gamma is 0, so amp = 1 and the
-    # below-cutoff transmission is exactly 0.
-    scale = 2.0 * math.pi * design.aperture_fill.refractive_index / C0
-    gamma = scale * np.sqrt(np.maximum((fc - f) * (fc + f), 0.0))
-    amp = np.exp(gamma * -design.aperture.depth_d)
+    # Evanescent decay of the dominant aperture mode. At and above the corner
+    # gamma is 0, so amp = 1 and the below-cutoff transmission is exactly 0.
+    amp = np.exp(evanescent_gamma(design, fc, f) * -design.aperture.depth_d)
     t_below = (1.0 - amp * amp) ** n_ap
     t_above = (1.0 - design.stopband_kappa) ** n_ap
 
@@ -215,67 +209,6 @@ def _section(
         return np.zeros_like(phase), np.sqrt(t_power) * phase
     refl = 10.0 ** (return_loss_floor_db / 20.0)
     return 1j * refl * phase, np.sqrt((1.0 - refl * refl) * t_power) * phase
-
-
-def section_two_port(
-    design: FilterDesign,
-    f: float,
-    transition_width: float = DEFAULT_TRANSITION_WIDTH,
-    return_loss_floor_db: float | None = None,
-) -> TwoPort:
-    """Two-port of a single section at frequency ``f``.
-
-    |s21|^2 follows the evanescent per-aperture loss below the corner and the
-    (1 - kappa)**apertures drain above it; s21 carries the ideal line phase
-    over one section pitch. The default model is matched (s11 = s22 = 0); an
-    optional constant return-loss floor adds a quadrature reflection sized to
-    keep the section passive. This is the one-point case of
-    :func:`filter_response`'s kernel.
-    """
-    if not (math.isfinite(f) and f > 0.0):
-        raise DomainError(f"frequency must be finite and > 0 (got {f!r})")
-    s11, s21 = _section(design, np.array([f], dtype=float), transition_width, return_loss_floor_db)
-    s11, s21 = complex(s11[0]), complex(s21[0])
-    return TwoPort(s11=s11, s12=s21, s21=s21, s22=s11)
-
-
-def cascade(ports: list[TwoPort]) -> TwoPort:
-    """S-matrix of two-ports chained in order, via T-matrix composition."""
-    if not ports:
-        raise DomainError("cannot cascade an empty list of two-ports")
-    z0 = ports[0].z0
-    for port in ports:
-        if port.z0 != z0:
-            raise DomainError(
-                f"all two-ports must share one reference impedance (got {port.z0!r} vs {z0!r})"
-            )
-        if port.s21 == 0:
-            raise DomainError("cannot cascade a two-port with zero transmission (s21 = 0)")
-    if len(ports) == 1:
-        return ports[0]
-
-    t11, t12, t21, t22 = complex(1.0), complex(0.0), complex(0.0), complex(1.0)
-    for port in ports:
-        p11 = (port.s12 * port.s21 - port.s11 * port.s22) / port.s21
-        p12 = port.s11 / port.s21
-        p21 = -port.s22 / port.s21
-        p22 = 1.0 / port.s21
-        t11, t12, t21, t22 = (
-            t11 * p11 + t12 * p21,
-            t11 * p12 + t12 * p22,
-            t21 * p11 + t22 * p21,
-            t21 * p12 + t22 * p22,
-        )
-
-    s21 = 1.0 / t22
-    if all(p.is_reciprocal for p in ports):
-        s12 = s21
-    else:
-        det = complex(1.0)
-        for port in ports:
-            det *= port.s12 / port.s21
-        s12 = det * s21
-    return TwoPort(s11=t12 / t22, s12=s12, s21=s21, s22=-t21 / t22, z0=z0)
 
 
 def _chain(s11: np.ndarray, s21: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -336,29 +269,21 @@ def attenuation_vs_sections(
 ) -> list[tuple[int, float]]:
     """Attenuation at ``f`` for 1..max_sections sections [(count, dB)].
 
-    Matched identical sections make this exactly linear in the count.
+    Matched identical sections make this exactly linear in the count: row n
+    is n times the attenuation of one section.
     """
     if max_sections < 1:
         raise DomainError(f"max_sections must be >= 1 (got {max_sections!r})")
-    section = section_two_port(design, f)
-    out = []
-    chain = section
-    for count in range(1, max_sections + 1):
-        if count > 1:
-            chain = cascade([chain, section])
-        out.append((count, -20.0 * math.log10(abs(chain.s21))))
-    return out
+    single = filter_response(replace(design, sections=1), FrequencyGrid((f,)))
+    att = -20.0 * math.log10(abs(complex(single.s21[0])))
+    return [(count, count * att) for count in range(1, max_sections + 1)]
 
 
-def calibrate_kappa(design: FilterDesign, f_ref: float, target_total_db: float) -> float:
+def calibrate_kappa(design: FilterDesign, target_total_db: float) -> float:
     """Per-aperture drain fraction giving ``target_total_db`` of attenuation
-    from the full section count.
-
-    The drain model is frequency-flat, so ``f_ref`` only records where the
-    target is anchored; it does not enter the closed form.
+    from the full section count. The drain model is frequency-flat, so the
+    fraction holds at every stopband frequency.
     """
-    if not (math.isfinite(f_ref) and f_ref > 0.0):
-        raise DomainError(f"f_ref must be finite and > 0 (got {f_ref!r})")
     if not (math.isfinite(target_total_db) and target_total_db >= 0.0):
         raise DomainError(f"target attenuation must be finite and >= 0 dB (got {target_total_db!r})")
     return 1.0 - 10.0 ** (-target_total_db / (10.0 * design.total_apertures))

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cascade import filter_response
+from .cascade import attenuation_vs_sections, filter_response
 from .errors import DomainError, InfeasibleDesignError, ParseError
 from .leakage import inband_transmission
 from .model import FilterDesign, FrequencyGrid, dumps_design, loads_design, with_aperture
@@ -299,16 +299,18 @@ def _cmd_sweep(args) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.linspace(args.sweep_from, args.sweep_to, args.steps).tolist()
 
+    # The in-band loss is n/a (null in JSON) on rows whose corner lies at or
+    # below a valid --fref, and where the transmission underflows to an
+    # infinite loss; the leakage model rejects every other bad --fref.
     rows = []
     for value in values:
         variant = with_aperture(design, **{field: value})
-        rows.append(
-            {
-                "value_m": value,
-                "corner_frequency_hz": corner_frequency(variant),
-                "insertion_loss_db": inband_transmission(variant, args.fref).insertion_loss_db,
-            }
-        )
+        corner = corner_frequency(variant)
+        if math.isfinite(args.fref) and args.fref >= corner:
+            loss = None
+        else:
+            loss = _json_safe(inband_transmission(variant, args.fref).insertion_loss_db)
+        rows.append({"value_m": value, "corner_frequency_hz": corner, "insertion_loss_db": loss})
 
     if args.format == "json":
         doc = {
@@ -324,7 +326,7 @@ def _cmd_sweep(args) -> int:
         for row in rows:
             lines.append(
                 f"{_fmt(row['value_m'])},{_fmt(row['corner_frequency_hz'])},"
-                f"{_fmt(row['insertion_loss_db'])}"
+                f"{_fmt2(row['insertion_loss_db'])}"
             )
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
@@ -341,8 +343,6 @@ def _cmd_sections(args) -> int:
         raise DomainError(f"unparsable frequency list {args.freqs!r}") from None
     if not freqs:
         raise DomainError("need at least one frequency")
-
-    from .cascade import attenuation_vs_sections
 
     columns = [attenuation_vs_sections(design, f, args.max_sections) for f in freqs]
     rows = [

@@ -146,15 +146,12 @@ def verify(design: FilterDesign, spec: DesignSpec) -> SynthesisReport:
     Negative margins are reported, never raised. Passband points at or above
     the aperture corner count as infinite loss.
     """
-    fc = corner_frequency(design)
-
-    worst_il = 0.0
     top = spec.f_passband_top
-    for f in FrequencyGrid.linear(top / _VERIFY_POINTS, top, _VERIFY_POINTS):
-        if f >= fc:
-            worst_il = math.inf
-            break
-        worst_il = max(worst_il, inband_transmission(design, f).insertion_loss_db)
+    pass_grid = FrequencyGrid.linear(top / _VERIFY_POINTS, top, _VERIFY_POINTS)
+    if top >= corner_frequency(design):
+        worst_il = math.inf
+    else:
+        worst_il = float(inband_transmission(design, pass_grid.f).insertion_loss_db.max())
     margin_passband = spec.passband_il_budget_db - worst_il
 
     stop_grid = FrequencyGrid.linear(spec.f_stopband_start, 2.0 * spec.f_stopband_start, _VERIFY_POINTS)

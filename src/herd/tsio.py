@@ -98,8 +98,9 @@ def parse_touchstone(text: str) -> SParamTable:
 
     Structural faults (option line, column count, non-numeric tokens) are
     reported as they are met. Value faults (non-finite numbers, frequencies
-    that are not positive or not strictly increasing) are checked on the
-    whole block once every row is read; the first offending row is reported.
+    that are not positive or not strictly increasing, S-parameters that
+    overflow on conversion) are checked on the whole block once every row is
+    read; the first offending row is reported.
     """
     unit_scale = None
     fmt = None
@@ -174,15 +175,24 @@ def parse_touchstone(text: str) -> SParamTable:
 
     blocks.append(np.array(rows, dtype=float).reshape(-1, 9))
     data = np.concatenate(blocks)
-    with np.errstate(over="ignore"):
+    # A frequency may overflow its unit, and a DB magnitude above about
+    # 6000 dB overflows 10**(dB/20); both are value faults reported below.
+    with np.errstate(over="ignore", invalid="ignore"):
         f_hz = data[:, 0] * unit_scale
-    bad = ~(np.isfinite(data).all(axis=1) & np.isfinite(f_hz) & (f_hz > 0.0))
+        s11, s21, s12, s22 = (
+            _pairs_to_complex(fmt, data[:, col], data[:, col + 1]) for col in (1, 3, 5, 7)
+        )
+    finite = np.isfinite(data).all(axis=1) & np.isfinite(f_hz)
+    converted = np.isfinite(s11) & np.isfinite(s21) & np.isfinite(s12) & np.isfinite(s22)
+    bad = ~(finite & converted & (f_hz > 0.0))
     bad[1:] |= ~(f_hz[1:] > f_hz[:-1])
     if bad.any():
         i = int(bad.argmax())
         f = f_hz[i].item()
-        if not (np.isfinite(data[i]).all() and math.isfinite(f)):
+        if not finite[i]:
             message = f"non-finite value in row {data[i].tolist()!r}"
+        elif not converted[i]:
+            message = f"S-parameter overflows in row {data[i].tolist()!r}"
         elif not f > 0.0:
             message = f"frequency must be > 0 Hz (got {f!r} Hz)"
         else:
@@ -190,9 +200,6 @@ def parse_touchstone(text: str) -> SParamTable:
             message = f"frequencies must be strictly increasing ({before!r} Hz -> {f!r} Hz)"
         raise ParseError(message, line=row_lines[i])
 
-    s11, s21, s12, s22 = (
-        _pairs_to_complex(fmt, data[:, col], data[:, col + 1]) for col in (1, 3, 5, 7)
-    )
     if mag_only:
         s11, s21, s12, s22 = (np.abs(s).astype(complex) for s in (s11, s21, s12, s22))
     return SParamTable(

@@ -106,7 +106,7 @@ def test_05_depth_inversion():
 def test_06_stopband_calibration():
     with criterion(6, "drain calibrates to 0.3505 +/- 0.001 and the stopband holds 60 dB"):
         proto = prototype_design()
-        kappa = calibrate_kappa(proto, 70e9, 60.0)
+        kappa = calibrate_kappa(proto, 60.0)
         assert kappa == pytest.approx(0.3505, abs=0.001)
 
         start = time.perf_counter()

@@ -29,7 +29,6 @@ from herd import (
     filter_response,
     parse_touchstone,
     rect_gamma,
-    section_two_port,
 )
 from herd.cascade import DEFAULT_TRANSITION_WIDTH
 from herd.cli import main
@@ -161,15 +160,6 @@ def test_below_lower_clamp(proto):
     _assert_agrees(proto, grid, transition_width=0.01, return_loss_floor_db=-30.0)
 
 
-def test_one_section_is_the_section_kernel(proto):
-    single = replace(proto, sections=1)
-    grid = FrequencyGrid.logarithmic(1e8, 300e9, 50)
-    for floor in (None, -15.0):
-        table = filter_response(single, grid, return_loss_floor_db=floor)
-        for f, port in zip(grid, table.entries):
-            assert port == section_two_port(single, f, return_loss_floor_db=floor)
-
-
 # --- errors ------------------------------------------------------------------
 
 
@@ -183,8 +173,6 @@ def _both_raise(design, grid, **kwargs):
 @pytest.mark.parametrize("width", [0.0, 1.0, -0.1, 1.5, math.nan])
 def test_transition_width_outside_unit_interval(proto, width):
     _both_raise(proto, FrequencyGrid.linear(1e9, 100e9, 5), transition_width=width)
-    with pytest.raises(DomainError):
-        section_two_port(proto, 10e9, transition_width=width)
 
 
 @pytest.mark.parametrize("floor", [0.0, 3.0, math.inf, math.nan])

@@ -1,9 +1,7 @@
 import cmath
 import math
-import random
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from herd import (
@@ -14,11 +12,9 @@ from herd import (
     TwoPort,
     attenuation_vs_sections,
     calibrate_kappa,
-    cascade,
     corner_frequency,
     filter_response,
     inband_transmission,
-    section_two_port,
 )
 
 IDENTITY = TwoPort(s11=0j, s12=1 + 0j, s21=1 + 0j, s22=0j)
@@ -28,19 +24,10 @@ def _att_db(port: TwoPort) -> float:
     return -20.0 * math.log10(abs(port.s21))
 
 
-def random_reciprocal_twoport(rng: random.Random) -> TwoPort:
-    """Random symmetric (s12 = s21) strictly passive two-port."""
-    def z():
-        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-
-    s11, s21, s22 = z(), z(), z()
-    matrix = np.array([[s11, s21], [s21, s22]])
-    top = np.linalg.svd(matrix, compute_uv=False)[0]
-    scale = rng.uniform(0.1, 0.98) / top
-    s11, s21, s22 = s11 * scale, s21 * scale, s22 * scale
-    if abs(s21) < 1e-3:
-        s21 = 1e-3 + 0j
-    return TwoPort(s11=s11, s12=s21, s21=s21, s22=s22)
+def _section(design, f, **kwargs) -> TwoPort:
+    """Two-port of one section at ``f``: the one-section filter on a one-point grid."""
+    table = filter_response(replace(design, sections=1), FrequencyGrid((f,)), **kwargs)
+    return table.entries[0]
 
 
 class TestTwoPort:
@@ -49,18 +36,14 @@ class TestTwoPort:
         hot = TwoPort(s11=0j, s12=1.5 + 0j, s21=1.5 + 0j, s22=0j)
         assert not hot.is_passive()
 
-    def test_reciprocity_flag(self):
-        assert IDENTITY.is_reciprocal
-        assert not TwoPort(s11=0j, s12=0.5 + 0j, s21=0.6 + 0j, s22=0j).is_reciprocal
-
 
 class TestSectionTwoPort:
     def test_inband_per_section_loss(self, proto):
-        port = section_two_port(proto, 10e9)
+        port = _section(proto, 10e9)
         assert _att_db(port) == pytest.approx(0.0318, abs=0.001)
 
     def test_matches_leakage_slice(self, proto):
-        port = section_two_port(proto, 10e9)
+        port = _section(proto, 10e9)
         single = replace(proto, sections=1)
         assert _att_db(port) == pytest.approx(
             inband_transmission(single, 10e9).insertion_loss_db, rel=1e-9
@@ -68,16 +51,16 @@ class TestSectionTwoPort:
 
     def test_stopband_with_nominal_kappa(self, proto):
         design = replace(proto, stopband_kappa=0.35)
-        port = section_two_port(design, 70e9)
+        port = _section(design, 70e9)
         assert _att_db(port) == pytest.approx(15.0, abs=0.1)
 
     def test_stopband_with_default_kappa(self, proto):
-        port = section_two_port(proto, 70e9)
+        port = _section(proto, 70e9)
         assert _att_db(port) == pytest.approx(15.0, abs=0.001)
 
     def test_blend_midpoint_at_corner(self, proto):
         fc = corner_frequency(proto)
-        port = section_two_port(proto, fc)
+        port = _section(proto, fc)
         t_above = (1.0 - proto.stopband_kappa) ** proto.apertures_per_section
         # below-cutoff transmission vanishes at the corner, so the midpoint
         # of the blend is half the stopband value
@@ -85,7 +68,7 @@ class TestSectionTwoPort:
 
     def test_phase_is_line_delay(self, proto):
         f = 5e9
-        port = section_two_port(proto, f)
+        port = _section(proto, f)
         expected = -2 * math.pi * f * proto.section_pitch / C0
         assert cmath.phase(port.s21) == pytest.approx(
             math.remainder(expected, 2 * math.pi), rel=1e-9
@@ -93,81 +76,32 @@ class TestSectionTwoPort:
 
     def test_matched_and_reciprocal(self, proto):
         for f in (1e9, 10e9, corner_frequency(proto), 40e9, 145e9):
-            port = section_two_port(proto, f)
+            port = _section(proto, f)
             assert port.s11 == 0j and port.s22 == 0j
             assert port.s12 == port.s21
             assert port.is_passive()
 
     def test_return_loss_floor(self, proto):
-        port = section_two_port(proto, 10e9, return_loss_floor_db=-20.0)
+        port = _section(proto, 10e9, return_loss_floor_db=-20.0)
         assert abs(port.s11) == pytest.approx(0.1, rel=1e-12)
         assert port.is_passive()
         assert port.s12 == port.s21
         with pytest.raises(DomainError):
-            section_two_port(proto, 10e9, return_loss_floor_db=3.0)
+            _section(proto, 10e9, return_loss_floor_db=3.0)
 
     def test_rejects_nonpositive_frequency(self, proto):
         with pytest.raises(DomainError):
-            section_two_port(proto, 0.0)
-
-
-class TestCascade:
-    def test_identity(self):
-        out = cascade([IDENTITY, IDENTITY])
-        assert out.s21 == pytest.approx(1.0, rel=1e-12)
-        assert out.s11 == pytest.approx(0.0, abs=1e-12)
-
-    def test_single_port_unchanged(self, proto):
-        port = section_two_port(proto, 10e9)
-        assert cascade([port]) == port
-
-    def test_matched_chain_multiplies(self):
-        a = TwoPort(s11=0j, s12=0.9 + 0j, s21=0.9 + 0j, s22=0j)
-        b = TwoPort(s11=0j, s12=0.5j, s21=0.5j, s22=0j)
-        out = cascade([a, b])
-        assert abs(out.s21) == pytest.approx(0.45, rel=1e-12)
-
-    def test_associative(self):
-        rng = random.Random(20)
-        for _ in range(60):
-            a, b, c = (random_reciprocal_twoport(rng) for _ in range(3))
-            left = cascade([cascade([a, b]), c])
-            right = cascade([a, cascade([b, c])])
-            for attr in ("s11", "s12", "s21", "s22"):
-                assert getattr(left, attr) == pytest.approx(getattr(right, attr), abs=1e-12)
-
-    def test_cascade_preserves_reciprocity_exactly(self):
-        rng = random.Random(21)
-        ports = [random_reciprocal_twoport(rng) for _ in range(5)]
-        out = cascade(ports)
-        assert out.s12 == out.s21
-
-    def test_cascade_of_passive_is_passive(self):
-        rng = random.Random(22)
-        for _ in range(40):
-            out = cascade([random_reciprocal_twoport(rng) for _ in range(3)])
-            assert out.is_passive(tol=1e-9)
-
-    def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            cascade([])
-
-    def test_mismatched_reference_rejected(self):
-        with pytest.raises(DomainError):
-            cascade([IDENTITY, TwoPort(s11=0j, s12=1 + 0j, s21=1 + 0j, s22=0j, z0=75.0)])
-
-    def test_zero_transmission_rejected(self):
-        with pytest.raises(DomainError):
-            cascade([TwoPort(s11=0j, s12=0j, s21=0j, s22=0j)])
+            _section(proto, 0.0)
 
 
 class TestFilterResponse:
     def test_single_section_equals_section(self, proto):
+        # each point of a grid is the one-point response at that frequency
         single = replace(proto, sections=1)
         grid = FrequencyGrid.linear(1e9, 100e9, 7)
         table = filter_response(single, grid)
         for f, port in zip(grid, table.entries):
-            assert port == section_two_port(single, f)
+            assert port == _section(single, f)
         assert table.provenance is Provenance.MODEL
 
     def test_stopband_attenuation(self, proto):
@@ -216,7 +150,7 @@ class TestAttenuationVsSections:
     def test_single_section_matches_section_value(self, proto):
         (count, att), = attenuation_vs_sections(proto, 40e9, 1)
         assert count == 1
-        assert att == pytest.approx(_att_db(section_two_port(proto, 40e9)), abs=1e-12)
+        assert att == pytest.approx(_att_db(_section(proto, 40e9)), abs=1e-12)
 
     def test_constant_differences(self, proto):
         for f in (40e9, 60e9, 70e9):
@@ -224,29 +158,45 @@ class TestAttenuationVsSections:
             diffs = [b - a for a, b in zip(values, values[1:])]
             assert max(diffs) - min(diffs) <= 1e-9
 
+    def test_rows_are_count_times_one_section(self, proto):
+        for f in (10e9, 40e9, 70e9, 145e9):
+            ladder = attenuation_vs_sections(proto, f, 600)
+            first = ladder[0][1]
+            for count, att in ladder:
+                assert math.isfinite(att)
+                assert att == pytest.approx(count * first, rel=1e-12)
+
     def test_invalid_count(self, proto):
         with pytest.raises(DomainError):
             attenuation_vs_sections(proto, 70e9, 0)
 
+    def test_invalid_frequency_and_zero_transmission(self, proto):
+        for f in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                attenuation_vs_sections(proto, f, 3)
+        drained = replace(proto, stopband_kappa=1.0)
+        with pytest.raises(DomainError):
+            attenuation_vs_sections(drained, 300e9, 3)
+
 
 class TestCalibrateKappa:
     def test_headline_value(self, proto):
-        assert calibrate_kappa(proto, 70e9, 60.0) == pytest.approx(0.3505, abs=0.001)
+        assert calibrate_kappa(proto, 60.0) == pytest.approx(0.3505, abs=0.001)
 
     def test_zero_target(self, proto):
-        assert calibrate_kappa(proto, 70e9, 0.0) == 0.0
+        assert calibrate_kappa(proto, 0.0) == 0.0
 
     def test_negative_target_rejected(self, proto):
         with pytest.raises(DomainError):
-            calibrate_kappa(proto, 70e9, -3.0)
+            calibrate_kappa(proto, -3.0)
 
     def test_more_sections_need_less_drain(self, proto):
-        k4 = calibrate_kappa(proto, 70e9, 60.0)
-        k8 = calibrate_kappa(replace(proto, sections=8), 70e9, 60.0)
+        k4 = calibrate_kappa(proto, 60.0)
+        k8 = calibrate_kappa(replace(proto, sections=8), 60.0)
         assert k8 < k4
 
     def test_round_trip_to_target(self, proto):
-        kappa = calibrate_kappa(proto, 70e9, 60.0)
+        kappa = calibrate_kappa(proto, 60.0)
         design = replace(proto, stopband_kappa=kappa)
         ladder = attenuation_vs_sections(design, 70e9, proto.sections)
         assert ladder[-1][1] == pytest.approx(60.0, abs=1e-9)

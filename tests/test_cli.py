@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -10,8 +11,10 @@ from herd import (
     TwoPort,
     dumps_design,
     dumps_design_spec,
+    inband_transmission,
     loads_design,
     prototype_design,
+    with_aperture,
     write_touchstone,
 )
 from herd.cli import main
@@ -194,6 +197,66 @@ class TestSweep:
         )
         assert code == 2
 
+    # The 12 mm width puts the corner at 8.42 GHz, below the 10 GHz --fref.
+    _PAST_CORNER = ["--param", "a", "--from", "3e-3", "--to", "12e-3", "--steps", "5"]
+
+    def test_rows_past_the_corner_are_na(self, capsys, proto, proto_file):
+        code, out, _ = run(capsys, ["sweep", "--design", proto_file, *self._PAST_CORNER])
+        assert code == 0
+        rows = self._rows(out)
+        assert len(rows) == 5
+        for value, corner, loss in rows:
+            variant = with_aperture(proto, width_a=float(value))
+            if float(corner) > 10e9:
+                expected = inband_transmission(variant, 10e9).insertion_loss_db
+                assert loss == format(expected, ".12g")
+            else:
+                assert loss == "n/a"
+        assert [r[2] == "n/a" for r in rows] == [False] * 4 + [True]
+
+    def test_rows_past_the_corner_are_null_in_json(self, capsys, proto, proto_file):
+        code, out, _ = run(
+            capsys, ["sweep", "--design", proto_file, *self._PAST_CORNER, "--format", "json"]
+        )
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [row["insertion_loss_db"] is None for row in rows] == [False] * 4 + [True]
+        for row in rows[:4]:
+            variant = with_aperture(proto, width_a=row["value_m"])
+            expected = inband_transmission(variant, 10e9).insertion_loss_db
+            assert row["insertion_loss_db"] == expected
+            assert row["corner_frequency_hz"] > 10e9
+
+    def test_vanishing_depth_gives_na_loss(self, capsys, proto_file):
+        # a femtometre-deep aperture passes the whole field, so the
+        # transmission underflows to 0: an infinite loss, written n/a
+        argv = ["sweep", "--design", proto_file, "--param", "d", "--from", "1e-15",
+                "--to", "2e-15", "--steps", "2"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert [r[2] for r in self._rows(out)] == ["n/a", "n/a"]
+        code, out, _ = run(capsys, [*argv, "--format", "json"])
+        assert code == 0
+        assert [row["insertion_loss_db"] for row in json.loads(out)["rows"]] == [None, None]
+
+    @pytest.mark.parametrize(
+        "span", [["--from", "0", "--to", "12e-3"], ["--from", "nan", "--to", "12e-3"]]
+    )
+    def test_non_positive_or_nan_value_still_rejected(self, capsys, proto_file, span):
+        code, _, err = run(
+            capsys, ["sweep", "--design", proto_file, "--param", "a", *span, "--steps", "5"]
+        )
+        assert code == 2
+        assert "input error" in err
+
+    @pytest.mark.parametrize("fref", ["nan", "inf", "0", "-1e9"])
+    def test_invalid_reference_frequency_rejected(self, capsys, proto_file, fref):
+        code, _, err = run(
+            capsys, ["sweep", "--design", proto_file, *self._PAST_CORNER, f"--fref={fref}"]
+        )
+        assert code == 2
+        assert "frequency must be finite and > 0" in err
+
 
 class TestSections:
     def test_stock_ladder(self, capsys, proto_file):
@@ -216,6 +279,23 @@ class TestSections:
         for column in (1, 2):
             values = [float(r[column]) for r in rows]
             assert all(a < b for a, b in zip(values, values[1:]))
+
+    def test_high_counts_stay_linear(self, capsys, proto_file):
+        argv = ["sections", "--design", proto_file, "--freqs", "70e9", "--max-sections", "600"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        cells = [line.split(",")[1] for line in out.splitlines()[1:]]
+        assert len(cells) == 600
+        assert all(math.isfinite(float(cell)) for cell in cells)
+
+        code, out, _ = run(capsys, [*argv, "--format", "json"])
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        first = rows[0]["attenuation_db"][0]
+        for row in rows:
+            (att,) = row["attenuation_db"]
+            assert math.isfinite(att)
+            assert att == pytest.approx(row["sections"] * first, rel=1e-12)
 
     def test_unparsable_frequency(self, capsys, proto_file):
         code, _, err = run(

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,7 +11,6 @@ from herd import (
     FrequencyGrid,
     corner_frequency,
     evanescent_amplitude,
-    inband_loss_curve,
     inband_transmission,
     min_depth_for_budget,
     mismatch_loss_db,
@@ -67,6 +67,14 @@ class TestInbandTransmission:
         t1 = inband_transmission(proto, 10e9).total_transmission
         t2 = inband_transmission(doubled, 10e9).total_transmission
         assert t2 == pytest.approx(t1 * t1, rel=1e-12)
+
+    def test_underflowing_transmission_is_infinite_loss(self, proto):
+        vanishing = with_aperture(proto, depth_d=1e-15)
+        point = inband_transmission(vanishing, 10e9)
+        assert point.total_transmission == 0.0
+        assert point.insertion_loss_db == math.inf
+        curve = inband_transmission(vanishing, np.array([1e9, 10e9]))
+        assert curve.insertion_loss_db.tolist() == [math.inf, math.inf]
 
     @given(f=st.floats(min_value=1e8, max_value=25e9))
     def test_transmission_in_unit_interval(self, f):
@@ -131,21 +139,26 @@ class TestMinDepthForBudget:
 
 
 class TestInbandLossCurve:
+    """:func:`inband_transmission` over an array of frequencies."""
+
     def test_strictly_increasing(self, proto):
         grid = FrequencyGrid.linear(1e9, 12e9, 45)
-        curve = inband_loss_curve(proto, grid)
-        losses = [point.insertion_loss_db for point in curve]
-        assert len(curve) == len(grid)
-        assert all(a < b for a, b in zip(losses, losses[1:]))
+        curve = inband_transmission(proto, grid.f)
+        losses = curve.insertion_loss_db
+        assert losses.shape == (len(grid),)
+        assert np.all(np.diff(losses) > 0.0)
+        np.testing.assert_array_equal(curve.frequency, grid.f)
 
     def test_single_point_reduces_to_transmission(self, proto):
-        curve = inband_loss_curve(proto, FrequencyGrid((10e9,)))
-        assert curve == [inband_transmission(proto, 10e9)]
+        curve = inband_transmission(proto, FrequencyGrid((10e9,)).f)
+        point = inband_transmission(proto, 10e9)
+        for name in ("frequency", "per_aperture_leak_power", "total_transmission", "insertion_loss_db"):
+            assert getattr(curve, name).tolist() == [getattr(point, name)]
 
     def test_point_above_corner_names_frequency(self, proto):
-        grid = FrequencyGrid((1e9, 30e9))
+        grid = FrequencyGrid((1e9, 30e9, 40e9))
         with pytest.raises(DomainError) as err:
-            inband_loss_curve(proto, grid)
+            inband_transmission(proto, grid.f)
         assert "30000000000" in str(err.value)
 
     def test_against_minus20_mismatch_reference(self, proto):
@@ -154,7 +167,7 @@ class TestInbandLossCurve:
         # mismatch figure across the whole band: leakage dominates.
         reference = mismatch_loss_db(-20.0)
         grid = FrequencyGrid.linear(1e8, 10e9, 30)
-        assert all(p.insertion_loss_db > reference for p in inband_loss_curve(proto, grid))
+        assert np.all(inband_transmission(proto, grid.f).insertion_loss_db > reference)
 
         # A deeper aperture drops the floor below the reference, and the
         # rising curve then crosses it inside the band.

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -314,3 +315,24 @@ def test_any_text_gives_a_table_or_a_parse_error(text):
     except ParseError:
         return
     assert isinstance(table, SParamTable)
+    for values in (table.s11, table.s21, table.s12, table.s22):
+        assert values.shape == table.f.shape
+        assert np.isfinite(values).all()
+
+
+@pytest.mark.parametrize("column", [1, 3, 5, 7])
+def test_db_magnitude_overflow_rejected_with_line(column):
+    # 10**(1e308 / 20) overflows: a ParseError, not an infinite S-parameter
+    row = ["2", "0", "0", "0", "0", "0", "0", "0", "0"]
+    row[column] = "1e308"
+    # the row after the overflow is out of order: the first bad row is named
+    text = "# HZ S DB R 50\n1 0 0 0 0 0 0 0 0\n" + " ".join(row) + "\n1.5 1e308 0 0 0 0 0 0 0\n"
+    with pytest.raises(ParseError) as err:
+        parse_touchstone(text)
+    assert err.value.line == 3
+    assert "overflows" in str(err.value)
+
+
+def test_db_magnitude_underflow_is_zero():
+    table = parse_touchstone("# HZ S DB R 50\n1 -1e308 0 0 0 0 0 0 0\n")
+    assert table.s11.tolist() == [0j]
