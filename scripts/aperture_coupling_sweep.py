@@ -6,6 +6,7 @@ untouched, confirming the dominant coupled mode lives on the width axis.
 """
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -21,16 +22,17 @@ from herd import corner_frequency, inband_transmission, prototype_design, with_a
 
 
 def sweep(design, field, values, fref):
+    """(value, corner, loss) rows; the loss is None where the corner lies at
+    or below a finite ``fref`` or the loss is infinite, as in ``herd sweep``."""
     rows = []
     for value in values:
         variant = with_aperture(design, **{field: float(value)})
-        rows.append(
-            (
-                float(value),
-                corner_frequency(variant),
-                inband_transmission(variant, fref).insertion_loss_db,
-            )
-        )
+        corner = corner_frequency(variant)
+        loss = None
+        if not (math.isfinite(fref) and fref >= corner):
+            loss = inband_transmission(variant, fref).insertion_loss_db
+            loss = loss if math.isfinite(loss) else None
+        rows.append((float(value), corner, loss))
     return rows
 
 
@@ -54,7 +56,8 @@ def main() -> int:
         with open(path, "w") as fh:
             fh.write("value_m,corner_frequency_hz,insertion_loss_db\n")
             for value, corner, loss in rows:
-                fh.write(f"{value:.12g},{corner:.12g},{loss:.12g}\n")
+                loss_text = "n/a" if loss is None else f"{loss:.12g}"
+                fh.write(f"{value:.12g},{corner:.12g},{loss_text}\n")
         print(f"wrote {path}")
     return 0
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,69 +94,80 @@ def _pairs_to_complex(fmt: str, first: np.ndarray, second: np.ndarray) -> np.nda
     return mag * np.exp(1j * np.radians(second))
 
 
-def parse_touchstone(text: str) -> SParamTable:
-    """Parse Touchstone v1 two-port text into a MEASURED table.
+def _content(raw: str) -> tuple[str, bool]:
+    """A line's text before its ``!`` comment, stripped, and whether that
+    comment is the ``!MAGONLY`` directive."""
+    bang = raw.find("!")
+    if bang < 0:
+        return raw.strip(), False
+    return raw[:bang].strip(), raw[bang + 1 :].strip().upper() == "MAGONLY"
 
-    Structural faults (option line, column count, non-numeric tokens) are
-    reported as they are met. Value faults (non-finite numbers, frequencies
-    that are not positive or not strictly increasing, S-parameters that
-    overflow on conversion) are checked on the whole block once every row is
-    read; the first offending row is reported.
+
+def _option_line(lines: list[str]) -> tuple[int, float, str, float, bool]:
+    """Walk the lines up to the option line: its line number, the unit
+    scale, format and reference impedance it sets, and whether a
+    ``!MAGONLY`` directive came before it."""
+    mag_only = False
+    for lineno, raw in enumerate(lines, start=1):
+        line, directive = _content(raw)
+        mag_only |= directive
+        if not line:
+            continue
+        if line.startswith("["):
+            raise ParseError("Touchstone v2 blocks are not supported", line=lineno)
+        if not line.startswith("#"):
+            raise ParseError("data row before the option line", line=lineno)
+        tokens = line[1:].split()
+        if (
+            len(tokens) != 5
+            or tokens[0].upper() not in FREQUENCY_UNITS
+            or tokens[1].upper() != "S"
+            or tokens[2].upper() not in FORMATS
+            or tokens[3].upper() != "R"
+        ):
+            raise ParseError(
+                f"malformed option line {raw.strip()!r}; expected "
+                "'# <HZ|KHZ|MHZ|GHZ> S <RI|MA|DB> R <impedance>'",
+                line=lineno,
+            )
+        try:
+            z0 = float(tokens[4])
+        except ValueError:
+            raise ParseError(f"bad reference impedance {tokens[4]!r}", line=lineno) from None
+        if not (math.isfinite(z0) and z0 > 0.0):
+            raise ParseError(
+                f"reference impedance must be finite and > 0 ohm (got {tokens[4]!r})",
+                line=lineno,
+            )
+        return lineno, FREQUENCY_UNITS[tokens[0].upper()], tokens[2].upper(), z0, mag_only
+    raise ParseError("missing option line", line=len(lines))
+
+
+def _walk_rows(lines: list[str], start: int) -> tuple[np.ndarray, list[int], bool]:
+    """Read the lines after the option line (``lines[start:]``) one at a
+    time: the data rows as an (n, 9) array, the line number of each row, and
+    whether a ``!MAGONLY`` directive appears. Raises the first structural
+    fault (a second option line, a v2 block, a wrong column count, a token
+    ``float`` refuses, no rows at all) as it is met.
+
+    This is the reference reading of the data rows and the only place that
+    knows their line numbers; ``parse_touchstone`` reads rows with numpy's
+    text reader and comes here only where numpy refuses them or a faulty
+    line must be named.
     """
-    unit_scale = None
-    fmt = None
-    z0 = 50.0
     mag_only = False
     blocks: list[np.ndarray] = []
     rows: list[list[float]] = []
     row_lines: list[int] = []
-    lineno = 0
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw
-        bang = line.find("!")
-        if bang >= 0:
-            if line[bang + 1 :].strip().upper() == "MAGONLY":
-                mag_only = True
-            line = line[:bang]
-        line = line.strip()
+    for lineno, raw in enumerate(lines[start:], start=start + 1):
+        line, directive = _content(raw)
+        mag_only |= directive
         if not line:
             continue
-
         if line.startswith("["):
             raise ParseError("Touchstone v2 blocks are not supported", line=lineno)
-
         if line.startswith("#"):
-            if fmt is not None:
-                raise ParseError("more than one option line", line=lineno)
-            tokens = line[1:].split()
-            if (
-                len(tokens) != 5
-                or tokens[0].upper() not in FREQUENCY_UNITS
-                or tokens[1].upper() != "S"
-                or tokens[2].upper() not in FORMATS
-                or tokens[3].upper() != "R"
-            ):
-                raise ParseError(
-                    f"malformed option line {raw.strip()!r}; expected "
-                    "'# <HZ|KHZ|MHZ|GHZ> S <RI|MA|DB> R <impedance>'",
-                    line=lineno,
-                )
-            try:
-                z0 = float(tokens[4])
-            except ValueError:
-                raise ParseError(f"bad reference impedance {tokens[4]!r}", line=lineno) from None
-            if not (math.isfinite(z0) and z0 > 0.0):
-                raise ParseError(
-                    f"reference impedance must be finite and > 0 ohm (got {tokens[4]!r})",
-                    line=lineno,
-                )
-            unit_scale = FREQUENCY_UNITS[tokens[0].upper()]
-            fmt = tokens[2].upper()
-            continue
-
-        if fmt is None:
-            raise ParseError("data row before the option line", line=lineno)
+            raise ParseError("more than one option line", line=lineno)
         tokens = line.split()
         if len(tokens) != 9:
             raise ParseError(f"expected 9 columns, got {len(tokens)}", line=lineno)
@@ -167,14 +179,52 @@ def parse_touchstone(text: str) -> SParamTable:
         if len(rows) == _BLOCK_ROWS:
             blocks.append(np.array(rows, dtype=float))
             rows.clear()
-
-    if fmt is None:
-        raise ParseError("missing option line", line=lineno)
     if not row_lines:
-        raise ParseError("no data rows", line=lineno)
-
+        raise ParseError("no data rows", line=len(lines))
     blocks.append(np.array(rows, dtype=float).reshape(-1, 9))
-    data = np.concatenate(blocks)
+    return np.concatenate(blocks), row_lines, mag_only
+
+
+def _load_rows(lines: list[str]) -> np.ndarray | None:
+    """The data rows read by numpy's text reader, or None where it refuses
+    them or finds no rows or other than 9 columns.
+
+    Its float parsing is CPython's, without the underscores and non-ASCII
+    digits that ``float`` also takes, and it splits on a subset of the
+    whitespace ``str.split`` splits on, so every row it reads is the row
+    ``_walk_rows`` reads; the lines never hold a line break.
+    """
+    try:
+        # numpy warns about input without data rows; _walk_rows reports it
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(lines, comments="!", ndmin=2, dtype=float)
+    except ValueError:
+        return None
+    return data if data.shape[1] == 9 and len(data) else None
+
+
+def parse_touchstone(text: str) -> SParamTable:
+    """Parse Touchstone v1 two-port text into a MEASURED table.
+
+    Lines are those of ``str.splitlines``. Structural faults (option line,
+    column count, non-numeric tokens) are reported as they are met. Value
+    faults (non-finite numbers, frequencies that are not positive or not
+    strictly increasing, S-parameters that overflow on conversion) are
+    checked on the whole block once every row is read; the first offending
+    row is reported.
+    """
+    lines = text.splitlines()
+    start, unit_scale, fmt, z0, mag_only = _option_line(lines)
+    tail = lines[start:]
+    data = _load_rows(tail)
+    row_lines = None
+    if data is None:
+        data, row_lines, directive = _walk_rows(lines, start)
+    else:
+        directive = any(_content(line)[1] for line in tail if "!" in line)
+    mag_only |= directive
+
     # A frequency may overflow its unit, and a DB magnitude above about
     # 6000 dB overflows 10**(dB/20); both are value faults reported below.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -198,6 +248,8 @@ def parse_touchstone(text: str) -> SParamTable:
         else:
             before = f_hz[i - 1].item()
             message = f"frequencies must be strictly increasing ({before!r} Hz -> {f!r} Hz)"
+        if row_lines is None:
+            row_lines = _walk_rows(lines, start)[1]
         raise ParseError(message, line=row_lines[i])
 
     if mag_only:
@@ -224,6 +276,13 @@ def _complex_to_pairs(fmt: str, values: np.ndarray) -> tuple[np.ndarray, np.ndar
         return mag, ang
     with np.errstate(divide="ignore"):
         return np.maximum(20.0 * np.log10(mag), _DB_FLOOR), ang
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two float or complex arrays hold the same bits (so ``-0.0``
+    and ``0.0`` differ and a NaN equals itself)."""
+    bits = (np.ascontiguousarray(x).view(np.int64) for x in (a, b))
+    return np.array_equal(*bits)
 
 
 def _format_column(values: np.ndarray, style: str) -> list[str]:
@@ -271,9 +330,13 @@ def write_touchstone(table: SParamTable, fmt: str = "RI", unit: str = "HZ") -> s
     if unit not in FREQUENCY_UNITS:
         raise DomainError(f"unit must be one of {tuple(FREQUENCY_UNITS)} (got {unit!r})")
 
-    columns = [table.f / FREQUENCY_UNITS[unit]]
-    for values in (table.s11, table.s21, table.s12, table.s22):
-        columns.extend(_complex_to_pairs(fmt, values))
+    # A model table's s12 equals its s21 and its s22 its s11, bit for bit:
+    # each distinct array is converted once.
+    s11 = _complex_to_pairs(fmt, table.s11)
+    s21 = _complex_to_pairs(fmt, table.s21)
+    s12 = s21 if _same_bits(table.s12, table.s21) else _complex_to_pairs(fmt, table.s12)
+    s22 = s11 if _same_bits(table.s22, table.s11) else _complex_to_pairs(fmt, table.s22)
+    columns = [table.f / FREQUENCY_UNITS[unit], *s11, *s21, *s12, *s22]
     lines = [f"! herd S-parameter table: {table.label or table.provenance.value}"]
     if table.mag_only:
         lines.append("!MAGONLY")

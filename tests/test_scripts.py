@@ -75,3 +75,16 @@ def test_stock_filter_report_outputs(outputs):
     s2p = (outdir / "full_band_response.s2p").read_text().splitlines()
     assert sum(1 for line in s2p if line and line[0] not in "!#") == 300
     assert "PASS" in outputs[1]["stock_filter_report.py"].stdout
+
+
+def test_coupling_sweep_past_the_corner(tmp_path):
+    # from about 5.2 mm of width the corner lies below 20 GHz
+    done = _run("aperture_coupling_sweep.py", tmp_path, "--steps", "12", "--fref", "20e9")
+    assert done.returncode == 0, done.stderr
+    _, widths = _csv(tmp_path / "coupling_sweep_width.csv")
+    _, heights = _csv(tmp_path / "coupling_sweep_height.csv")
+    assert len(widths) == len(heights) == 12
+    past = [float(row[1]) <= 20e9 for row in widths]
+    assert [row[2] == "n/a" for row in widths] == past
+    assert 0 < sum(past) < 12
+    assert all(float(row[2]) > 0.0 for row in heights)
