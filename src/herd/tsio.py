@@ -143,12 +143,15 @@ def _option_line(lines: list[str]) -> tuple[int, float, str, float, bool]:
     raise ParseError("missing option line", line=len(lines))
 
 
-def _walk_rows(lines: list[str], start: int) -> tuple[np.ndarray, list[int], bool]:
+def _walk_rows(
+    lines: list[str], start: int, stop: int | None = None
+) -> tuple[np.ndarray, list[int], bool]:
     """Read the lines after the option line (``lines[start:]``) one at a
     time: the data rows as an (n, 9) array, the line number of each row, and
     whether a ``!MAGONLY`` directive appears. Raises the first structural
     fault (a second option line, a v2 block, a wrong column count, a token
-    ``float`` refuses, no rows at all) as it is met.
+    ``float`` refuses, no rows at all) as it is met. With ``stop``, the
+    walk ends once it has read that many rows.
 
     This is the reference reading of the data rows and the only place that
     knows their line numbers; ``parse_touchstone`` reads rows with numpy's
@@ -176,6 +179,8 @@ def _walk_rows(lines: list[str], start: int) -> tuple[np.ndarray, list[int], boo
         except ValueError:
             raise ParseError(f"non-numeric data in row {raw.strip()!r}", line=lineno) from None
         row_lines.append(lineno)
+        if len(row_lines) == stop:
+            break
         if len(rows) == _BLOCK_ROWS:
             blocks.append(np.array(rows, dtype=float))
             rows.clear()
@@ -249,7 +254,7 @@ def parse_touchstone(text: str) -> SParamTable:
             before = f_hz[i - 1].item()
             message = f"frequencies must be strictly increasing ({before!r} Hz -> {f!r} Hz)"
         if row_lines is None:
-            row_lines = _walk_rows(lines, start)[1]
+            row_lines = _walk_rows(lines, start, stop=i + 1)[1]
         raise ParseError(message, line=row_lines[i])
 
     if mag_only:

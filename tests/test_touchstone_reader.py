@@ -255,9 +255,9 @@ def test_valid_files_never_enter_the_row_walk(monkeypatch, text):
     calls = []
     walk = tsio._walk_rows
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return walk(*args)
+        return walk(*args, **kwargs)
 
     monkeypatch.setattr(tsio, "_walk_rows", counted)
     table = parse_touchstone(text)
