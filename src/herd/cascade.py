@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -170,6 +170,25 @@ class _TwoPortView(Sequence):
             yield TwoPort(s11=s11, s12=s12, s21=s21, s22=s22, z0=t.z0)
 
 
+def _section_power(design: FilterDesign, fc: float, f, transition_width: float):
+    """Power transmission |s21|^2 of one section at ``f`` (a float or an
+    array), with ``fc`` the design's :func:`corner_frequency`."""
+    n_ap = design.apertures_per_section
+
+    # Evanescent decay of the dominant aperture mode. At and above the corner
+    # gamma is 0, so amp = 1 and the below-cutoff transmission is exactly 0.
+    amp = np.exp(evanescent_gamma(design, fc, f) * -design.aperture.depth_d)
+    t_below = (1.0 - amp * amp) ** n_ap
+    t_above = (1.0 - design.stopband_kappa) ** n_ap
+
+    # Logistic stopband weight: 0 deep in band, 1/2 at the corner, 1 above.
+    # Below arg = -700 it is set to exactly 0, and exp's argument is clamped
+    # there so it cannot overflow; above +700 the logistic already rounds to 1.
+    arg = (f - fc) * (_LOGISTIC_SHARPNESS / (transition_width * fc))
+    weight = np.where(arg > -700.0, 1.0 / (1.0 + np.exp(np.minimum(-arg, 700.0))), 0.0)
+    return (1.0 - weight) * t_below + weight * t_above
+
+
 def _section(
     design: FilterDesign,
     f: np.ndarray,
@@ -186,22 +205,7 @@ def _section(
         raise DomainError(
             f"return-loss floor must be finite and < 0 dB (got {return_loss_floor_db!r})"
         )
-    fc = corner_frequency(design)
-    n_ap = design.apertures_per_section
-
-    # Evanescent decay of the dominant aperture mode. At and above the corner
-    # gamma is 0, so amp = 1 and the below-cutoff transmission is exactly 0.
-    amp = np.exp(evanescent_gamma(design, fc, f) * -design.aperture.depth_d)
-    t_below = (1.0 - amp * amp) ** n_ap
-    t_above = (1.0 - design.stopband_kappa) ** n_ap
-
-    # Logistic stopband weight: 0 deep in band, 1/2 at the corner, 1 above,
-    # clamped at |arg| = 700. Below -700 it is set to exactly 0 (exp(-arg)
-    # may overflow there); above +700 the logistic already rounds to 1.
-    arg = (f - fc) * (_LOGISTIC_SHARPNESS / (transition_width * fc))
-    with np.errstate(over="ignore"):
-        weight = np.where(arg > -700.0, 1.0 / (1.0 + np.exp(-arg)), 0.0)
-    t_power = (1.0 - weight) * t_below + weight * t_above
+    t_power = _section_power(design, corner_frequency(design), f, transition_width)
 
     delay = 2.0 * math.pi * design.section_pitch * design.coax_fill.refractive_index / C0
     phase = np.exp(-1j * delay * f)
@@ -270,12 +274,17 @@ def attenuation_vs_sections(
     """Attenuation at ``f`` for 1..max_sections sections [(count, dB)].
 
     Matched identical sections make this exactly linear in the count: row n
-    is n times the attenuation of one section.
+    is n times the attenuation of one section, -10 log10 |s21|^2.
     """
     if max_sections < 1:
         raise DomainError(f"max_sections must be >= 1 (got {max_sections!r})")
-    single = filter_response(replace(design, sections=1), FrequencyGrid((f,)))
-    att = -20.0 * math.log10(abs(complex(single.s21[0])))
+    f = float(f)
+    if not 0.0 < f < math.inf:
+        raise DomainError(f"frequency grid points must be finite and > 0 (got {f!r})")
+    power = _section_power(design, corner_frequency(design), f, DEFAULT_TRANSITION_WIDTH)
+    if power == 0.0:
+        raise DomainError("cannot cascade a two-port with zero transmission (s21 = 0)")
+    att = float(-10.0 * np.log10(power))
     return [(count, count * att) for count in range(1, max_sections + 1)]
 
 

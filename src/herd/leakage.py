@@ -43,13 +43,24 @@ def evanescent_gamma(design: FilterDesign, fc: float, f: np.ndarray) -> np.ndarr
     return scale * np.sqrt(np.maximum((fc - f) * (fc + f), 0.0))
 
 
-def _inband_gamma(design: FilterDesign, f) -> np.ndarray:
-    """:func:`evanescent_gamma` at ``f`` after checking that every frequency
-    lies strictly between 0 and the corner; the first one outside is named."""
+def _all(one: bool, values) -> bool:
+    """Whether every value is true. One value is tested as it is: numpy's
+    ``all()`` costs microseconds even on a scalar."""
+    return bool(values) if one else bool(values.all())
+
+
+def _inband(design: FilterDesign, f):
+    """(one, freqs, gamma): whether ``f`` is one frequency, ``f`` as a float
+    or a float64 array, and :func:`evanescent_gamma` there, after checking
+    that every frequency lies strictly between 0 and the corner; the first
+    one outside is named."""
     fc = corner_frequency(design)
-    freqs = np.asarray(f, dtype=float)[()]
+    freqs = np.asarray(f, dtype=float)
+    one = freqs.ndim == 0
+    if one:
+        freqs = freqs.item()
     inside = (freqs > 0.0) & (freqs < fc)
-    if not inside.all():
+    if not _all(one, inside):
         bad = np.reshape(freqs, -1)[int(np.argmin(inside))].item()
         if not (math.isfinite(bad) and bad > 0.0):
             raise DomainError(f"frequency must be finite and > 0 (got {bad!r})")
@@ -57,17 +68,14 @@ def _inband_gamma(design: FilterDesign, f) -> np.ndarray:
             f"frequency {bad!r} Hz is at or above the aperture corner frequency "
             f"{fc!r} Hz; the in-band leakage model does not apply there"
         )
-    return evanescent_gamma(design, fc, freqs)
-
-
-def _like(f, values):
-    """``values`` as a float when ``f`` is one frequency."""
-    return float(values) if np.ndim(f) == 0 else values
+    return one, freqs, evanescent_gamma(design, fc, freqs)
 
 
 def evanescent_amplitude(design: FilterDesign, f):
     """Field amplitude F = exp(-gamma d) surviving one aperture depth."""
-    return _like(f, np.exp(_inband_gamma(design, f) * -design.aperture.depth_d))
+    one, _, gamma = _inband(design, f)
+    amp = np.exp(gamma * -design.aperture.depth_d)
+    return float(amp) if one else amp
 
 
 def inband_transmission(design: FilterDesign, f) -> InbandLossBreakdown:
@@ -75,16 +83,19 @@ def inband_transmission(design: FilterDesign, f) -> InbandLossBreakdown:
 
     A transmission that underflows to 0 is an infinite loss.
     """
-    amp = np.exp(_inband_gamma(design, f) * -design.aperture.depth_d)
+    one, freqs, gamma = _inband(design, f)
+    amp = np.exp(gamma * -design.aperture.depth_d)
     leak = amp * amp
     total = (1.0 - leak) ** design.total_apertures
-    with np.errstate(divide="ignore"):
+    if _all(one, total):
         loss = -10.0 * np.log10(total)
+    else:
+        with np.errstate(divide="ignore"):
+            loss = -10.0 * np.log10(total)
+    if one:
+        leak, total, loss = float(leak), float(total), float(loss)
     return InbandLossBreakdown(
-        frequency=f if np.ndim(f) == 0 else np.asarray(f, dtype=float),
-        per_aperture_leak_power=_like(f, leak),
-        total_transmission=_like(f, total),
-        insertion_loss_db=_like(f, loss),
+        frequency=freqs, per_aperture_leak_power=leak, total_transmission=total, insertion_loss_db=loss
     )
 
 
@@ -103,10 +114,11 @@ def min_depth_for_budget(design: FilterDesign, f, budget_db: float):
     ``budget_db``; closed-form inverse of :func:`inband_transmission`."""
     if not (math.isfinite(budget_db) and budget_db > 0.0):
         raise DomainError(f"budget must be finite and > 0 dB (got {budget_db!r})")
-    gamma = _inband_gamma(design, f)
+    one, _, gamma = _inband(design, f)
     amp_required = math.sqrt(1.0 - 10.0 ** (-budget_db / (10.0 * design.total_apertures)))
     if not 0.0 < amp_required <= 1.0:
         raise InfeasibleDesignError(
             f"no aperture depth satisfies the {budget_db!r} dB budget at {f!r} Hz"
         )
-    return _like(f, np.maximum(-math.log(amp_required) / gamma, 0.0))
+    depth = np.maximum(-math.log(amp_required) / gamma, 0.0)
+    return float(depth) if one else depth

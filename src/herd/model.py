@@ -100,7 +100,7 @@ class FilterDesign:
 
 @dataclass(frozen=True, eq=False)
 class FrequencyGrid:
-    """Strictly increasing, non-empty list of frequencies in Hz.
+    """Strictly increasing, non-empty, one-dimensional list of frequencies in Hz.
 
     ``points`` is kept as one read-only float64 array, also named ``f``.
     Iterating yields Python floats. Grids compare by identity.
@@ -110,19 +110,12 @@ class FrequencyGrid:
 
     def __post_init__(self):
         f = np.array(self.points, dtype=float)
-        if len(f) == 0:
-            raise DomainError("frequency grid must not be empty")
-        bad = ~(np.isfinite(f) & (f > 0.0))
-        if bad.any():
-            got = f[int(bad.argmax())].item()
-            raise DomainError(f"frequency grid points must be finite and > 0 (got {got!r})")
-        falling = ~(f[1:] > f[:-1])
-        if falling.any():
-            i = int(falling.argmax())
-            raise DomainError(
-                f"frequency grid must be strictly increasing "
-                f"({f[i].item()!r} -> {f[i + 1].item()!r})"
-            )
+        if f.ndim != 1:
+            raise DomainError(f"frequency grid must be one-dimensional (got shape {f.shape})")
+        # A positive first point, a finite last one and strictly rising steps
+        # make every point finite and positive; a NaN fails every comparison.
+        if not (len(f) and f[0] > 0.0 and f[-1] < math.inf and (f[1:] > f[:-1]).all()):
+            _refuse_grid(f)
         f.flags.writeable = False
         object.__setattr__(self, "points", f)
 
@@ -145,6 +138,21 @@ class FrequencyGrid:
     def logarithmic(cls, start: float, stop: float, points: int) -> "FrequencyGrid":
         _check_span("logarithmic", start, stop, points)
         return cls(np.geomspace(start, stop, points))
+
+
+def _refuse_grid(f: np.ndarray) -> None:
+    """Raise the :class:`DomainError` naming the first fault of a 1-D grid
+    that fails :class:`FrequencyGrid`'s check."""
+    if len(f) == 0:
+        raise DomainError("frequency grid must not be empty")
+    bad = ~(np.isfinite(f) & (f > 0.0))
+    if bad.any():
+        got = f[int(bad.argmax())].item()
+        raise DomainError(f"frequency grid points must be finite and > 0 (got {got!r})")
+    i = int((f[1:] <= f[:-1]).argmax())  # every point is finite here
+    raise DomainError(
+        f"frequency grid must be strictly increasing ({f[i].item()!r} -> {f[i + 1].item()!r})"
+    )
 
 
 def _check_span(spacing: str, start: float, stop: float, points: int) -> None:
@@ -376,4 +384,4 @@ def dumps_design(design: FilterDesign, header: str = "") -> str:
 
 def with_aperture(design: FilterDesign, **dims: float) -> FilterDesign:
     """Copy a design with one or more aperture dimensions replaced."""
-    return replace(design, aperture=replace(design.aperture, **dims))
+    return replace(design, aperture=RectAperture(**{**vars(design.aperture), **dims}))

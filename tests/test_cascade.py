@@ -5,9 +5,14 @@ from dataclasses import replace
 import pytest
 
 from herd import (
+    AIR,
     C0,
+    PTFE,
+    DesignSpec,
     DomainError,
+    DominantModeAxis,
     FrequencyGrid,
+    Material,
     Provenance,
     TwoPort,
     attenuation_vs_sections,
@@ -15,7 +20,10 @@ from herd import (
     corner_frequency,
     filter_response,
     inband_transmission,
+    prototype_design,
+    synthesize,
 )
+from herd import cascade, model
 
 IDENTITY = TwoPort(s11=0j, s12=1 + 0j, s21=1 + 0j, s22=0j)
 
@@ -28,6 +36,22 @@ def _section(design, f, **kwargs) -> TwoPort:
     """Two-port of one section at ``f``: the one-section filter on a one-point grid."""
     table = filter_response(replace(design, sections=1), FrequencyGrid((f,)), **kwargs)
     return table.entries[0]
+
+
+def _designs():
+    proto = prototype_design()
+    yield "stock", proto
+    yield "stock-height-axis", replace(proto, dominant_mode_axis=DominantModeAxis.HEIGHT)
+    specs = [
+        DesignSpec(50.0, 10e9, 0.15, 25.3e9, 60.0, PTFE, AIR),
+        DesignSpec(40.0, 2e9, 0.05, 6e9, 30.0, AIR, AIR),
+        DesignSpec(75.0, 15e9, 0.5, 40e9, 120.0, Material(eps_r=3.0), Material(eps_r=2.1), 12),
+    ]
+    for i, spec in enumerate(specs):
+        yield f"synthesized-{i}", synthesize(spec).design
+
+
+DESIGNS = dict(_designs())
 
 
 class TestTwoPort:
@@ -171,12 +195,50 @@ class TestAttenuationVsSections:
             attenuation_vs_sections(proto, 70e9, 0)
 
     def test_invalid_frequency_and_zero_transmission(self, proto):
-        for f in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(DomainError):
-                attenuation_vs_sections(proto, f, 3)
         drained = replace(proto, stopband_kappa=1.0)
-        with pytest.raises(DomainError):
-            attenuation_vs_sections(drained, 300e9, 3)
+        cases = [(proto, f) for f in (0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 0)]
+        for design, f in cases + [(drained, 300e9)]:
+            # the same message as the one-section response on a one-point grid
+            with pytest.raises(DomainError) as want:
+                _section(design, f)
+            with pytest.raises(DomainError) as got:
+                attenuation_vs_sections(design, f, 3)
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("name", sorted(DESIGNS))
+    @pytest.mark.parametrize("over_corner", [1e-3, 0.3, 0.9, 0.97, 0.999, 1.0, 1.001, 1.05, 1.3, 10.0])
+    def test_matches_one_section_response(self, name, over_corner):
+        # deep in band, across the blend band, exactly at the corner and above
+        design = DESIGNS[name]
+        f = over_corner * corner_frequency(design)
+        want = _att_db(_section(design, f))
+        ladder = attenuation_vs_sections(design, f, 600)
+        assert [count for count, _ in ladder] == list(range(1, 601))
+        for count, att in ladder:
+            assert type(att) is float
+            assert att == pytest.approx(count * want, rel=1e-12)
+
+    def test_builds_no_grid_table_or_response(self, proto, monkeypatch):
+        built = []
+
+        def counted(name, wrapped):
+            def call(*args, **kwargs):
+                built.append(name)
+                return wrapped(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(model.FrequencyGrid, "__post_init__",
+                            counted("FrequencyGrid", model.FrequencyGrid.__post_init__))
+        monkeypatch.setattr(cascade.SParamTable, "__init__",
+                            counted("SParamTable", cascade.SParamTable.__init__))
+        monkeypatch.setattr(cascade, "filter_response", counted("filter_response", cascade.filter_response))
+        attenuation_vs_sections(proto, 70e9, 4)
+        attenuation_vs_sections(proto, 10e9, 4)
+        assert built == []
+        # the counters see the one-section response the ladder replaced
+        cascade.filter_response(replace(proto, sections=1), FrequencyGrid((70e9,)))
+        assert built == ["FrequencyGrid", "filter_response", "SParamTable"]
 
 
 class TestCalibrateKappa:

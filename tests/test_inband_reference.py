@@ -19,6 +19,7 @@ from herd import (
     DesignSpec,
     DomainError,
     FrequencyGrid,
+    InfeasibleDesignError,
     Material,
     corner_frequency,
     evanescent_amplitude,
@@ -161,6 +162,32 @@ def test_floats_agree_with_scalar_reference(name):
         assert _close(depth, _scalar_depth(design, f, 0.1))
 
 
+@pytest.mark.parametrize("name", sorted(DESIGNS))
+def test_floats_agree_with_the_array_call(name):
+    design = DESIGNS[name]
+    freqs = _inband_freqs(design, 23)
+    amps = evanescent_amplitude(design, freqs)
+    curve = inband_transmission(design, freqs)
+    depths = min_depth_for_budget(design, freqs, 0.1)
+    for i, f in enumerate(freqs.tolist()):
+        # a float, a numpy scalar and a 0-d array are each one frequency
+        for one in (f, np.float64(f), np.array(f)):
+            amp = evanescent_amplitude(design, one)
+            point = inband_transmission(design, one)
+            depth = min_depth_for_budget(design, one, 0.1)
+            fields = (point.frequency, point.per_aperture_leak_power,
+                      point.total_transmission, point.insertion_loss_db)
+            for value in (amp, depth, *fields):
+                assert type(value) is float
+            cond = _cond(design, point.per_aperture_leak_power)
+            assert point.frequency == f
+            assert _close(amp, amps[i])
+            assert _close(point.per_aperture_leak_power, curve.per_aperture_leak_power[i])
+            assert _close(point.total_transmission, curve.total_transmission[i], cond)
+            assert _close(point.insertion_loss_db, curve.insertion_loss_db[i], cond)
+            assert _close(depth, depths[i])
+
+
 @pytest.mark.parametrize("index", range(len(SPECS)))
 def test_verify_passband_margin_agrees(index):
     spec = SPECS[index]
@@ -206,3 +233,11 @@ def test_first_bad_frequency_named_with_the_scalar_message(proto, bad):
         lambda: min_depth_for_budget(proto, freqs, 0.1),
     ):
         assert _message(call) == want
+
+
+def test_infeasible_budget_names_the_frequency_as_given(proto):
+    # a budget so small that no depth meets it: 10**(-budget/10A) rounds to 1
+    for f in (10e9, np.array([10e9, 12e9])):
+        with pytest.raises(InfeasibleDesignError) as err:
+            min_depth_for_budget(proto, f, 1e-300)
+        assert str(err.value) == f"no aperture depth satisfies the 1e-300 dB budget at {f!r} Hz"

@@ -75,6 +75,12 @@ class TestInbandTransmission:
         assert point.insertion_loss_db == math.inf
         curve = inband_transmission(vanishing, np.array([1e9, 10e9]))
         assert curve.insertion_loss_db.tolist() == [math.inf, math.inf]
+        # thicker, only the points next to the corner underflow
+        thin = with_aperture(proto, depth_d=1e-9)
+        near = (1.0 - 1e-12) * corner_frequency(thin)
+        curve = inband_transmission(thin, np.array([1e9, near]))
+        assert curve.total_transmission[0] > 0.0 and math.isfinite(curve.insertion_loss_db[0])
+        assert curve.total_transmission[1] == 0.0 and curve.insertion_loss_db[1] == math.inf
 
     @given(f=st.floats(min_value=1e8, max_value=25e9))
     def test_transmission_in_unit_interval(self, f):

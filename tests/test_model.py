@@ -1,5 +1,7 @@
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -172,6 +174,72 @@ class TestFrequencyGrid:
     def test_single_point_direct(self):
         grid = FrequencyGrid((5e9,))
         assert list(grid) == [5e9]
+
+    @pytest.mark.parametrize("points", [np.array([[1e9, 2e9]]), np.array(5e9), 5e9, [[1e9], [2e9]]])
+    def test_rejects_shapes_other_than_one_dimensional(self, points):
+        shape = np.shape(points)
+        with pytest.raises(DomainError, match=rf"one-dimensional \(got shape {re.escape(str(shape))}\)"):
+            FrequencyGrid(points)
+
+
+def _grid_fault(points):
+    """The message of the first fault that FrequencyGrid's per-point checks
+    find in a 1-D grid, or None for a valid one. This is the check the grid
+    ran before it tested three comparisons first, kept as the oracle."""
+    f = np.array(points, dtype=float)
+    if len(f) == 0:
+        return "frequency grid must not be empty"
+    bad = ~(np.isfinite(f) & (f > 0.0))
+    if bad.any():
+        got = f[int(bad.argmax())].item()
+        return f"frequency grid points must be finite and > 0 (got {got!r})"
+    falling = ~(f[1:] > f[:-1])
+    if falling.any():
+        i = int(falling.argmax())
+        return (
+            f"frequency grid must be strictly increasing "
+            f"({f[i].item()!r} -> {f[i + 1].item()!r})"
+        )
+    return None
+
+
+_GRID_SPECIALS = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1e9, 5e-324, 1e9, 1.7976931348623157e308]
+
+
+@st.composite
+def _grid_points(draw):
+    """Up to eight floats mixing NaN, infinities, zeros of both signs,
+    negatives and the smallest subnormal, drawn as they come, sorted, sorted
+    with one point repeated, or sorted with a descending run."""
+    pool = st.one_of(
+        st.sampled_from(_GRID_SPECIALS),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.floats(min_value=5e-324, max_value=1e300),
+    )
+    values = draw(st.lists(pool, max_size=8))
+    layout = draw(st.sampled_from(["drawn", "sorted", "sorted", "repeat", "descending run"]))
+    if layout != "drawn":
+        values.sort()
+    if values and layout == "repeat":
+        i = draw(st.integers(0, len(values) - 1))
+        values.insert(i, values[i])
+    if values and layout == "descending run":
+        i = draw(st.integers(0, len(values) - 1))
+        j = draw(st.integers(i, len(values)))
+        values[i:j] = values[i:j][::-1]
+    return values
+
+
+@given(_grid_points())
+def test_grid_check_matches_the_per_point_checks(values):
+    want = _grid_fault(values)
+    if want is None:
+        grid = FrequencyGrid(np.array(values))
+        assert grid.f.tolist() == values
+    else:
+        with pytest.raises(DomainError) as err:
+            FrequencyGrid(np.array(values))
+        assert str(err.value) == want
 
 
 class TestDesignFile:
