@@ -2,9 +2,9 @@
 
 Per section, the power transmission is the in-band evanescent value below the
 aperture corner frequency and a calibrated per-aperture drain above it, with
-a logistic blend across the corner so the curve stays smooth. Sections are
-chained through transfer (T) matrices; the matched default chain is s21**N in
-closed form.
+a logistic blend of fixed width across the corner so the curve stays smooth.
+Sections are matched (no reflection), so N of them chain as s21**N in closed
+form.
 
 The model is evaluated as array expressions over a whole frequency grid, and
 tables hold one complex array per S-parameter (the scikit-rf ``Network``
@@ -23,8 +23,8 @@ import numpy as np
 from .constants import C0
 from .errors import DomainError
 from .leakage import evanescent_gamma
-from .model import FilterDesign, FrequencyGrid
-from .modes import corner_frequency
+from .model import FilterDesign, FrequencyGrid, validate
+from .modes import _require, corner_frequency
 
 # Fraction of the corner frequency over which the below/above-cutoff branches
 # are blended. The logistic runs from 1% to 99% across that band.
@@ -75,10 +75,8 @@ class SParamTable:
 
     The matrices are held as four read-only complex128 arrays ``s11``,
     ``s21``, ``s12``, ``s22`` aligned with ``f`` (the grid's float64 array),
-    with one reference impedance ``z0`` for the whole table. Pass either
-    ``entries`` (one :class:`TwoPort` per point, all with one ``z0``) or the
-    four arrays as keywords (``entries=None``). The table keeps read-only
-    views of the arrays it is given.
+    with one reference impedance ``z0`` for the whole table. The table keeps
+    read-only views of the arrays it is given.
     """
 
     __slots__ = ("grid", "s11", "s21", "s12", "s22", "z0", "provenance", "label", "mag_only")
@@ -86,31 +84,18 @@ class SParamTable:
     def __init__(
         self,
         grid: FrequencyGrid,
-        entries: Sequence[TwoPort] | None,
         provenance: Provenance,
         label: str = "",
         mag_only: bool = False,
         *,
-        s11=None,
-        s21=None,
-        s12=None,
-        s22=None,
+        s11,
+        s21,
+        s12,
+        s22,
         z0: float = 50.0,
     ):
-        if entries is not None:
-            impedances = {port.z0 for port in entries}
-            if len(impedances) > 1:
-                raise DomainError(
-                    f"all two-ports of a table must share one reference impedance "
-                    f"(got {sorted(impedances)!r})"
-                )
-            z0 = impedances.pop() if impedances else z0
-            columns = [(p.s11, p.s21, p.s12, p.s22) for p in entries]
-            s11, s21, s12, s22 = np.array(columns, dtype=complex).reshape(-1, 4).T.copy()
         arrays = []
-        for name, values in (("s11", s11), ("s21", s21), ("s12", s12), ("s22", s22)):
-            if values is None:
-                raise DomainError(f"table needs entries or all four S-parameter arrays (no {name})")
+        for values in (s11, s21, s12, s22):
             values = np.asarray(values, dtype=complex).view()
             if values.shape != (len(grid),):
                 raise DomainError(
@@ -170,7 +155,7 @@ class _TwoPortView(Sequence):
             yield TwoPort(s11=s11, s12=s12, s21=s21, s22=s22, z0=t.z0)
 
 
-def _section_power(design: FilterDesign, fc: float, f, transition_width: float):
+def _section_power(design: FilterDesign, fc: float, f):
     """Power transmission |s21|^2 of one section at ``f`` (a float or an
     array), with ``fc`` the design's :func:`corner_frequency`."""
     n_ap = design.apertures_per_section
@@ -182,85 +167,33 @@ def _section_power(design: FilterDesign, fc: float, f, transition_width: float):
     t_above = (1.0 - design.stopband_kappa) ** n_ap
 
     # Logistic stopband weight: 0 deep in band, 1/2 at the corner, 1 above.
-    # Below arg = -700 it is set to exactly 0, and exp's argument is clamped
-    # there so it cannot overflow; above +700 the logistic already rounds to 1.
-    arg = (f - fc) * (_LOGISTIC_SHARPNESS / (transition_width * fc))
-    weight = np.where(arg > -700.0, 1.0 / (1.0 + np.exp(np.minimum(-arg, 700.0))), 0.0)
+    # For f > 0, arg > -_LOGISTIC_SHARPNESS / DEFAULT_TRANSITION_WIDTH (about
+    # -92), so exp(-arg) cannot overflow; far above the corner it underflows
+    # to 0 and the weight rounds to 1.
+    arg = (f - fc) * (_LOGISTIC_SHARPNESS / (DEFAULT_TRANSITION_WIDTH * fc))
+    weight = 1.0 / (1.0 + np.exp(-arg))
     return (1.0 - weight) * t_below + weight * t_above
 
 
-def _section(
-    design: FilterDesign,
-    f: np.ndarray,
-    transition_width: float,
-    return_loss_floor_db: float | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(s11, s21) of one section at every frequency of ``f`` (s22 = s11 and
-    s12 = s21 by symmetry and reciprocity)."""
-    if not 0.0 < transition_width < 1.0:
-        raise DomainError(f"transition width must lie in (0, 1) (got {transition_width!r})")
-    if return_loss_floor_db is not None and not (
-        math.isfinite(return_loss_floor_db) and return_loss_floor_db < 0.0
-    ):
-        raise DomainError(
-            f"return-loss floor must be finite and < 0 dB (got {return_loss_floor_db!r})"
-        )
-    t_power = _section_power(design, corner_frequency(design), f, transition_width)
-
-    delay = 2.0 * math.pi * design.section_pitch * design.coax_fill.refractive_index / C0
-    phase = np.exp(-1j * delay * f)
-    if return_loss_floor_db is None:
-        return np.zeros_like(phase), np.sqrt(t_power) * phase
-    refl = 10.0 ** (return_loss_floor_db / 20.0)
-    return 1j * refl * phase, np.sqrt((1.0 - refl * refl) * t_power) * phase
-
-
-def _chain(s11: np.ndarray, s21: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """(s11, s21) of ``count`` identical symmetric reciprocal sections.
-
-    Matched sections chain as s21**count. Otherwise the section's T-matrix
-    [[s21 - s11^2/s21, s11/s21], [-s11/s21, 1/s21]] is raised to the power
-    ``count``, one batched 2x2 product per step, point by point.
-    """
-    if count == 1:
-        return s11, s21
-    if not s11.any():
-        return s11, s21**count
-    p11 = (s21 * s21 - s11 * s11) / s21
-    p12 = s11 / s21
-    p21 = -s11 / s21
-    p22 = 1.0 / s21
-    t11, t12, t21, t22 = p11, p12, p21, p22
-    for _ in range(count - 1):
-        t11, t12, t21, t22 = (
-            t11 * p11 + t12 * p21,
-            t11 * p12 + t12 * p22,
-            t21 * p11 + t22 * p21,
-            t21 * p12 + t22 * p22,
-        )
-    return t12 / t22, 1.0 / t22
-
-
-def filter_response(
-    design: FilterDesign,
-    grid: FrequencyGrid,
-    transition_width: float = DEFAULT_TRANSITION_WIDTH,
-    return_loss_floor_db: float | None = None,
-) -> SParamTable:
+def filter_response(design: FilterDesign, grid: FrequencyGrid) -> SParamTable:
     """Cascaded response of all sections over a frequency grid.
 
-    Every point is computed independently, so the result does not depend on
-    how the grid is split or ordered.
+    The sections are matched (s11 = 0), so N identical sections chain as
+    s21**N. Every point is computed independently, so the result does not
+    depend on how the grid is split or ordered.
     """
-    s11, s21 = _section(design, grid.f, transition_width, return_loss_floor_db)
+    _require(validate(design))
+    f = grid.f
+    delay = 2.0 * math.pi * design.section_pitch * design.coax_fill.refractive_index / C0
+    s21 = np.sqrt(_section_power(design, corner_frequency(design), f)) * np.exp(-1j * delay * f)
     if not s21.all():
         raise DomainError("cannot cascade a two-port with zero transmission (s21 = 0)")
-    s11, s21 = _chain(s11, s21, design.sections)
+    s21 = s21**design.sections
+    s11 = np.zeros_like(s21)
     return SParamTable(
-        grid=grid,
-        entries=None,
-        provenance=Provenance.MODEL,
-        label=f"cascade model, {design.sections} sections",
+        grid,
+        Provenance.MODEL,
+        f"cascade model, {design.sections} sections",
         s11=s11,
         s21=s21,
         s12=s21,
@@ -276,12 +209,13 @@ def attenuation_vs_sections(
     Matched identical sections make this exactly linear in the count: row n
     is n times the attenuation of one section, -10 log10 |s21|^2.
     """
+    _require(validate(design))
     if max_sections < 1:
         raise DomainError(f"max_sections must be >= 1 (got {max_sections!r})")
     f = float(f)
     if not 0.0 < f < math.inf:
         raise DomainError(f"frequency grid points must be finite and > 0 (got {f!r})")
-    power = _section_power(design, corner_frequency(design), f, DEFAULT_TRANSITION_WIDTH)
+    power = _section_power(design, corner_frequency(design), f)
     if power == 0.0:
         raise DomainError("cannot cascade a two-port with zero transmission (s21 = 0)")
     att = float(-10.0 * np.log10(power))

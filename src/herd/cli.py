@@ -195,19 +195,15 @@ def _splice_response(text: str, columns) -> str:
 
 def _metric_rows(table, profile: list[Claim]) -> list[dict]:
     rows = []
-    seen = set()
-    for claim in profile:
-        if claim.band in seen:
-            continue
-        seen.add(claim.band)
+    for band in dict.fromkeys(claim.band for claim in profile):
         try:
-            metric = band_metrics(table, claim.band)
+            metric = band_metrics(table, band)
         except DomainError as exc:
-            rows.append({"band_hz": list(claim.band), "error": str(exc)})
+            rows.append({"band_hz": list(band), "error": str(exc)})
             continue
         rows.append(
             {
-                "band_hz": list(claim.band),
+                "band_hz": list(band),
                 "max_insertion_loss_db": _json_safe(metric.max_insertion_loss_db),
                 "min_attenuation_db": _json_safe(metric.min_attenuation_db),
                 "max_ripple_db": _json_safe(metric.max_ripple_db),
@@ -242,7 +238,7 @@ def _cmd_analyze(args) -> int:
     design = _load_design(args.design)
     grid = _analysis_grid(args)
     table = filter_response(design, grid)
-    profile = CLAIM_PROFILES[args.claims] if args.claims else CLAIM_PROFILES["default"]
+    profile = CLAIM_PROFILES[args.claims or "default"]
     metrics = _metric_rows(table, profile)
     report = check_claims(table, profile) if args.claims else None
     s21_db = -insertion_loss_db(table.s21)
@@ -406,12 +402,7 @@ def _cmd_compare(args) -> int:
 
     deltas = np.abs(insertion_loss_db(measured.s21) - insertion_loss_db(model.s21))
     deviations = []
-    seen = set()
-    for claim in profile:
-        if claim.band in seen:
-            continue
-        seen.add(claim.band)
-        lo, hi = claim.band
+    for lo, hi in dict.fromkeys(claim.band for claim in profile):
         inside = (measured.f >= lo) & (measured.f <= hi)
         deviations.append(
             {

@@ -15,8 +15,8 @@ import numpy as np
 
 from .constants import C0
 from .errors import DomainError, InfeasibleDesignError
-from .model import FilterDesign
-from .modes import corner_frequency
+from .model import FilterDesign, validate
+from .modes import _require, corner_frequency
 
 
 @dataclass(frozen=True)
@@ -37,10 +37,11 @@ class InbandLossBreakdown:
 def evanescent_gamma(design: FilterDesign, fc: float, f: np.ndarray) -> np.ndarray:
     """Attenuation constant of the dominant aperture mode [Np/m] at each
     frequency of ``f``, with ``fc`` the design's :func:`corner_frequency`:
-    gamma = 2 pi n / c0 * sqrt(max((fc - f)(fc + f), 0)), which is 0 at and
-    above the corner."""
+    gamma = 2 pi n / c0 * sqrt(max(fc - f, 0) (fc + f)), which is 0 at and
+    above the corner. Clamping fc - f before the product keeps it from
+    overflowing at frequencies far above the corner."""
     scale = 2.0 * math.pi * design.aperture_fill.refractive_index / C0
-    return scale * np.sqrt(np.maximum((fc - f) * (fc + f), 0.0))
+    return scale * np.sqrt(np.maximum(fc - f, 0.0) * (fc + f))
 
 
 def _all(one: bool, values) -> bool:
@@ -52,8 +53,9 @@ def _all(one: bool, values) -> bool:
 def _inband(design: FilterDesign, f):
     """(one, freqs, gamma): whether ``f`` is one frequency, ``f`` as a float
     or a float64 array, and :func:`evanescent_gamma` there, after checking
-    that every frequency lies strictly between 0 and the corner; the first
-    one outside is named."""
+    that the design is valid and every frequency lies strictly between 0 and
+    the corner; the first violation or frequency outside is named."""
+    _require(validate(design))
     fc = corner_frequency(design)
     freqs = np.asarray(f, dtype=float)
     one = freqs.ndim == 0

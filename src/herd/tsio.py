@@ -261,7 +261,6 @@ def parse_touchstone(text: str) -> SParamTable:
         s11, s21, s12, s22 = (np.abs(s).astype(complex) for s in (s11, s21, s12, s22))
     return SParamTable(
         grid=FrequencyGrid(f_hz),
-        entries=None,
         provenance=Provenance.MEASURED,
         mag_only=mag_only,
         s11=s11,

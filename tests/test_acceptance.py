@@ -22,7 +22,6 @@ from herd import (
     Material,
     Provenance,
     SParamTable,
-    TwoPort,
     attenuation_vs_sections,
     calibrate_kappa,
     coax_ratio_for_impedance,
@@ -170,11 +169,9 @@ def _random_table(rng: random.Random) -> SParamTable:
     def value():
         return cmath.rect(rng.uniform(1e-6, 1.5), rng.uniform(-math.pi, math.pi))
 
-    entries = tuple(
-        TwoPort(s11=value(), s12=value(), s21=value(), s22=value()) for _ in range(n)
-    )
+    s11, s12, s21, s22 = zip(*((value(), value(), value(), value()) for _ in range(n)))
     return SParamTable(
-        grid=FrequencyGrid(tuple(freqs)), entries=entries, provenance=Provenance.MEASURED
+        FrequencyGrid(tuple(freqs)), Provenance.MEASURED, s11=s11, s21=s21, s12=s12, s22=s22
     )
 
 

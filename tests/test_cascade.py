@@ -18,8 +18,10 @@ from herd import (
     attenuation_vs_sections,
     calibrate_kappa,
     corner_frequency,
+    evanescent_amplitude,
     filter_response,
     inband_transmission,
+    min_depth_for_budget,
     prototype_design,
     synthesize,
 )
@@ -32,9 +34,9 @@ def _att_db(port: TwoPort) -> float:
     return -20.0 * math.log10(abs(port.s21))
 
 
-def _section(design, f, **kwargs) -> TwoPort:
+def _section(design, f) -> TwoPort:
     """Two-port of one section at ``f``: the one-section filter on a one-point grid."""
-    table = filter_response(replace(design, sections=1), FrequencyGrid((f,)), **kwargs)
+    table = filter_response(replace(design, sections=1), FrequencyGrid((f,)))
     return table.entries[0]
 
 
@@ -52,6 +54,37 @@ def _designs():
 
 
 DESIGNS = dict(_designs())
+
+# A valid design whose stopband drain underflows: (1 - kappa)**21 = 2**-1113
+# rounds to 0, so far above the corner one section transmits exactly nothing.
+DRAINED = replace(prototype_design(), stopband_kappa=1.0 - 2.0**-53, apertures_per_section=21)
+
+# Invalid designs and the field that validate() names first for each.
+INVALID = [
+    ({"sections": 0}, "sections"),
+    ({"sections": -3}, "sections"),
+    ({"stopband_kappa": 1.5, "apertures_per_section": 7}, "stopband_kappa"),
+    ({"stopband_kappa": 0.0}, "stopband_kappa"),
+    ({"apertures_per_section": 0}, "apertures_per_section"),
+    ({"section_pitch": math.nan}, "section_pitch"),
+]
+
+ENTRY_POINTS = {
+    "filter_response": lambda design: filter_response(design, FrequencyGrid((10e9, 70e9))),
+    "attenuation_vs_sections": lambda design: attenuation_vs_sections(design, 70e9, 4),
+    "inband_transmission": lambda design: inband_transmission(design, 10e9),
+    "evanescent_amplitude": lambda design: evanescent_amplitude(design, 10e9),
+    "min_depth_for_budget": lambda design: min_depth_for_budget(design, 10e9, 0.15),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("changes, field", INVALID)
+def test_model_entry_points_reject_invalid_designs(proto, entry, changes, field):
+    design = replace(proto, **changes)
+    with pytest.raises(DomainError, match=field) as err:
+        ENTRY_POINTS[entry](design)
+    assert str(err.value) == model.validate(design)[0]
 
 
 class TestTwoPort:
@@ -104,14 +137,6 @@ class TestSectionTwoPort:
             assert port.s11 == 0j and port.s22 == 0j
             assert port.s12 == port.s21
             assert port.is_passive()
-
-    def test_return_loss_floor(self, proto):
-        port = _section(proto, 10e9, return_loss_floor_db=-20.0)
-        assert abs(port.s11) == pytest.approx(0.1, rel=1e-12)
-        assert port.is_passive()
-        assert port.s12 == port.s21
-        with pytest.raises(DomainError):
-            _section(proto, 10e9, return_loss_floor_db=3.0)
 
     def test_rejects_nonpositive_frequency(self, proto):
         with pytest.raises(DomainError):
@@ -195,15 +220,15 @@ class TestAttenuationVsSections:
             attenuation_vs_sections(proto, 70e9, 0)
 
     def test_invalid_frequency_and_zero_transmission(self, proto):
-        drained = replace(proto, stopband_kappa=1.0)
         cases = [(proto, f) for f in (0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 0)]
-        for design, f in cases + [(drained, 300e9)]:
+        for design, f in cases + [(DRAINED, 300e9)]:
             # the same message as the one-section response on a one-point grid
             with pytest.raises(DomainError) as want:
                 _section(design, f)
             with pytest.raises(DomainError) as got:
                 attenuation_vs_sections(design, f, 3)
             assert str(got.value) == str(want.value)
+        assert "zero transmission" in str(got.value)
 
     @pytest.mark.parametrize("name", sorted(DESIGNS))
     @pytest.mark.parametrize("over_corner", [1e-3, 0.3, 0.9, 0.97, 0.999, 1.0, 1.001, 1.05, 1.3, 10.0])

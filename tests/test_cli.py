@@ -2,13 +2,13 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from herd import (
     FrequencyGrid,
     Provenance,
     SParamTable,
-    TwoPort,
     dumps_design,
     dumps_design_spec,
     inband_transmission,
@@ -358,13 +358,10 @@ class TestCompare:
     def test_weak_stopband_fails(self, capsys, proto_file, tmp_path):
         freqs = tuple(float(f) for f in (1e9, 5e9, 75e9, 100e9, 145e9))
         mags = (0.999, 0.999, 10 ** (-55 / 20), 10 ** (-55 / 20), 10 ** (-55 / 20))
+        s21 = np.array(mags, dtype=complex)
+        s11 = np.full(len(mags), 0.01 + 0j)
         table = SParamTable(
-            grid=FrequencyGrid(freqs),
-            entries=tuple(
-                TwoPort(s11=0.01 + 0j, s12=complex(m, 0), s21=complex(m, 0), s22=0.01 + 0j)
-                for m in mags
-            ),
-            provenance=Provenance.MEASURED,
+            FrequencyGrid(freqs), Provenance.MEASURED, s11=s11, s21=s21, s12=s21, s22=s11
         )
         s2p = tmp_path / "weak.s2p"
         s2p.write_text(write_touchstone(table, "DB", "GHZ"))
@@ -373,14 +370,11 @@ class TestCompare:
         assert "FAIL" in out
 
     def test_magonly_note(self, capsys, proto_file, tmp_path):
+        s21 = np.array([0.99, 1e-4], dtype=complex)
+        zeros = np.zeros(2, dtype=complex)
         table = SParamTable(
-            grid=FrequencyGrid((1e9, 80e9)),
-            entries=(
-                TwoPort(s11=0j, s12=0.99 + 0j, s21=0.99 + 0j, s22=0j),
-                TwoPort(s11=0j, s12=1e-4 + 0j, s21=1e-4 + 0j, s22=0j),
-            ),
-            provenance=Provenance.MEASURED,
-            mag_only=True,
+            FrequencyGrid((1e9, 80e9)), Provenance.MEASURED, mag_only=True,
+            s11=zeros, s21=s21, s12=s21, s22=zeros,
         )
         s2p = tmp_path / "mag.s2p"
         s2p.write_text(write_touchstone(table, "MA", "GHZ"))

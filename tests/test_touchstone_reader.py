@@ -132,7 +132,6 @@ def _oracle_parse_touchstone(text):
         s11, s21, s12, s22 = (np.abs(s).astype(complex) for s in (s11, s21, s12, s22))
     return SParamTable(
         grid=FrequencyGrid(f_hz),
-        entries=None,
         provenance=Provenance.MEASURED,
         mag_only=mag_only,
         s11=s11,

@@ -14,7 +14,6 @@ from herd import (
     ParseError,
     Provenance,
     SParamTable,
-    TwoPort,
     band_metrics,
     check_claims,
     filter_response,
@@ -28,16 +27,9 @@ DB_HEADER = "# GHZ S DB R 50"
 
 def flat_table(s21_mags, s11_mag=0.0, f0=1e9, step=1e9) -> SParamTable:
     freqs = tuple(f0 + i * step for i in range(len(s21_mags)))
-    entries = tuple(
-        TwoPort(
-            s11=complex(s11_mag, 0.0),
-            s12=complex(mag, 0.0),
-            s21=complex(mag, 0.0),
-            s22=complex(s11_mag, 0.0),
-        )
-        for mag in s21_mags
-    )
-    return SParamTable(grid=FrequencyGrid(freqs), entries=entries, provenance=Provenance.MEASURED)
+    s21 = np.array(s21_mags, dtype=complex)
+    s11 = np.full(len(s21_mags), complex(s11_mag, 0.0))
+    return SParamTable(FrequencyGrid(freqs), Provenance.MEASURED, s11=s11, s21=s21, s12=s21, s22=s11)
 
 
 class TestParse:
@@ -127,7 +119,8 @@ class TestWrite:
     def test_magonly_flag_round_trips(self):
         table = flat_table([0.5, 0.4])
         flagged = SParamTable(
-            grid=table.grid, entries=table.entries, provenance=table.provenance, mag_only=True
+            table.grid, table.provenance, mag_only=True,
+            s11=table.s11, s21=table.s21, s12=table.s12, s22=table.s22,
         )
         assert parse_touchstone(write_touchstone(flagged, "MA", "HZ")).mag_only
 
@@ -155,13 +148,12 @@ def tables(draw):
         phase = draw(st.floats(min_value=-math.pi, max_value=math.pi))
         return cmath.rect(mag, phase)
 
-    entries = tuple(
-        TwoPort(
-            s11=complex_value(), s12=complex_value(), s21=complex_value(), s22=complex_value()
-        )
-        for _ in range(n)
+    s11, s12, s21, s22 = zip(
+        *((complex_value(), complex_value(), complex_value(), complex_value()) for _ in range(n))
     )
-    return SParamTable(grid=FrequencyGrid(tuple(freqs)), entries=entries, provenance=Provenance.MEASURED)
+    return SParamTable(
+        FrequencyGrid(tuple(freqs)), Provenance.MEASURED, s11=s11, s21=s21, s12=s12, s22=s22
+    )
 
 
 @given(

@@ -86,11 +86,24 @@ def _grid(log, points=401):
     return spacing(1e8, 145e9, points)
 
 
+def _reflecting_table(matched):
+    """The matched response with a reflection of -20 dB to -26 dB: s11 varies
+    over the grid and differs from s22, so the writer formats both of them as
+    distinct, non-constant columns."""
+    f = matched.f
+    s11 = 1j * np.linspace(0.1, 0.05, len(f)) * np.exp(-1j * f / 3e9)
+    s21 = matched.s21 * np.sqrt(1.0 - np.abs(s11) ** 2)
+    return SParamTable(
+        matched.grid, Provenance.MODEL, "reflecting table", s11=s11, s21=s21, s12=s21, s22=-s11.conj()
+    )
+
+
 def _model_tables(proto):
     grid = _grid(log=True)
+    matched = filter_response(proto, grid)
     return {
-        "matched": filter_response(proto, grid),
-        "floor": filter_response(proto, grid, return_loss_floor_db=-20.0),
+        "matched": matched,
+        "floor": _reflecting_table(matched),
         "underflow": filter_response(replace(proto, sections=UNDERFLOW_SECTIONS), grid),
     }
 
@@ -100,7 +113,6 @@ def _signed_zero_table():
     zeros = np.zeros(3)
     return SParamTable(
         grid=grid,
-        entries=None,
         provenance=Provenance.MEASURED,
         s11=zeros + 0j,
         s21=np.full(3, complex(0.5, 0.0)),
