@@ -23,8 +23,8 @@ import numpy as np
 from .constants import C0
 from .errors import DomainError
 from .leakage import evanescent_gamma
-from .model import FilterDesign, FrequencyGrid, validate
-from .modes import _require, corner_frequency
+from .model import FilterDesign, FrequencyGrid
+from .modes import corner_frequency
 
 # Fraction of the corner frequency over which the below/above-cutoff branches
 # are blended. The logistic runs from 1% to 99% across that band.
@@ -75,8 +75,8 @@ class SParamTable:
 
     The matrices are held as four read-only complex128 arrays ``s11``,
     ``s21``, ``s12``, ``s22`` aligned with ``f`` (the grid's float64 array),
-    with one reference impedance ``z0`` for the whole table. The table keeps
-    read-only views of the arrays it is given.
+    with one reference impedance ``z0``, finite and > 0 ohm, for the whole
+    table. The table keeps read-only views of the arrays it is given.
     """
 
     __slots__ = ("grid", "s11", "s21", "s12", "s22", "z0", "provenance", "label", "mag_only")
@@ -94,6 +94,9 @@ class SParamTable:
         s22,
         z0: float = 50.0,
     ):
+        z0 = float(z0)
+        if not 0.0 < z0 < math.inf:
+            raise DomainError(f"reference impedance must be finite and > 0 ohm (got {z0!r})")
         arrays = []
         for values in (s11, s21, s12, s22):
             values = np.asarray(values, dtype=complex).view()
@@ -106,7 +109,7 @@ class SParamTable:
             arrays.append(values)
         self.grid = grid
         self.s11, self.s21, self.s12, self.s22 = arrays
-        self.z0 = float(z0)
+        self.z0 = z0
         self.provenance = provenance
         self.label = label
         self.mag_only = mag_only
@@ -182,7 +185,6 @@ def filter_response(design: FilterDesign, grid: FrequencyGrid) -> SParamTable:
     s21**N. Every point is computed independently, so the result does not
     depend on how the grid is split or ordered.
     """
-    _require(validate(design))
     f = grid.f
     delay = 2.0 * math.pi * design.section_pitch * design.coax_fill.refractive_index / C0
     s21 = np.sqrt(_section_power(design, corner_frequency(design), f)) * np.exp(-1j * delay * f)
@@ -209,7 +211,6 @@ def attenuation_vs_sections(
     Matched identical sections make this exactly linear in the count: row n
     is n times the attenuation of one section, -10 log10 |s21|^2.
     """
-    _require(validate(design))
     if max_sections < 1:
         raise DomainError(f"max_sections must be >= 1 (got {max_sections!r})")
     f = float(f)

@@ -126,7 +126,7 @@ def _cmd_modes(args) -> int:
         fmax = args.fmax if args.fmax is not None else 2.0 * corner
         chart = mode_chart(design.aperture, design.aperture_fill, fmax)
     elif args.z0 is not None and args.single_mode is not None:
-        fill = Material(eps_r=args.coax_eps) if args.coax_eps else AIR
+        fill = Material(eps_r=args.coax_eps) if args.coax_eps is not None else AIR
         geometry = solve_inner_radius(args.z0, args.single_mode, fill)
         z0 = args.z0
     else:
@@ -290,8 +290,8 @@ def _cmd_sweep(args) -> int:
     if args.steps < 1:
         raise DomainError(f"steps must be >= 1 (got {args.steps!r})")
     field = _SWEEP_FIELDS[args.param]
-    # An infinite or overflowing span gives nan values, which the aperture
-    # check in corner_frequency refuses like any other non-positive value.
+    # An infinite or overflowing span gives nan values, which with_aperture
+    # refuses like any other non-positive value when it builds the variant.
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.linspace(args.sweep_from, args.sweep_to, args.steps).tolist()
 

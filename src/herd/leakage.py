@@ -15,8 +15,8 @@ import numpy as np
 
 from .constants import C0
 from .errors import DomainError, InfeasibleDesignError
-from .model import FilterDesign, validate
-from .modes import _require, corner_frequency
+from .model import FilterDesign
+from .modes import corner_frequency
 
 
 @dataclass(frozen=True)
@@ -53,9 +53,8 @@ def _all(one: bool, values) -> bool:
 def _inband(design: FilterDesign, f):
     """(one, freqs, gamma): whether ``f`` is one frequency, ``f`` as a float
     or a float64 array, and :func:`evanescent_gamma` there, after checking
-    that the design is valid and every frequency lies strictly between 0 and
-    the corner; the first violation or frequency outside is named."""
-    _require(validate(design))
+    that every frequency lies strictly between 0 and the corner; the first
+    frequency outside is named."""
     fc = corner_frequency(design)
     freqs = np.asarray(f, dtype=float)
     one = freqs.ndim == 0

@@ -1,13 +1,13 @@
 """Domain types for the leaky-coax low-pass filter toolkit.
 
-All types are immutable value objects. Construction is permissive so that
-invalid candidates can be built, inspected and reported on; :func:`validate`
-is the single authority on design invariants.
+All types are immutable value objects. A design and a frequency grid refuse
+bad values with :class:`DomainError` when they are built; :func:`validate`
+lists a design's violations. The parts of a design accept any value, since
+their checks name each value by its role in the design (``coax_fill.eps_r``).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
 from dataclasses import dataclass, replace
@@ -32,15 +32,14 @@ DEFAULT_APERTURES_PER_SECTION = 8
 
 @dataclass(frozen=True)
 class Material:
-    """Fill medium: relative permittivity and permeability."""
+    """Fill medium: a non-magnetic dielectric of relative permittivity eps_r."""
 
     eps_r: float
-    mu_r: float = 1.0
 
     @property
     def refractive_index(self) -> float:
-        """sqrt(eps_r * mu_r), the slowing factor relative to vacuum."""
-        return math.sqrt(self.eps_r * self.mu_r)
+        """sqrt(eps_r), the slowing factor relative to vacuum."""
+        return math.sqrt(self.eps_r)
 
 
 AIR = Material(eps_r=1.0)
@@ -80,7 +79,8 @@ class FilterDesign:
     """Complete description of a leaky-coax filter.
 
     A section is a ring group of apertures around the outer conductor; the
-    filter repeats it ``sections`` times along the axis.
+    filter repeats it ``sections`` times along the axis. Building one raises
+    :class:`DomainError` with every violation :func:`validate` finds.
     """
 
     coax: CoaxGeometry
@@ -92,6 +92,11 @@ class FilterDesign:
     section_pitch: float = DEFAULT_SECTION_PITCH
     stopband_kappa: float = DEFAULT_STOPBAND_KAPPA
     dominant_mode_axis: DominantModeAxis = DominantModeAxis.WIDTH
+
+    def __post_init__(self):
+        violations = validate(self)
+        if violations:
+            raise DomainError("; ".join(violations))
 
     @property
     def total_apertures(self) -> int:
@@ -185,13 +190,10 @@ def prototype_design() -> FilterDesign:
 
 
 def material_violations(name: str, mat: Material) -> list[str]:
-    """Violations of a fill medium, named ``<name>.eps_r`` and ``<name>.mu_r``."""
-    out = []
+    """Violations of a fill medium, named ``<name>.eps_r``."""
     if not 1.0 <= mat.eps_r < math.inf:
-        out.append(f"{name}.eps_r must be finite and >= 1 (got {mat.eps_r!r})")
-    if not 1.0 <= mat.mu_r < math.inf:
-        out.append(f"{name}.mu_r must be finite and >= 1 (got {mat.mu_r!r})")
-    return out
+        return [f"{name}.eps_r must be finite and >= 1 (got {mat.eps_r!r})"]
+    return []
 
 
 def coax_violations(coax: CoaxGeometry) -> list[str]:
@@ -221,7 +223,7 @@ def validate(design: FilterDesign) -> list[str]:
     """Check every design invariant; return one message per violation.
 
     An empty list means the design is valid. Nothing is raised: violations
-    are the return value.
+    are the return value, which :class:`FilterDesign` raises when it is built.
     """
     out = [
         *material_violations("coax_fill", design.coax_fill),
@@ -270,28 +272,18 @@ class Field:
 
 class KeyValueFormat:
     """The file format of ``cls``. ``parts`` maps each attribute of ``cls``
-    that is itself a value object to its type; ``check`` lists the invariant
-    violations of a value, which :meth:`loads` raises as a :class:`ParseError`.
-    """
+    that is itself a value object to its type. :meth:`loads` raises the
+    :class:`DomainError` of building ``cls`` as a :class:`ParseError`."""
 
-    def __init__(self, name: str, cls: type, parts: dict[str, type], fields: tuple[Field, ...], check):
+    def __init__(self, name: str, cls: type, parts: dict[str, type], fields: tuple[Field, ...]):
         self.name = name
         self.cls = cls
         self.parts = parts
         self.fields = fields
-        self.check = check
         self._by_key = {field.key: field for field in fields}
         self._getters = [attrgetter(field.attr) for field in fields]
         # (part or "", attribute name) that each field fills
         self._targets = [field.attr.rpartition(".")[::2] for field in fields]
-        # part attributes that no field carries, with the default they must hold
-        carried = {field.attr for field in fields}
-        self._fixed = [
-            (f"{part}.{attr.name}", attr.default)
-            for part, part_cls in parts.items()
-            for attr in dataclasses.fields(part_cls)
-            if f"{part}.{attr.name}" not in carried
-        ]
 
     def loads(self, text: str):
         """Parse and validate. Errors name the first bad line; a missing
@@ -320,11 +312,10 @@ class KeyValueFormat:
             (parts[part] if part else kwargs)[attr] = read.get(field.key, field.default)
         for part, part_cls in self.parts.items():
             kwargs[part] = part_cls(**parts[part])
-        obj = self.cls(**kwargs)
-        violations = self.check(obj)
-        if violations:
-            raise ParseError(f"invalid {self.name}: " + "; ".join(violations))
-        return obj
+        try:
+            return self.cls(**kwargs)
+        except DomainError as exc:
+            raise ParseError(f"invalid {self.name}: {exc}") from None
 
     def values(self, obj) -> dict[str, object]:
         """Key -> value in table order, enum members as their value."""
@@ -335,12 +326,7 @@ class KeyValueFormat:
         return out
 
     def dumps(self, obj, header: str = "") -> str:
-        """Serialize ``obj`` with exact floats. A part attribute the fields do
-        not carry must hold its default, else :class:`DomainError`."""
-        for attr, default in self._fixed:
-            value = attrgetter(attr)(obj)
-            if value != default:
-                raise DomainError(f"{self.name} files cannot carry {attr} = {value!r}")
+        """Serialize ``obj`` with exact floats."""
         lines = [f"# {line}" for line in header.splitlines()]
         for key, value in self.values(obj).items():
             lines.append(f"{key} = {value if isinstance(value, str) else repr(value)}")
@@ -367,7 +353,6 @@ DESIGN_FILE = KeyValueFormat(
         Field("stopband_kappa", "stopband_kappa", float, DEFAULT_STOPBAND_KAPPA),
         Field("dominant_mode_axis", "dominant_mode_axis", DominantModeAxis, DominantModeAxis.WIDTH),
     ),
-    validate,
 )
 
 
@@ -377,11 +362,10 @@ def loads_design(text: str) -> FilterDesign:
 
 
 def dumps_design(design: FilterDesign, header: str = "") -> str:
-    """Serialize a design to the key-value file format (exact float round-trip);
-    a fill with ``mu_r != 1``, which the format does not carry, is a DomainError."""
+    """Serialize a design to the key-value file format (exact float round-trip)."""
     return DESIGN_FILE.dumps(design, header)
 
 
 def with_aperture(design: FilterDesign, **dims: float) -> FilterDesign:
-    """Copy a design with one or more aperture dimensions replaced."""
+    """Copy a design with one or more aperture dimensions replaced; the copy is checked."""
     return replace(design, aperture=RectAperture(**{**vars(design.aperture), **dims}))

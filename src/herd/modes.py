@@ -47,10 +47,10 @@ def _require(violations: list[str]) -> None:
 def coax_char_impedance(geom: CoaxGeometry, fill: Material) -> float:
     """TEM characteristic impedance of a cylindrical coax [ohm].
 
-    Z0 = eta0/(2 pi) * sqrt(mu_r/eps_r) * ln(r_outer/r_inner)
+    Z0 = eta0/(2 pi) * sqrt(1/eps_r) * ln(r_outer/r_inner)
     """
     _require(coax_violations(geom) or material_violations("coax_fill", fill))
-    return ETA0 / (2.0 * math.pi) * math.sqrt(fill.mu_r / fill.eps_r) * math.log(geom.ratio)
+    return ETA0 / (2.0 * math.pi) * math.sqrt(1.0 / fill.eps_r) * math.log(geom.ratio)
 
 
 def coax_ratio_for_impedance(z0: float, fill: Material) -> float:
@@ -59,7 +59,7 @@ def coax_ratio_for_impedance(z0: float, fill: Material) -> float:
     if not (math.isfinite(z0) and z0 > 0.0):
         raise DomainError(f"z0 must be finite and > 0 (got {z0!r})")
     _require(material_violations("coax_fill", fill))
-    return math.exp(2.0 * math.pi * z0 / (ETA0 * math.sqrt(fill.mu_r / fill.eps_r)))
+    return math.exp(2.0 * math.pi * z0 / (ETA0 * math.sqrt(1.0 / fill.eps_r)))
 
 
 def coax_first_higher_mode_cutoff(geom: CoaxGeometry, fill: Material) -> float:
@@ -112,7 +112,7 @@ def mode_chart(ap: RectAperture, fill: Material, f_max: float) -> list[ModeEntry
         raise DomainError(f"f_max must be finite and > 0 (got {f_max!r})")
     _require(aperture_violations(ap) or material_violations("aperture_fill", fill))
     # Index bound guarantees completeness: TE(m,0) cutoff exceeds f_max once
-    # m > 2 f_max a sqrt(eps mu) / c0, and likewise along the height. The
+    # m > 2 f_max a sqrt(eps_r) / c0, and likewise along the height. The
     # min() keeps an overflowing bound finite until the size check rejects it.
     m_top = 2.0 * f_max * ap.width_a * fill.refractive_index / C0
     n_top = 2.0 * f_max * ap.height_b * fill.refractive_index / C0
@@ -147,7 +147,7 @@ def dominant_mode_index(design: FilterDesign) -> ModeIndex:
 def corner_frequency(design: FilterDesign) -> float:
     """Stopband onset: cutoff of the dominant aperture mode in the fill [Hz].
 
-    With the default WIDTH axis this is c0 / (2 a sqrt(eps_r mu_r)); the
+    With the default WIDTH axis this is c0 / (2 a sqrt(eps_r)); the
     aperture height does not enter.
     """
     return rect_cutoff(dominant_mode_index(design), design.aperture, design.aperture_fill)

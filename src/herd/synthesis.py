@@ -36,7 +36,8 @@ _VERIFY_POINTS = 101
 
 @dataclass(frozen=True)
 class DesignSpec:
-    """Performance targets driving a synthesis run."""
+    """Performance targets driving a synthesis run. Building one raises
+    :class:`DomainError` with every violation :func:`validate_spec` finds."""
 
     z0: float
     f_passband_top: float
@@ -46,6 +47,11 @@ class DesignSpec:
     aperture_fill: Material
     coax_fill: Material
     apertures_per_section: int = DEFAULT_APERTURES_PER_SECTION
+
+    def __post_init__(self):
+        violations = validate_spec(self)
+        if violations:
+            raise DomainError("; ".join(violations))
 
 
 @dataclass(frozen=True)
@@ -72,11 +78,9 @@ def octagon_face_width(r_outer: float) -> float:
     return 2.0 * r_outer * math.tan(math.pi / OCTAGON_FACES)
 
 
-def per_section_attenuation_db(
-    apertures_per_section: int, kappa: float = DEFAULT_STOPBAND_KAPPA
-) -> float:
-    """Stopband attenuation of one section at drain fraction ``kappa`` [dB]."""
-    return -10.0 * apertures_per_section * math.log10(1.0 - kappa)
+def per_section_attenuation_db(apertures_per_section: int) -> float:
+    """Stopband attenuation of one section at ``DEFAULT_STOPBAND_KAPPA`` [dB]."""
+    return -10.0 * apertures_per_section * math.log10(1.0 - DEFAULT_STOPBAND_KAPPA)
 
 
 def validate_spec(spec: DesignSpec) -> list[str]:
@@ -104,9 +108,6 @@ def synthesize(spec: DesignSpec) -> SynthesisReport:
 
     The coax single-mode limit is placed at the passband top.
     """
-    violations = validate_spec(spec)
-    if violations:
-        raise DomainError("invalid spec: " + "; ".join(violations))
     if spec.f_stopband_start <= spec.f_passband_top:
         raise InfeasibleDesignError(
             "binding constraint: f_stopband_start must exceed f_passband_top "
@@ -185,7 +186,6 @@ SPEC_FILE = KeyValueFormat(
         Field("coax_eps_r", "coax_fill.eps_r", float, 1.0),
         Field("apertures_per_section", "apertures_per_section", int, DEFAULT_APERTURES_PER_SECTION),
     ),
-    validate_spec,
 )
 
 
@@ -195,6 +195,5 @@ def loads_design_spec(text: str) -> DesignSpec:
 
 
 def dumps_design_spec(spec: DesignSpec, header: str = "") -> str:
-    """Serialize a spec (exact float round-trip); raises :class:`DomainError`
-    for a fill with ``mu_r != 1``, which the format does not carry."""
+    """Serialize a spec (exact float round-trip)."""
     return SPEC_FILE.dumps(spec, header)

@@ -30,6 +30,7 @@ from herd import (
     filter_response,
     parse_touchstone,
     rect_gamma,
+    write_touchstone,
 )
 from herd.cascade import DEFAULT_TRANSITION_WIDTH
 from herd.cli import main
@@ -210,6 +211,23 @@ def test_table_rejects_wrong_length():
         arrays[name] = np.ones(1, dtype=complex)
         with pytest.raises(DomainError, match="one entry per grid point"):
             SParamTable(FrequencyGrid((1e9, 2e9)), Provenance.MEASURED, **arrays)
+
+
+def _one_point_table(z0: float) -> SParamTable:
+    return SParamTable(
+        FrequencyGrid((1e9,)), Provenance.MODEL, s11=[0j], s21=[1 + 0j], s12=[1 + 0j], s22=[0j], z0=z0
+    )
+
+
+@pytest.mark.parametrize("z0", [0.0, -50.0, math.nan, math.inf])
+def test_table_refuses_an_impedance_no_option_line_carries(z0):
+    with pytest.raises(DomainError, match="reference impedance must be finite and > 0 ohm"):
+        _one_point_table(z0)
+
+
+@pytest.mark.parametrize("z0", [5e-324, 75.0, 1.7976931348623157e308])
+def test_every_table_impedance_reads_back(z0):
+    assert parse_touchstone(write_touchstone(_one_point_table(z0))).z0 == z0
 
 
 # --- Touchstone input checks -------------------------------------------------

@@ -1,6 +1,8 @@
 import cmath
 import math
 from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,11 +23,14 @@ from herd import (
     evanescent_amplitude,
     filter_response,
     inband_transmission,
+    loads_design_spec,
     min_depth_for_budget,
     prototype_design,
     synthesize,
 )
-from herd import cascade, model
+from herd import cascade, model, modes
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 IDENTITY = TwoPort(s11=0j, s12=1 + 0j, s21=1 + 0j, s22=0j)
 
@@ -75,16 +80,48 @@ ENTRY_POINTS = {
     "inband_transmission": lambda design: inband_transmission(design, 10e9),
     "evanescent_amplitude": lambda design: evanescent_amplitude(design, 10e9),
     "min_depth_for_budget": lambda design: min_depth_for_budget(design, 10e9, 0.15),
+    "calibrate_kappa": lambda design: calibrate_kappa(design, 60.0),
 }
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 @pytest.mark.parametrize("changes, field", INVALID)
 def test_model_entry_points_reject_invalid_designs(proto, entry, changes, field):
-    design = replace(proto, **changes)
+    # Building the design raises, so no entry point is handed an invalid one.
     with pytest.raises(DomainError, match=field) as err:
-        ENTRY_POINTS[entry](design)
-    assert str(err.value) == model.validate(design)[0]
+        ENTRY_POINTS[entry](replace(proto, **changes))
+    assert str(err.value) == "; ".join(model.validate(SimpleNamespace(**{**vars(proto), **changes})))
+
+
+@pytest.fixture
+def aperture_checks(monkeypatch):
+    """Calls of model.aperture_violations, counted at every binding of it."""
+    calls = []
+    original = model.aperture_violations
+
+    def counted(ap):
+        calls.append(ap)
+        return original(ap)
+
+    for module in (model, modes):
+        monkeypatch.setattr(module, "aperture_violations", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "entry", ["filter_response", "inband_transmission", "attenuation_vs_sections"]
+)
+def test_one_aperture_check_per_model_call(proto, aperture_checks, entry):
+    ENTRY_POINTS[entry](proto)
+    assert len(aperture_checks) == 1
+
+
+def test_aperture_checks_per_synthesis(aperture_checks):
+    spec = loads_design_spec((CONFIGS / "reference_targets.spec").read_text())
+    synthesize(spec)
+    # the draft and the final design are each built once; corner_frequency
+    # runs in min_depth_for_budget and three times in verify
+    assert len(aperture_checks) == 6
 
 
 class TestTwoPort:

@@ -87,6 +87,13 @@ class TestModes:
         code, _, err = run(capsys, ["modes"])
         assert code == 2
 
+    @pytest.mark.parametrize("eps", ["0", "0.5"])
+    def test_coax_eps_below_one_refused(self, capsys, eps):
+        argv = ["modes", "--z0", "50", "--single-mode", "10e9", "--coax-eps", eps]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert "coax_fill.eps_r" in err
+
 
 class TestAnalyze:
     def test_claims_pass_on_stock_design(self, capsys, proto_file):

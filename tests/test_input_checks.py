@@ -4,6 +4,7 @@ read-only array."""
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from herd import (
 )
 from herd import modes
 from herd.cli import main
+from herd.synthesis import SPEC_FILE, validate_spec
 
 
 def headline_spec() -> DesignSpec:
@@ -42,37 +44,52 @@ def headline_spec() -> DesignSpec:
     )
 
 
-# Before the spec check, the first two were reported as infeasible (exit 3).
+# A spec file line and the same fault as a change of a built spec. Before the
+# spec check, the first two were reported as infeasible (exit 3).
 BAD_SPECS = {
-    "nan_stopband_start": {"f_stopband_start": math.nan},
-    "aperture_eps_below_one": {"aperture_fill": Material(eps_r=0.5)},
-    "coax_eps_below_one": {"coax_fill": Material(eps_r=0.9)},
-    "infinite_budget": {"passband_il_budget_db": math.inf},
+    "nan_stopband_start": ("f_stopband_start_hz = nan", {"f_stopband_start": math.nan}),
+    "aperture_eps_below_one": ("aperture_eps_r = 0.5", {"aperture_fill": Material(eps_r=0.5)}),
+    "coax_eps_below_one": ("coax_eps_r = 0.9", {"coax_fill": Material(eps_r=0.9)}),
+    "infinite_budget": ("passband_il_budget_db = inf", {"passband_il_budget_db": math.inf}),
 }
+
+
+def _bad_spec_text(line: str) -> str:
+    """The headline spec file with ``line`` in place of the line of its key."""
+    key = line.partition(" = ")[0]
+    kept = [f"{k} = {v!r}" for k, v in SPEC_FILE.values(headline_spec()).items() if k != key]
+    return "\n".join([*kept, line]) + "\n"
+
+
+def _assert_refused(change: dict) -> None:
+    """Building the headline spec with ``change`` raises what validate_spec
+    lists for the same fields, so synthesize is never reached."""
+    with pytest.raises(DomainError, match=next(iter(change))) as err:
+        synthesize(replace(headline_spec(), **change))
+    assert str(err.value) == "; ".join(validate_spec(SimpleNamespace(**{**vars(headline_spec()), **change})))
 
 
 class TestSpecCheck:
     @pytest.mark.parametrize("name", sorted(BAD_SPECS))
     def test_cli_exits_2(self, capsys, tmp_path, name):
+        line, change = BAD_SPECS[name]
         path = tmp_path / "bad.spec"
-        path.write_text(dumps_design_spec(replace(headline_spec(), **BAD_SPECS[name])))
+        path.write_text(_bad_spec_text(line))
         code = main(["synthesize", "--spec", str(path)])
         err = capsys.readouterr().err
         assert code == 2
-        assert "invalid spec" in err and "infeasible" not in err
+        assert "invalid spec" in err and "infeasible" not in err and next(iter(change)) in err
 
     @pytest.mark.parametrize("name", sorted(BAD_SPECS))
     def test_synthesize_raises_domain_error(self, name):
-        with pytest.raises(DomainError, match="invalid spec"):
-            synthesize(replace(headline_spec(), **BAD_SPECS[name]))
+        _assert_refused(BAD_SPECS[name][1])
 
     @pytest.mark.parametrize(
         "change",
         [{"apertures_per_section": 0}, {"stopband_min_attenuation_db": 0.0}, {"z0": -50.0}],
     )
     def test_other_invalid_targets(self, change):
-        with pytest.raises(DomainError, match="invalid spec"):
-            synthesize(replace(headline_spec(), **change))
+        _assert_refused(change)
 
     def test_finite_stopband_below_passband_stays_infeasible(self):
         with pytest.raises(InfeasibleDesignError, match="f_stopband_start"):
@@ -125,8 +142,8 @@ class TestModeChecks:
             coax_char_impedance(CoaxGeometry(r_inner=2e-3, r_outer=1e-3), AIR)
         with pytest.raises(DomainError, match="aperture.depth_d"):
             rect_cutoff(ModeIndex(1, 0), RectAperture(4e-3, 5e-3, -1.0), AIR)
-        with pytest.raises(DomainError, match="aperture_fill.mu_r"):
-            rect_cutoff(ModeIndex(1, 0), RectAperture(4e-3, 5e-3, 1e-3), Material(2.2, math.inf))
+        with pytest.raises(DomainError, match="aperture_fill.eps_r"):
+            rect_cutoff(ModeIndex(1, 0), RectAperture(4e-3, 5e-3, 1e-3), Material(math.inf))
 
 
 class TestGridArray:
@@ -147,8 +164,8 @@ class TestGridArray:
         assert FrequencyGrid(points=(1e9, 2e9)).points.tolist() == [1e9, 2e9]
 
 
-# Grid and sweep bounds are checked once, by FrequencyGrid and by the aperture
-# check of corner_frequency; the CLI passes them on unchecked.
+# Grid and sweep bounds are checked once, by FrequencyGrid and by building
+# each swept design in with_aperture; the CLI passes them on unchecked.
 BAD_GRIDS = {
     "one_point": (["--points", "1"], "needs at least 2 points (got 1)"),
     "zero_start": (["--fstart", "0"], "needs 0 < start < stop < inf"),
