@@ -515,7 +515,8 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"herd: parse error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (DomainError, OSError) as exc:
+    # A grid or sweep too large to allocate is refused like any bad input.
+    except (DomainError, OSError, MemoryError) as exc:
         print(f"herd: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except InfeasibleDesignError as exc:

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, replace
-from operator import attrgetter
 
 import numpy as np
 
@@ -219,6 +219,16 @@ def aperture_violations(ap: RectAperture) -> list[str]:
     return out
 
 
+def count_violations(name: str, count) -> list[str]:
+    """Violations of a count, named ``name``: an integer (``int``, ``bool``
+    or a numpy integer, as ``operator.index`` takes them) of at least 1."""
+    try:
+        count = operator.index(count)
+    except TypeError:
+        return [f"{name} must be an integer (got {count!r})"]
+    return [] if count >= 1 else [f"{name} must be >= 1 (got {count!r})"]
+
+
 def validate(design: FilterDesign) -> list[str]:
     """Check every design invariant; return one message per violation.
 
@@ -230,11 +240,9 @@ def validate(design: FilterDesign) -> list[str]:
         *material_violations("aperture_fill", design.aperture_fill),
         *coax_violations(design.coax),
         *aperture_violations(design.aperture),
+        *count_violations("sections", design.sections),
+        *count_violations("apertures_per_section", design.apertures_per_section),
     ]
-    if design.sections < 1:
-        out.append(f"sections must be >= 1 (got {design.sections!r})")
-    if design.apertures_per_section < 1:
-        out.append(f"apertures_per_section must be >= 1 (got {design.apertures_per_section!r})")
     if not 0.0 < design.section_pitch < math.inf:
         out.append(f"section_pitch must be finite and > 0 (got {design.section_pitch!r})")
     if not 0.0 < design.stopband_kappa < 1.0:
@@ -281,7 +289,7 @@ class KeyValueFormat:
         self.parts = parts
         self.fields = fields
         self._by_key = {field.key: field for field in fields}
-        self._getters = [attrgetter(field.attr) for field in fields]
+        self._getters = [operator.attrgetter(field.attr) for field in fields]
         # (part or "", attribute name) that each field fills
         self._targets = [field.attr.rpartition(".")[::2] for field in fields]
 
@@ -318,11 +326,13 @@ class KeyValueFormat:
             raise ParseError(f"invalid {self.name}: {exc}") from None
 
     def values(self, obj) -> dict[str, object]:
-        """Key -> value in table order, enum members as their value."""
+        """Key -> value in table order: enum members as their value, numbers
+        as Python ``float`` or ``int`` (so a numpy scalar is written as a
+        number). ``int`` loses nothing: a count is an integer when built."""
         out = {}
         for field, get in zip(self.fields, self._getters):
             value = get(obj)
-            out[field.key] = value.value if isinstance(value, enum.Enum) else value
+            out[field.key] = value.value if isinstance(value, enum.Enum) else field.kind(value)
         return out
 
     def dumps(self, obj, header: str = "") -> str:

@@ -15,7 +15,8 @@ from .constants import C0, ELEMENTARY_CHARGE, PLANCK_H
 from .errors import DomainError, InfeasibleDesignError
 from .leakage import inband_transmission, min_depth_for_budget
 from .model import DEFAULT_APERTURES_PER_SECTION, DEFAULT_STOPBAND_KAPPA, FilterDesign, FrequencyGrid
-from .model import Field, KeyValueFormat, Material, RectAperture, material_violations, with_aperture
+from .model import Field, KeyValueFormat, Material, RectAperture, count_violations, material_violations
+from .model import with_aperture
 from .modes import corner_frequency, solve_inner_radius
 from .tsio import insertion_loss_db
 
@@ -98,8 +99,7 @@ def validate_spec(spec: DesignSpec) -> list[str]:
             out.append(f"{name} must be finite and > 0 (got {value!r})")
     out += material_violations("aperture_fill", spec.aperture_fill)
     out += material_violations("coax_fill", spec.coax_fill)
-    if spec.apertures_per_section < 1:
-        out.append(f"apertures_per_section must be >= 1 (got {spec.apertures_per_section!r})")
+    out += count_violations("apertures_per_section", spec.apertures_per_section)
     return out
 
 

@@ -97,13 +97,11 @@ class TestModes:
 
 class TestAnalyze:
     def test_claims_pass_on_stock_design(self, capsys, proto_file):
-        code, out, _ = run(
-            capsys,
-            ["analyze", "--design", proto_file, "--fstart", "1e8", "--fstop", "145e9",
-             "--points", "1000", "--claims", "default"],
-        )
-        assert code == 0
-        assert "PASS" in out
+        band = ["--fstart", "1e8", "--fstop", "145e9", "--claims", "default"]
+        for grid in (["--points", "1000"], ["--log", "--points", "300"]):
+            code, out, _ = run(capsys, ["analyze", "--design", proto_file, *band, *grid])
+            assert code == 0
+            assert "PASS" in out and "FAIL" not in out
 
     def test_two_sections_fail_stopband_claim(self, capsys, tmp_path, proto):
         path = tmp_path / "two.design"
@@ -156,6 +154,15 @@ class TestAnalyze:
         lines = out.splitlines()
         assert lines[0] == "frequency_hz,s21_db,s11_db"
         assert len([l for l in lines if not l.startswith("#")]) == 17
+
+        # the in-band curve: the loss rises strictly up to 12 GHz
+        argv = ["--fstart", "0.5e9", "--fstop", "12e9", "--points", "200"]
+        code, out, _ = run(capsys, ["analyze", "--design", proto_file, *argv])
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:] if not line.startswith("#")]
+        losses = [-float(row[1]) for row in rows]
+        assert len(losses) == 200
+        assert all(a < b for a, b in zip(losses, losses[1:]))
 
 
 class TestSweep:
@@ -279,11 +286,16 @@ class TestSections:
     def test_monotone_columns(self, capsys, proto_file):
         code, out, _ = run(
             capsys,
-            ["sections", "--design", proto_file, "--freqs", "40e9,60e9", "--max-sections", "5"],
+            ["sections", "--design", proto_file, "--freqs", "40e9,60e9,130e9", "--max-sections", "5"],
         )
         assert code == 0
-        rows = [line.split(",") for line in out.splitlines()[1:]]
-        for column in (1, 2):
+        header, *lines = out.splitlines()
+        assert header == (
+            "sections,att_db_40000000000hz,att_db_60000000000hz,att_db_130000000000hz"
+        )
+        rows = [line.split(",") for line in lines]
+        assert [row[0] for row in rows] == ["1", "2", "3", "4", "5"]
+        for column in (1, 2, 3):
             values = [float(r[column]) for r in rows]
             assert all(a < b for a, b in zip(values, values[1:]))
 

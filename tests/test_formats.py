@@ -1,6 +1,9 @@
 """Design and spec files: exact round trips over every field, and input that
 always ends in a value or a ParseError."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from herd import (
     CoaxGeometry,
     DesignSpec,
+    DomainError,
     DominantModeAxis,
     FilterDesign,
     Material,
@@ -23,9 +27,19 @@ from herd import (
 from herd.model import DESIGN_FILE
 from herd.synthesis import SPEC_FILE, validate_spec
 
-_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False, allow_nan=False)
-_eps_r = st.floats(min_value=1.0, allow_infinity=False, allow_nan=False)
-_count = st.integers(min_value=1, max_value=10**6)
+
+def _or_numpy(values, *numpy_types):
+    """``values`` as Python numbers or as numpy scalars of ``numpy_types``."""
+    return st.one_of(values, *(values.map(kind) for kind in numpy_types))
+
+
+# Values can be built from numpy scalars and counts from bool; the files hold
+# them as Python numbers, which compare equal.
+_positive = _or_numpy(
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False, allow_nan=False), np.float64
+)
+_eps_r = _or_numpy(st.floats(min_value=1.0, allow_infinity=False, allow_nan=False), np.float64)
+_count = st.one_of(_or_numpy(st.integers(min_value=1, max_value=10**6), np.int64, np.int32), st.just(True))
 
 
 @st.composite
@@ -72,6 +86,43 @@ def test_spec_round_trip_is_exact(spec):
 
 def test_prototype_round_trip_is_exact():
     assert loads_design(dumps_design(prototype_design())) == prototype_design()
+
+
+@pytest.mark.parametrize(
+    "change, line",
+    [
+        ({"sections": np.int64(3)}, "sections = 3"),
+        ({"sections": True}, "sections = 1"),
+        ({"section_pitch": np.float64(0.01)}, "section_pitch_m = 0.01"),
+    ],
+)
+def test_numpy_scalars_and_bools_are_written_as_numbers(change, line):
+    design = replace(prototype_design(), **change)
+    text = dumps_design(design)
+    assert line in text.splitlines()
+    assert loads_design(text) == design
+
+
+def test_numpy_spec_target_is_written_as_a_number():
+    spec = DesignSpec(
+        z0=np.float64(50.0),
+        f_passband_top=10e9,
+        passband_il_budget_db=0.15,
+        f_stopband_start=25.3e9,
+        stopband_min_attenuation_db=60.0,
+        aperture_fill=Material(eps_r=2.2),
+        coax_fill=Material(eps_r=1.0),
+    )
+    text = dumps_design_spec(spec)
+    assert text.startswith("z0_ohm = 50.0\n")
+    assert loads_design_spec(text) == spec
+
+
+@pytest.mark.parametrize("count", [2.5, 3.0, np.float64(3.0), "3", None])
+@pytest.mark.parametrize("name", ["sections", "apertures_per_section"])
+def test_a_count_that_is_not_an_integer_is_refused(name, count):
+    with pytest.raises(DomainError, match=f"^{name} must be an integer"):
+        replace(prototype_design(), **{name: count})
 
 
 def _key_value_texts(keys):

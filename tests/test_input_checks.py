@@ -86,7 +86,12 @@ class TestSpecCheck:
 
     @pytest.mark.parametrize(
         "change",
-        [{"apertures_per_section": 0}, {"stopband_min_attenuation_db": 0.0}, {"z0": -50.0}],
+        [
+            {"apertures_per_section": 0},
+            {"stopband_min_attenuation_db": 0.0},
+            {"z0": -50.0},
+            {"apertures_per_section": 2.5},
+        ],
     )
     def test_other_invalid_targets(self, change):
         _assert_refused(change)
@@ -165,8 +170,12 @@ class TestGridArray:
 
 
 # Grid and sweep bounds are checked once, by FrequencyGrid and by building
-# each swept design in with_aperture; the CLI passes them on unchecked.
+# each swept design in with_aperture; the CLI passes them on unchecked. 10**15
+# float64 values (7.1 PiB) are more than a 47-bit address space can map, so
+# numpy's allocation fails at once, and the CLI reports its MemoryError.
+HUGE = str(10**15)
 BAD_GRIDS = {
+    "too_large_for_memory": (["--points", HUGE], "Unable to allocate"),
     "one_point": (["--points", "1"], "needs at least 2 points (got 1)"),
     "zero_start": (["--fstart", "0"], "needs 0 < start < stop < inf"),
     "reversed": (["--fstart", "2e9", "--fstop", "1e9"], "needs 0 < start < stop < inf"),
@@ -203,6 +212,7 @@ BAD_SWEEPS = {
     "overflowing_span": (["--from=-1e308", "--to=1e308"], "(got nan)"),
     "infinite_end": (["--from", "3e-3", "--to", "inf"], "(got nan)"),
     "no_steps": (["--from", "3e-3", "--to", "6e-3", "--steps", "0"], "steps must be >= 1"),
+    "too_large_for_memory": (["--from", "3e-3", "--to", "6e-3", "--steps", HUGE], "Unable to allocate"),
 }
 
 
