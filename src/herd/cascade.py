@@ -37,6 +37,27 @@ class Provenance(enum.Enum):
     MEASURED = "MEASURED"
 
 
+def max_singular_value(s11, s12, s21, s22):
+    """Largest singular value of [[s11, s12], [s21, s22]], in closed form,
+    elementwise over arrays or for one matrix.
+
+    sigma_max^2 = (|S|_F^2 + sqrt(|S|_F^4 - 4 |det S|^2)) / 2, evaluated
+    as the top eigenvalue of S^H S = [[p, q], [q*, r]], that is
+    (p + r)/2 + hypot((p - r)/2, |q|), which has no cancellation when the
+    two singular values are close. Entries are first divided by the
+    largest magnitude so that squaring neither overflows nor underflows.
+    """
+    s = np.array([s11, s12, s21, s22], dtype=complex)
+    scale = np.abs(s).max(axis=0)
+    # Part by part: numpy's complex division overflows on a subnormal scale.
+    unit = np.where(scale == 0.0, 1.0, scale)
+    a, b, c, d = s.real / unit + 1j * (s.imag / unit)
+    p = (a * a.conjugate() + c * c.conjugate()).real
+    r = (b * b.conjugate() + d * d.conjugate()).real
+    q = a.conjugate() * b + c.conjugate() * d
+    return scale * np.sqrt(0.5 * (p + r) + np.hypot(0.5 * (p - r), np.abs(q)))
+
+
 @dataclass(frozen=True)
 class TwoPort:
     """2x2 scattering matrix at a single frequency."""
@@ -48,23 +69,8 @@ class TwoPort:
     z0: float = 50.0
 
     def max_singular_value(self) -> float:
-        """Largest singular value of [[s11, s12], [s21, s22]], in closed form.
-
-        sigma_max^2 = (|S|_F^2 + sqrt(|S|_F^4 - 4 |det S|^2)) / 2, evaluated
-        as the top eigenvalue of S^H S = [[p, q], [q*, r]], that is
-        (p + r)/2 + hypot((p - r)/2, |q|), which has no cancellation when the
-        two singular values are close. Entries are first divided by the
-        largest magnitude so that squaring neither overflows nor underflows.
-        """
-        scale = max(abs(self.s11), abs(self.s12), abs(self.s21), abs(self.s22))
-        if scale == 0.0:
-            return 0.0
-        a, b = self.s11 / scale, self.s12 / scale
-        c, d = self.s21 / scale, self.s22 / scale
-        p = (a * a.conjugate() + c * c.conjugate()).real
-        r = (b * b.conjugate() + d * d.conjugate()).real
-        q = a.conjugate() * b + c.conjugate() * d
-        return scale * math.sqrt(0.5 * (p + r) + math.hypot(0.5 * (p - r), abs(q)))
+        """Largest singular value of [[s11, s12], [s21, s22]]."""
+        return float(max_singular_value(self.s11, self.s12, self.s21, self.s22))
 
     def is_passive(self, tol: float = 1e-9) -> bool:
         return self.max_singular_value() <= 1.0 + tol

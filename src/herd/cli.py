@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cascade import attenuation_vs_sections, filter_response
+from .cascade import attenuation_vs_sections, filter_response, max_singular_value
 from .errors import DomainError, InfeasibleDesignError, ParseError
 from .leakage import inband_transmission
 from .model import FilterDesign, FrequencyGrid, dumps_design, loads_design, with_aperture
@@ -59,15 +59,42 @@ CLAIM_PROFILES: dict[str, list[Claim]] = {
 
 _SWEEP_FIELDS = {"a": "width_a", "b": "height_b", "d": "depth_d"}
 
+# `compare` takes a measured point for gain when the largest singular value of
+# its S matrix exceeds 1 by more than this many dB. A passband measurement
+# carries noise of a few thousandths of a dB, which must not read as gain.
+GAIN_TOL_DB = 0.05
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
+
+def _fmt(x) -> str:
+    """12 significant digits; ``n/a`` for a value the model does not give."""
+    return "n/a" if x is None else format(float(x), ".12g")
 
 
-def _json_safe(x):
-    if isinstance(x, float) and not math.isfinite(x):
-        return None
-    return x
+def _finite(value):
+    """``value`` with each float in it, at any depth, that is not finite
+    replaced by None: null in JSON, ``n/a`` in text."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return value
+
+
+def _json_doc(doc: dict) -> str:
+    return json.dumps(_finite(doc), indent=2) + "\n"
+
+
+def _kv_lines(values: dict) -> list[str]:
+    return [f"{key} = {_fmt(value)}" for key, value in values.items()]
+
+
+def _csv_lines(keys: tuple[str, ...], rows: list[dict]) -> list[str]:
+    """A header of ``keys``, then one line per row dict, its values in that order."""
+    lines = [",".join(keys)]
+    lines += [",".join(_fmt(row[key]) for key in keys) for row in rows]
+    return lines
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -81,33 +108,36 @@ def _load_design(path: str) -> FilterDesign:
     return loads_design(Path(path).read_text())
 
 
-def _json_doc(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+def _band(row: dict) -> str:
+    lo, hi = row["band_hz"]
+    return f"band [{_fmt(lo)}, {_fmt(hi)}] Hz"
 
 
 def _claim_doc(result) -> dict:
+    claim = result.claim
     return {
-        "description": result.description,
-        "band_hz": list(result.band),
-        "kind": result.kind.value,
-        "threshold_db": result.threshold_db,
-        "observed_db": _json_safe(result.observed_db),
+        "description": claim.describe(),
+        "band_hz": list(claim.band),
+        "kind": claim.kind.value,
+        "threshold_db": claim.threshold_db,
+        "observed_db": result.observed_db,
         "passed": result.passed,
         "error": result.error,
     }
 
 
-def _claim_lines(report) -> list[str]:
+def _claim_lines(claims: list[dict]) -> list[str]:
     lines = []
-    for result in report.results:
-        status = "PASS" if result.passed else "FAIL"
-        if result.error is not None:
-            lines.append(f"{status}  {result.description}: error: {result.error}")
+    for claim in claims:
+        if claim["error"] is not None:
+            detail = f"error: {claim['error']}"
         else:
-            lines.append(
-                f"{status}  {result.description}: observed {_fmt(result.observed_db)} dB "
-                f"(threshold {_fmt(result.threshold_db)} dB)"
+            detail = (
+                f"observed {_fmt(claim['observed_db'])} dB "
+                f"(threshold {_fmt(claim['threshold_db'])} dB)"
             )
+        status = "PASS" if claim["passed"] else "FAIL"
+        lines.append(f"{status}  {claim['description']}: {detail}")
     return lines
 
 
@@ -125,45 +155,31 @@ def _cmd_modes(args) -> int:
         corner = corner_frequency(design)
         fmax = args.fmax if args.fmax is not None else 2.0 * corner
         chart = mode_chart(design.aperture, design.aperture_fill, fmax)
+        chart = [{"m": e.index.m, "n": e.index.n, "cutoff_hz": e.cutoff_hz} for e in chart]
     elif args.z0 is not None and args.single_mode is not None:
         fill = Material(eps_r=args.coax_eps) if args.coax_eps is not None else AIR
         geometry = solve_inner_radius(args.z0, args.single_mode, fill)
         z0 = args.z0
     else:
         raise DomainError("modes needs --design, or both --z0 and --single-mode")
-    single_mode = coax_first_higher_mode_cutoff(geometry, fill)
+    scalars = {
+        "z0_ohm": z0,
+        "r_inner_m": geometry.r_inner,
+        "r_outer_m": geometry.r_outer,
+        "single_mode_limit_hz": coax_first_higher_mode_cutoff(geometry, fill),
+        "corner_frequency_hz": corner,
+    }
 
     if args.format == "json":
-        doc = {
-            "command": "modes",
-            "z0_ohm": z0,
-            "r_inner_m": geometry.r_inner,
-            "r_outer_m": geometry.r_outer,
-            "single_mode_limit_hz": single_mode,
-            "corner_frequency_hz": corner,
-            "mode_chart": None
-            if chart is None
-            else [{"m": e.index.m, "n": e.index.n, "cutoff_hz": e.cutoff_hz} for e in chart],
-        }
-        _emit(_json_doc(doc), args.out)
+        _emit(_json_doc({"command": "modes", **scalars, "mode_chart": chart}), args.out)
         return EXIT_OK
-
-    lines = [
-        f"z0_ohm = {_fmt(z0)}",
-        f"r_inner_m = {_fmt(geometry.r_inner)}",
-        f"r_outer_m = {_fmt(geometry.r_outer)}",
-        f"single_mode_limit_hz = {_fmt(single_mode)}",
-    ]
-    if corner is not None:
-        lines.append(f"corner_frequency_hz = {_fmt(corner)}")
+    lines = _kv_lines({key: value for key, value in scalars.items() if value is not None})
     if chart is not None:
         if args.format == "csv":
-            lines = [f"# {line}" for line in lines]
-            lines.append("m,n,cutoff_hz")
-            lines += [f"{e.index.m},{e.index.n},{_fmt(e.cutoff_hz)}" for e in chart]
+            lines = [f"# {line}" for line in lines] + _csv_lines(("m", "n", "cutoff_hz"), chart)
         else:
             lines.append("mode chart (m, n, cutoff_hz):")
-            lines += [f"  TE{e.index.m}{e.index.n}  {_fmt(e.cutoff_hz)}" for e in chart]
+            lines += [f"  TE{row['m']}{row['n']}  {_fmt(row['cutoff_hz'])}" for row in chart]
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -193,7 +209,19 @@ def _splice_response(text: str, columns) -> str:
     return "".join((head, "[\n", ",\n".join(rows), "\n  ]", tail))
 
 
+# Each band metric figure, by its key in JSON and its label in text.
+_METRIC_LABELS = {
+    "max_insertion_loss_db": "max_il",
+    "min_attenuation_db": "min_att",
+    "max_ripple_db": "ripple",
+    "worst_return_loss_db": "worst_rl",
+}
+
+
 def _metric_rows(table, profile: list[Claim]) -> list[dict]:
+    """The metrics of each distinct claim band, or the error the band gives.
+    A figure that is not finite (the return loss of a matched table, the
+    loss of a point without transmission) is n/a."""
     rows = []
     for band in dict.fromkeys(claim.band for claim in profile):
         try:
@@ -201,37 +229,21 @@ def _metric_rows(table, profile: list[Claim]) -> list[dict]:
         except DomainError as exc:
             rows.append({"band_hz": list(band), "error": str(exc)})
             continue
-        rows.append(
-            {
-                "band_hz": list(band),
-                "max_insertion_loss_db": _json_safe(metric.max_insertion_loss_db),
-                "min_attenuation_db": _json_safe(metric.min_attenuation_db),
-                "max_ripple_db": _json_safe(metric.max_ripple_db),
-                "worst_return_loss_db": _json_safe(metric.worst_return_loss_db),
-            }
-        )
-    return rows
+        figures = {key: getattr(metric, key) for key in _METRIC_LABELS}
+        rows.append({"band_hz": list(band), **figures})
+    return _finite(rows)
 
 
-def _metric_text(rows: list[dict]) -> list[str]:
+def _metric_lines(rows: list[dict]) -> list[str]:
     lines = []
     for row in rows:
-        lo, hi = row["band_hz"]
         if "error" in row:
-            lines.append(f"band [{_fmt(lo)}, {_fmt(hi)}] Hz: {row['error']}")
-            continue
-        lines.append(
-            f"band [{_fmt(lo)}, {_fmt(hi)}] Hz: "
-            f"max_il={_fmt2(row['max_insertion_loss_db'])} dB "
-            f"min_att={_fmt2(row['min_attenuation_db'])} dB "
-            f"ripple={_fmt2(row['max_ripple_db'])} dB "
-            f"worst_rl={_fmt2(row['worst_return_loss_db'])} dB"
-        )
+            detail = row["error"]
+        else:
+            figures = _METRIC_LABELS.items()
+            detail = " ".join(f"{label}={_fmt(row[key])} dB" for key, label in figures)
+        lines.append(f"{_band(row)}: {detail}")
     return lines
-
-
-def _fmt2(x) -> str:
-    return "n/a" if x is None else _fmt(x)
 
 
 def _cmd_analyze(args) -> int:
@@ -239,43 +251,38 @@ def _cmd_analyze(args) -> int:
     grid = _analysis_grid(args)
     table = filter_response(design, grid)
     profile = CLAIM_PROFILES[args.claims or "default"]
-    metrics = _metric_rows(table, profile)
     report = check_claims(table, profile) if args.claims else None
-    s21_db = -insertion_loss_db(table.s21)
-    s11_db = return_loss_db(table.s11)
+    doc = {
+        "command": "analyze",
+        "grid": {
+            "start_hz": args.fstart,
+            "stop_hz": args.fstop,
+            "points": args.points,
+            "spacing": "log" if args.log else "linear",
+        },
+        "response": _RESPONSE_SLOT,
+        "band_metrics": _metric_rows(table, profile),
+        "claims_profile": args.claims,
+        "claims": None if report is None else [_claim_doc(r) for r in report.results],
+        "claims_passed": None if report is None else report.passed,
+    }
 
     if args.format == "touchstone":
         _emit(write_touchstone(table, fmt="DB", unit="GHZ"), args.out)
         if args.out:
-            for line in _metric_text(metrics):
-                print(line)
-    elif args.format == "json":
-        doc = {
-            "command": "analyze",
-            "grid": {
-                "start_hz": args.fstart,
-                "stop_hz": args.fstop,
-                "points": args.points,
-                "spacing": "log" if args.log else "linear",
-            },
-            "response": _RESPONSE_SLOT,
-            "band_metrics": metrics,
-            "claims_profile": args.claims,
-            "claims": None if report is None else [_claim_doc(r) for r in report.results],
-            "claims_passed": None if report is None else report.passed,
-        }
-        _emit(_splice_response(_json_doc(doc), (table.f, s21_db, s11_db)), args.out)
+            _emit("\n".join(_metric_lines(doc["band_metrics"])) + "\n", None)
     else:
-        # "%.12g" formats a float exactly as _fmt does.
-        lines = ["frequency_hz,s21_db,s11_db"]
-        columns = format_columns((table.f, s21_db, s11_db), "%.12g")
-        lines.extend(map(",".join, zip(*columns)))
-        for row in _metric_text(metrics):
-            lines.append(f"# {row}")
-        if report is not None:
-            for row in _claim_lines(report):
-                lines.append(f"# {row}")
-        _emit("\n".join(lines) + "\n", args.out)
+        columns = (table.f, -insertion_loss_db(table.s21), return_loss_db(table.s11))
+        if args.format == "json":
+            text = _splice_response(_json_doc(doc), columns)
+        else:
+            # "%.12g" formats a float exactly as _fmt does.
+            lines = ["frequency_hz,s21_db,s11_db"]
+            lines.extend(map(",".join, zip(*format_columns(columns, "%.12g"))))
+            notes = _metric_lines(doc["band_metrics"]) + _claim_lines(doc["claims"] or [])
+            lines += [f"# {line}" for line in notes]
+            text = "\n".join(lines) + "\n"
+        _emit(text, args.out)
 
     if report is not None and not report.passed:
         return EXIT_CLAIMS_FAILED
@@ -302,28 +309,18 @@ def _cmd_sweep(args) -> int:
     for value in values:
         variant = with_aperture(design, **{field: value})
         corner = corner_frequency(variant)
-        if math.isfinite(args.fref) and args.fref >= corner:
-            loss = None
-        else:
-            loss = _json_safe(inband_transmission(variant, args.fref).insertion_loss_db)
+        loss = None
+        if not (math.isfinite(args.fref) and args.fref >= corner):
+            loss = inband_transmission(variant, args.fref).insertion_loss_db
         rows.append({"value_m": value, "corner_frequency_hz": corner, "insertion_loss_db": loss})
+    rows = _finite(rows)
 
     if args.format == "json":
-        doc = {
-            "command": "sweep",
-            "parameter": args.param,
-            "reference_frequency_hz": args.fref,
-            "rows": rows,
-        }
-        _emit(_json_doc(doc), args.out)
+        doc = {"command": "sweep", "parameter": args.param, "reference_frequency_hz": args.fref}
+        _emit(_json_doc({**doc, "rows": rows}), args.out)
     else:
         lines = [f"# sweep {args.param}, in-band loss at {_fmt(args.fref)} Hz"]
-        lines.append("value_m,corner_frequency_hz,insertion_loss_db")
-        for row in rows:
-            lines.append(
-                f"{_fmt(row['value_m'])},{_fmt(row['corner_frequency_hz'])},"
-                f"{_fmt2(row['insertion_loss_db'])}"
-            )
+        lines += _csv_lines(("value_m", "corner_frequency_hz", "insertion_loss_db"), rows)
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -342,18 +339,16 @@ def _cmd_sections(args) -> int:
 
     columns = [attenuation_vs_sections(design, f, args.max_sections) for f in freqs]
     rows = [
-        {"sections": n + 1, "attenuation_db": [columns[j][n][1] for j in range(len(freqs))]}
+        {"sections": n + 1, "attenuation_db": [column[n][1] for column in columns]}
         for n in range(args.max_sections)
     ]
 
     if args.format == "json":
-        doc = {"command": "sections", "frequencies_hz": freqs, "rows": rows}
-        _emit(_json_doc(doc), args.out)
+        _emit(_json_doc({"command": "sections", "frequencies_hz": freqs, "rows": rows}), args.out)
     else:
-        header = "sections," + ",".join(f"att_db_{_fmt(f)}hz" for f in freqs)
-        lines = [header]
+        lines = ["sections," + ",".join(f"att_db_{_fmt(f)}hz" for f in freqs)]
         for row in rows:
-            lines.append(f"{row['sections']}," + ",".join(_fmt(a) for a in row["attenuation_db"]))
+            lines.append(",".join([str(row["sections"]), *map(_fmt, row["attenuation_db"])]))
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -366,27 +361,24 @@ def _cmd_synthesize(args) -> int:
     report = synthesize(spec)
     if args.out:
         Path(args.out).write_text(dumps_design(report.design, header="synthesized design"))
+    design = DESIGN_FILE.values(report.design)
+    margins = {
+        "margin_passband_db": report.margin_passband_db,
+        "margin_stopband_db": report.margin_stopband_db,
+        "total_length_m": report.total_length,
+    }
 
     if args.format == "json":
-        doc = {
-            "command": "synthesize",
-            "design": DESIGN_FILE.values(report.design),
-            "margin_passband_db": report.margin_passband_db,
-            "margin_stopband_db": report.margin_stopband_db,
-            "total_length_m": report.total_length,
-        }
-        sys.stdout.write(_json_doc(doc))
-    else:
-        # the design file's required keys: the geometry and the section count
-        values = DESIGN_FILE.values(report.design)
-        for field in DESIGN_FILE.fields:
-            if field.default is None:
-                print(f"{field.key} = {_fmt(values[field.key])}")
-        print(f"margin_passband_db = {_fmt(report.margin_passband_db)}")
-        print(f"margin_stopband_db = {_fmt(report.margin_stopband_db)}")
-        print(f"total_length_m = {_fmt(report.total_length)}")
-        if args.out:
-            print(f"design written to {args.out}")
+        _emit(_json_doc({"command": "synthesize", "design": design, **margins}), None)
+        return EXIT_OK
+    # the design file's required keys: the geometry and the section count
+    required = {
+        field.key: design[field.key] for field in DESIGN_FILE.fields if field.default is None
+    }
+    lines = _kv_lines({**required, **margins})
+    if args.out:
+        lines.append(f"design written to {args.out}")
+    _emit("\n".join(lines) + "\n", None)
     return EXIT_OK
 
 
@@ -399,43 +391,58 @@ def _cmd_compare(args) -> int:
     profile = CLAIM_PROFILES[args.claims or "default"]
     report = check_claims(measured, profile)
     model = filter_response(design, measured.grid)
+    s11, s12, s21, s22 = measured.s11, measured.s12, measured.s21, measured.s22
+    if measured.mag_only:
+        # The phases are unknown. Whatever they are, the largest singular
+        # value is at least the larger column norm.
+        sigma = np.maximum(np.hypot(abs(s11), abs(s21)), np.hypot(abs(s12), abs(s22)))
+    else:
+        sigma = max_singular_value(s11, s12, s21, s22)
+    gain_f = measured.f[sigma > 10.0 ** (GAIN_TOL_DB / 20.0)]
 
     deltas = np.abs(insertion_loss_db(measured.s21) - insertion_loss_db(model.s21))
     deviations = []
     for lo, hi in dict.fromkeys(claim.band for claim in profile):
         inside = (measured.f >= lo) & (measured.f <= hi)
-        deviations.append(
-            {
-                "band_hz": [lo, hi],
-                "max_abs_il_delta_db": float(deltas[inside].max()) if inside.any() else None,
-            }
-        )
+        delta = float(deltas[inside].max()) if inside.any() else None
+        deviations.append({"band_hz": [lo, hi], "max_abs_il_delta_db": delta})
+    # A claim cannot pass on a band that shows gain: a loss figure read
+    # there may be a gain.
+    claims = [_claim_doc(r) for r in report.results]
+    for claim in claims:
+        lo, hi = claim["band_hz"]
+        inside = gain_f[(gain_f >= lo) & (gain_f <= hi)]
+        if inside.size:
+            claim["passed"] = False
+            claim["error"] = f"gain at {_fmt(inside[0])} Hz"
+    doc = {
+        "command": "compare",
+        "claims_profile": args.claims or "default",
+        "claims": claims,
+        "deviations": deviations,
+        "mag_only": measured.mag_only,
+        "gain_points": len(gain_f),
+        "first_gain_hz": gain_f[0].item() if len(gain_f) else None,
+        "claims_passed": all(claim["passed"] for claim in claims),
+    }
 
     if args.format == "json":
-        doc = {
-            "command": "compare",
-            "claims_profile": args.claims or "default",
-            "claims": [_claim_doc(r) for r in report.results],
-            "deviations": [
-                {**row, "max_abs_il_delta_db": _json_safe(row["max_abs_il_delta_db"])}
-                for row in deviations
-            ],
-            "mag_only": measured.mag_only,
-            "claims_passed": report.passed,
-        }
-        sys.stdout.write(_json_doc(doc))
+        text = _json_doc(doc)
     else:
-        for line in _claim_lines(report):
-            print(line)
+        lines = _claim_lines(doc["claims"])
         for row in deviations:
-            lo, hi = row["band_hz"]
-            print(
-                f"band [{_fmt(lo)}, {_fmt(hi)}] Hz: "
-                f"max |IL_measured - IL_model| = {_fmt2(row['max_abs_il_delta_db'])} dB"
-            )
+            delta = _fmt(row["max_abs_il_delta_db"])
+            lines.append(f"{_band(row)}: max |IL_measured - IL_model| = {delta} dB")
         if measured.mag_only:
-            print("note: magnitude-only measurement (phases absent); magnitudes compared")
-    return EXIT_CLAIMS_FAILED if not report.passed else EXIT_OK
+            lines.append("note: magnitude-only measurement (phases absent); magnitudes compared")
+        if len(gain_f):
+            lines.append(
+                f"gain: {len(gain_f)} points where S has more than {GAIN_TOL_DB:g} dB "
+                f"of gain, the first at {_fmt(gain_f[0])} Hz"
+            )
+        text = "\n".join(lines) + "\n"
+    _emit(text, None)
+    return EXIT_OK if doc["claims_passed"] else EXIT_CLAIMS_FAILED
 
 
 # --- parser ------------------------------------------------------------------

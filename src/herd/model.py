@@ -189,14 +189,49 @@ def prototype_design() -> FilterDesign:
 # on every call. `0.0 < x < math.inf` is false for nan and infinities.
 
 
+def real_violations(name: str, value) -> list[str]:
+    """Violations of a float field named ``name``: ``value`` must be a real
+    number that a float holds exactly, or it could not be written to a file
+    and read back. ``float`` refuses ``"3"`` and ``None``, overflows on
+    ``10**400`` and rounds ``Fraction(1, 3)``. NaN and the infinities are
+    floats: the range checks refuse them."""
+    if type(value) is float:
+        return []
+    try:
+        if float(value) == value or value != value:
+            return []
+    except (TypeError, ValueError, OverflowError):
+        pass
+    return [f"{name} must be a real number that a float holds exactly (got {value!r})"]
+
+
+def positive_violations(name: str, value) -> list[str]:
+    """Violations of a float field that must be finite and > 0."""
+    if type(value) is float and 0.0 < value < math.inf:
+        return []
+    out = real_violations(name, value)
+    if not out and not 0.0 < value < math.inf:
+        out.append(f"{name} must be finite and > 0 (got {value!r})")
+    return out
+
+
 def material_violations(name: str, mat: Material) -> list[str]:
     """Violations of a fill medium, named ``<name>.eps_r``."""
-    if not 1.0 <= mat.eps_r < math.inf:
-        return [f"{name}.eps_r must be finite and >= 1 (got {mat.eps_r!r})"]
-    return []
+    eps_r = mat.eps_r
+    if type(eps_r) is float and 1.0 <= eps_r < math.inf:
+        return []
+    out = real_violations(f"{name}.eps_r", eps_r)
+    if not out and not 1.0 <= eps_r < math.inf:
+        out.append(f"{name}.eps_r must be finite and >= 1 (got {eps_r!r})")
+    return out
 
 
 def coax_violations(coax: CoaxGeometry) -> list[str]:
+    if type(coax.r_inner) is not float or type(coax.r_outer) is not float:
+        out = real_violations("coax.r_inner", coax.r_inner)
+        out += real_violations("coax.r_outer", coax.r_outer)
+        if out:
+            return out
     out = []
     if not 0.0 < coax.r_inner < math.inf:
         out.append(f"coax.r_inner must be finite and > 0 (got {coax.r_inner!r})")
@@ -209,14 +244,16 @@ def coax_violations(coax: CoaxGeometry) -> list[str]:
 
 
 def aperture_violations(ap: RectAperture) -> list[str]:
-    out = []
-    if not 0.0 < ap.width_a < math.inf:
-        out.append(f"aperture.width_a must be finite and > 0 (got {ap.width_a!r})")
-    if not 0.0 < ap.height_b < math.inf:
-        out.append(f"aperture.height_b must be finite and > 0 (got {ap.height_b!r})")
-    if not 0.0 < ap.depth_d < math.inf:
-        out.append(f"aperture.depth_d must be finite and > 0 (got {ap.depth_d!r})")
-    return out
+    a, b, d = ap.width_a, ap.height_b, ap.depth_d
+    # the mode functions run this on every call: three valid floats make no call
+    if type(a) is float and type(b) is float and type(d) is float:
+        if 0.0 < a < math.inf and 0.0 < b < math.inf and 0.0 < d < math.inf:
+            return []
+    return [
+        *positive_violations("aperture.width_a", a),
+        *positive_violations("aperture.height_b", b),
+        *positive_violations("aperture.depth_d", d),
+    ]
 
 
 def count_violations(name: str, count) -> list[str]:
@@ -243,10 +280,12 @@ def validate(design: FilterDesign) -> list[str]:
         *count_violations("sections", design.sections),
         *count_violations("apertures_per_section", design.apertures_per_section),
     ]
-    if not 0.0 < design.section_pitch < math.inf:
-        out.append(f"section_pitch must be finite and > 0 (got {design.section_pitch!r})")
-    if not 0.0 < design.stopband_kappa < 1.0:
-        out.append(f"stopband_kappa must lie strictly between 0 and 1 (got {design.stopband_kappa!r})")
+    out += positive_violations("section_pitch", design.section_pitch)
+    kappa = design.stopband_kappa
+    kappa_violations = [] if type(kappa) is float else real_violations("stopband_kappa", kappa)
+    if not kappa_violations and not 0.0 < kappa < 1.0:
+        kappa_violations.append(f"stopband_kappa must lie strictly between 0 and 1 (got {kappa!r})")
+    out += kappa_violations
     if not isinstance(design.dominant_mode_axis, DominantModeAxis):
         out.append(f"dominant_mode_axis must be a DominantModeAxis (got {design.dominant_mode_axis!r})")
     return out

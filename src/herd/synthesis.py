@@ -16,7 +16,7 @@ from .errors import DomainError, InfeasibleDesignError
 from .leakage import inband_transmission, min_depth_for_budget
 from .model import DEFAULT_APERTURES_PER_SECTION, DEFAULT_STOPBAND_KAPPA, FilterDesign, FrequencyGrid
 from .model import Field, KeyValueFormat, Material, RectAperture, count_violations, material_violations
-from .model import with_aperture
+from .model import positive_violations, with_aperture
 from .modes import corner_frequency, solve_inner_radius
 from .tsio import insertion_loss_db
 
@@ -87,16 +87,13 @@ def per_section_attenuation_db(apertures_per_section: int) -> float:
 def validate_spec(spec: DesignSpec) -> list[str]:
     """One message per violated spec invariant. A stopband start at or below
     the passband top is valid: :func:`synthesize` reports it as infeasible."""
-    out = []
-    for name, value in (
-        ("z0", spec.z0),
-        ("f_passband_top", spec.f_passband_top),
-        ("passband_il_budget_db", spec.passband_il_budget_db),
-        ("f_stopband_start", spec.f_stopband_start),
-        ("stopband_min_attenuation_db", spec.stopband_min_attenuation_db),
-    ):
-        if not 0.0 < value < math.inf:
-            out.append(f"{name} must be finite and > 0 (got {value!r})")
+    out = [
+        *positive_violations("z0", spec.z0),
+        *positive_violations("f_passband_top", spec.f_passband_top),
+        *positive_violations("passband_il_budget_db", spec.passband_il_budget_db),
+        *positive_violations("f_stopband_start", spec.f_stopband_start),
+        *positive_violations("stopband_min_attenuation_db", spec.stopband_min_attenuation_db),
+    ]
     out += material_violations("aperture_fill", spec.aperture_fill)
     out += material_violations("coax_fill", spec.coax_fill)
     out += count_violations("apertures_per_section", spec.apertures_per_section)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -66,10 +67,7 @@ class Claim:
 
 @dataclass(frozen=True)
 class ClaimResult:
-    description: str
-    band: tuple[float, float]
-    kind: ClaimKind
-    threshold_db: float
+    claim: Claim
     observed_db: float | None
     passed: bool
     error: str | None = None
@@ -386,6 +384,15 @@ def band_metrics(table: SParamTable, band: tuple[float, float]) -> BandMetric:
     )
 
 
+# The BandMetric figure each claim kind reads, and the test the figure must
+# pass against the threshold: at most or at least.
+_CLAIM_FIGURES = {
+    ClaimKind.MAX_IL: ("max_insertion_loss_db", operator.le),
+    ClaimKind.MIN_ATT: ("min_attenuation_db", operator.ge),
+    ClaimKind.MAX_RIPPLE: ("max_ripple_db", operator.le),
+}
+
+
 def check_claims(table: SParamTable, claims: list[Claim]) -> ComplianceReport:
     """Evaluate each claim against the table; a band without data yields an
     error row rather than an exception."""
@@ -394,35 +401,9 @@ def check_claims(table: SParamTable, claims: list[Claim]) -> ComplianceReport:
         try:
             metric = band_metrics(table, claim.band)
         except DomainError as exc:
-            results.append(
-                ClaimResult(
-                    description=claim.describe(),
-                    band=claim.band,
-                    kind=claim.kind,
-                    threshold_db=claim.threshold_db,
-                    observed_db=None,
-                    passed=False,
-                    error=str(exc),
-                )
-            )
+            results.append(ClaimResult(claim, observed_db=None, passed=False, error=str(exc)))
             continue
-        if claim.kind is ClaimKind.MAX_IL:
-            observed = metric.max_insertion_loss_db
-            passed = observed <= claim.threshold_db
-        elif claim.kind is ClaimKind.MIN_ATT:
-            observed = metric.min_attenuation_db
-            passed = observed >= claim.threshold_db
-        else:
-            observed = metric.max_ripple_db
-            passed = observed <= claim.threshold_db
-        results.append(
-            ClaimResult(
-                description=claim.describe(),
-                band=claim.band,
-                kind=claim.kind,
-                threshold_db=claim.threshold_db,
-                observed_db=observed,
-                passed=passed,
-            )
-        )
+        figure, holds = _CLAIM_FIGURES[claim.kind]
+        observed = getattr(metric, figure)
+        results.append(ClaimResult(claim, observed, passed=holds(observed, claim.threshold_db)))
     return ComplianceReport(results=tuple(results))

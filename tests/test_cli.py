@@ -405,6 +405,71 @@ class TestCompare:
         assert code == 2
 
 
+def _measured(tmp_path, freqs, s21_db, s11=0.0, mag_only=False):
+    """A measured .s2p of a symmetric two-port with real entries: S21 at the
+    given dB per frequency, S11 = S22 = ``s11``."""
+    s21 = 10.0 ** (np.asarray(s21_db, dtype=float) / 20.0) + 0j
+    s11 = np.full(len(freqs), s11, dtype=complex)
+    table = SParamTable(
+        FrequencyGrid(freqs), Provenance.MEASURED, mag_only=mag_only,
+        s11=s11, s21=s21, s12=s21, s22=s11,
+    )
+    path = tmp_path / "measured.s2p"
+    path.write_text(write_touchstone(table, "MA" if mag_only else "DB", "GHZ"))
+    return str(path)
+
+
+class TestCompareGain:
+    """A measured point whose S has more than herd.cli.GAIN_TOL_DB dB of gain
+    (in its largest singular value) fails every claim whose band holds it."""
+
+    def test_gain_everywhere_fails_both_claims(self, capsys, proto_file, tmp_path):
+        freqs = np.linspace(1e9, 145e9, 50)
+        s2p = _measured(tmp_path, freqs, np.full(50, 3.0))
+        code, out, _ = run(capsys, ["compare", s2p, "--design", proto_file])
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0] == (
+            "FAIL  passband insertion loss up to 10 GHz: error: gain at 1000000000 Hz"
+        )
+        assert lines[1].startswith("FAIL  stopband attenuation 70-145 GHz: error: gain at 7")
+        assert lines[-1] == (
+            "gain: 50 points where S has more than 0.05 dB of gain, the first at 1000000000 Hz"
+        )
+        code, out, _ = run(capsys, ["compare", s2p, "--design", proto_file, "--format", "json"])
+        doc = json.loads(out)
+        assert code == 1 and doc["claims_passed"] is False
+        assert (doc["gain_points"], doc["first_gain_hz"]) == (50, 1e9)
+        assert [claim["passed"] for claim in doc["claims"]] == [False, False]
+        assert doc["claims"][0]["error"] == "gain at 1000000000 Hz"
+
+    def test_gain_only_in_the_stopband(self, capsys, proto_file, tmp_path):
+        freqs = (1e9, 5e9, 80e9, 100e9, 120e9)
+        s2p = _measured(tmp_path, freqs, (-0.05, -0.05, -70.0, 1.0, -70.0))
+        code, out, _ = run(capsys, ["compare", s2p, "--design", proto_file, "--format", "json"])
+        doc = json.loads(out)
+        assert code == 1
+        assert [claim["passed"] for claim in doc["claims"]] == [True, False]
+        assert doc["claims"][1]["error"] == "gain at 100000000000 Hz"
+        assert (doc["gain_points"], doc["first_gain_hz"]) == (1, 100e9)
+
+    @pytest.mark.parametrize("excess_db", [0.0, 0.01, 0.049])
+    def test_noise_within_tolerance_passes(self, capsys, proto_file, tmp_path, excess_db):
+        s2p = _measured(tmp_path, (1e9, 5e9, 80e9), (excess_db, -0.1, -70.0))
+        code, out, _ = run(capsys, ["compare", s2p, "--design", proto_file])
+        assert code == 0
+        assert "gain" not in out
+
+    def test_magnitude_only_matched_loss_is_not_gain(self, capsys, proto_file, tmp_path):
+        # |S11| = 0.1 and |S21| = 0.99 with the phases unknown: the columns
+        # carry 0.9901 of the power, which a passive filter can do.
+        s2p = _measured(tmp_path, (1e9, 5e9, 80e9), (20 * math.log10(0.99), -0.1, -70.0),
+                        s11=0.1, mag_only=True)
+        code, out, _ = run(capsys, ["compare", s2p, "--design", proto_file, "--format", "json"])
+        doc = json.loads(out)
+        assert code == 0 and doc["gain_points"] == 0 and doc["mag_only"] is True
+
+
 class TestExitCodes:
     def test_all_four_codes(self, capsys, proto_file, spec_file, tmp_path):
         # 0: success

@@ -2,6 +2,7 @@
 always ends in a value or a ParseError."""
 
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -123,6 +124,13 @@ def test_numpy_spec_target_is_written_as_a_number():
 def test_a_count_that_is_not_an_integer_is_refused(name, count):
     with pytest.raises(DomainError, match=f"^{name} must be an integer"):
         replace(prototype_design(), **{name: count})
+
+
+@pytest.mark.parametrize("value", [10**400, Fraction(1, 3), 2**53 + 1, "0.01", None])
+def test_a_float_field_no_float_holds_is_refused(value):
+    # each would build, then fail to be written or read back unequal
+    with pytest.raises(DomainError, match="^section_pitch must be a real number that a float holds"):
+        replace(prototype_design(), section_pitch=value)
 
 
 def _key_value_texts(keys):

@@ -4,6 +4,7 @@ read-only array."""
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -91,6 +92,8 @@ class TestSpecCheck:
             {"stopband_min_attenuation_db": 0.0},
             {"z0": -50.0},
             {"apertures_per_section": 2.5},
+            {"z0": 10**400},
+            {"f_passband_top": Fraction(1, 3)},
         ],
     )
     def test_other_invalid_targets(self, change):
