@@ -33,11 +33,11 @@ from .tsio import (
     ClaimKind,
     band_metrics,
     check_claims,
-    format_columns,
     insertion_loss_db,
     parse_touchstone,
     return_loss_db,
-    write_touchstone,
+    row_blocks,
+    touchstone_blocks,
 )
 
 EXIT_OK = 0
@@ -97,11 +97,13 @@ def _csv_lines(keys: tuple[str, ...], rows: list[dict]) -> list[str]:
     return lines
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(blocks, out: str | None) -> None:
+    """Write text ``blocks`` in order to the file ``out``, or to stdout."""
     if out:
-        Path(out).write_text(text)
+        with open(out, "w") as stream:
+            stream.writelines(blocks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
 
 
 def _load_design(path: str) -> FilterDesign:
@@ -171,7 +173,7 @@ def _cmd_modes(args) -> int:
     }
 
     if args.format == "json":
-        _emit(_json_doc({"command": "modes", **scalars, "mode_chart": chart}), args.out)
+        _emit([_json_doc({"command": "modes", **scalars, "mode_chart": chart})], args.out)
         return EXIT_OK
     lines = _kv_lines({key: value for key, value in scalars.items() if value is not None})
     if chart is not None:
@@ -180,7 +182,7 @@ def _cmd_modes(args) -> int:
         else:
             lines.append("mode chart (m, n, cutoff_hz):")
             lines += [f"  TE{row['m']}{row['n']}  {_fmt(row['cutoff_hz'])}" for row in chart]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     return EXIT_OK
 
 
@@ -200,13 +202,28 @@ _RESPONSE_ROW = '    {\n      "frequency_hz": %s,\n      "s21_db": %s,\n      "s
 _RESPONSE_SLOT = "\0response"
 
 
-def _splice_response(text: str, columns) -> str:
-    """``text`` with its response slot replaced by the list of objects built
-    from ``columns`` (frequency, s21 and s11 arrays), as json.dumps would
-    write it, but with each distinct column formatted once."""
+def _json_blocks(text: str, columns):
+    """``text`` in pieces, with its response slot replaced by the list of
+    objects built from ``columns`` (frequency, s21 and s11 arrays), as
+    json.dumps would write it, but with each distinct column formatted once
+    per block of rows."""
     head, _, tail = text.partition(json.dumps(_RESPONSE_SLOT))
-    rows = map(_RESPONSE_ROW.__mod__, zip(*format_columns(columns, "json")))
-    return "".join((head, "[\n", ",\n".join(rows), "\n  ]", tail))
+    yield head + "[\n"
+    separator = ""
+    for rows in row_blocks(columns, "json"):
+        yield separator + ",\n".join(map(_RESPONSE_ROW.__mod__, rows))
+        separator = ",\n"
+    yield "\n  ]" + tail
+
+
+def _csv_blocks(columns, notes: list[str]):
+    """The CSV document in pieces: the header, the rows of ``columns`` in
+    blocks, then each of ``notes`` as a ``# `` line."""
+    yield "frequency_hz,s21_db,s11_db\n"
+    # "%.12g" formats a float exactly as _fmt does.
+    for rows in row_blocks(columns, "%.12g"):
+        yield "\n".join(map(",".join, rows)) + "\n"
+    yield "".join(f"# {line}\n" for line in notes)
 
 
 # Each band metric figure, by its key in JSON and its label in text.
@@ -267,22 +284,20 @@ def _cmd_analyze(args) -> int:
         "claims_passed": None if report is None else report.passed,
     }
 
+    # The document is written in pieces, the rows in blocks, so only the
+    # arrays and one block of text are held at a time.
     if args.format == "touchstone":
-        _emit(write_touchstone(table, fmt="DB", unit="GHZ"), args.out)
+        _emit(touchstone_blocks(table, fmt="DB", unit="GHZ"), args.out)
         if args.out:
-            _emit("\n".join(_metric_lines(doc["band_metrics"])) + "\n", None)
+            _emit(["\n".join(_metric_lines(doc["band_metrics"])) + "\n"], None)
     else:
         columns = (table.f, -insertion_loss_db(table.s21), return_loss_db(table.s11))
         if args.format == "json":
-            text = _splice_response(_json_doc(doc), columns)
+            blocks = _json_blocks(_json_doc(doc), columns)
         else:
-            # "%.12g" formats a float exactly as _fmt does.
-            lines = ["frequency_hz,s21_db,s11_db"]
-            lines.extend(map(",".join, zip(*format_columns(columns, "%.12g"))))
             notes = _metric_lines(doc["band_metrics"]) + _claim_lines(doc["claims"] or [])
-            lines += [f"# {line}" for line in notes]
-            text = "\n".join(lines) + "\n"
-        _emit(text, args.out)
+            blocks = _csv_blocks(columns, notes)
+        _emit(blocks, args.out)
 
     if report is not None and not report.passed:
         return EXIT_CLAIMS_FAILED
@@ -317,11 +332,11 @@ def _cmd_sweep(args) -> int:
 
     if args.format == "json":
         doc = {"command": "sweep", "parameter": args.param, "reference_frequency_hz": args.fref}
-        _emit(_json_doc({**doc, "rows": rows}), args.out)
+        _emit([_json_doc({**doc, "rows": rows})], args.out)
     else:
         lines = [f"# sweep {args.param}, in-band loss at {_fmt(args.fref)} Hz"]
         lines += _csv_lines(("value_m", "corner_frequency_hz", "insertion_loss_db"), rows)
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(["\n".join(lines) + "\n"], args.out)
     return EXIT_OK
 
 
@@ -344,12 +359,12 @@ def _cmd_sections(args) -> int:
     ]
 
     if args.format == "json":
-        _emit(_json_doc({"command": "sections", "frequencies_hz": freqs, "rows": rows}), args.out)
+        _emit([_json_doc({"command": "sections", "frequencies_hz": freqs, "rows": rows})], args.out)
     else:
         lines = ["sections," + ",".join(f"att_db_{_fmt(f)}hz" for f in freqs)]
         for row in rows:
             lines.append(",".join([str(row["sections"]), *map(_fmt, row["attenuation_db"])]))
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(["\n".join(lines) + "\n"], args.out)
     return EXIT_OK
 
 
@@ -369,7 +384,7 @@ def _cmd_synthesize(args) -> int:
     }
 
     if args.format == "json":
-        _emit(_json_doc({"command": "synthesize", "design": design, **margins}), None)
+        _emit([_json_doc({"command": "synthesize", "design": design, **margins})], None)
         return EXIT_OK
     # the design file's required keys: the geometry and the section count
     required = {
@@ -378,7 +393,7 @@ def _cmd_synthesize(args) -> int:
     lines = _kv_lines({**required, **margins})
     if args.out:
         lines.append(f"design written to {args.out}")
-    _emit("\n".join(lines) + "\n", None)
+    _emit(["\n".join(lines) + "\n"], None)
     return EXIT_OK
 
 
@@ -400,7 +415,12 @@ def _cmd_compare(args) -> int:
         sigma = max_singular_value(s11, s12, s21, s22)
     gain_f = measured.f[sigma > 10.0 ** (GAIN_TOL_DB / 20.0)]
 
-    deltas = np.abs(insertion_loss_db(measured.s21) - insertion_loss_db(model.s21))
+    # Equal losses differ by 0, also where both are infinite (no
+    # transmission measured or modelled), which inf - inf would make NaN.
+    measured_il, model_il = insertion_loss_db(measured.s21), insertion_loss_db(model.s21)
+    deltas = np.zeros(len(measured_il))
+    np.subtract(measured_il, model_il, out=deltas, where=measured_il != model_il)
+    deltas = np.abs(deltas)
     deviations = []
     for lo, hi in dict.fromkeys(claim.band for claim in profile):
         inside = (measured.f >= lo) & (measured.f <= hi)
@@ -441,7 +461,7 @@ def _cmd_compare(args) -> int:
                 f"of gain, the first at {_fmt(gain_f[0])} Hz"
             )
         text = "\n".join(lines) + "\n"
-    _emit(text, None)
+    _emit([text], None)
     return EXIT_OK if doc["claims_passed"] else EXIT_CLAIMS_FAILED
 
 

@@ -29,6 +29,12 @@ DEFAULT_SECTION_PITCH = 0.010
 
 DEFAULT_APERTURES_PER_SECTION = 8
 
+# Most points a FrequencyGrid.linear or .logarithmic grid may have. A streamed
+# `herd analyze` holds about 64 (CSV, JSON) to 88 (Touchstone) resident bytes
+# per point, so a grid of this size stays under 1 GiB; a larger one is refused
+# before its array is allocated.
+MAX_GRID_POINTS = 10_000_000
+
 
 @dataclass(frozen=True)
 class Material:
@@ -165,6 +171,8 @@ def _check_span(spacing: str, start: float, stop: float, points: int) -> None:
     # zero stop, and both spacings warn on an infinite one.
     if points < 2:
         raise DomainError(f"a {spacing} grid needs at least 2 points (got {points})")
+    if points > MAX_GRID_POINTS:
+        raise DomainError(f"a {spacing} grid takes at most {MAX_GRID_POINTS} points (got {points})")
     if not 0.0 < start < stop < math.inf:
         raise DomainError(
             f"a {spacing} grid needs 0 < start < stop < inf (got start={start!r}, stop={stop!r})"

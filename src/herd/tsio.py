@@ -33,6 +33,10 @@ _DB_FLOOR = -400.0
 # so a long file never holds one float object per value.
 _BLOCK_ROWS = 1024
 
+# Written rows are formatted this many at a time (``row_blocks``), so the
+# text of a long table is never held whole, only its arrays.
+WRITE_BLOCK_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class BandMetric:
@@ -323,8 +327,18 @@ def format_columns(columns, style: str) -> list[list[str]]:
     return out
 
 
-def write_touchstone(table: SParamTable, fmt: str = "RI", unit: str = "HZ") -> str:
-    """Serialize a table as Touchstone v1 text, 17 significant digits."""
+def row_blocks(columns, style: str):
+    """The rows of equal-length float64 ``columns``, ``WRITE_BLOCK_ROWS`` at
+    a time: per block, an iterator of one tuple of strings per row, from
+    ``format_columns`` of the block's slice of each column."""
+    for start in range(0, len(columns[0]), WRITE_BLOCK_ROWS):
+        block = [column[start : start + WRITE_BLOCK_ROWS] for column in columns]
+        yield zip(*format_columns(block, style))
+
+
+def touchstone_blocks(table: SParamTable, fmt: str = "RI", unit: str = "HZ"):
+    """The Touchstone v1 text of a table, 17 significant digits, as
+    consecutive pieces: the header lines, then the data rows in blocks."""
     fmt = fmt.upper()
     unit = unit.upper()
     if fmt not in FORMATS:
@@ -343,10 +357,16 @@ def write_touchstone(table: SParamTable, fmt: str = "RI", unit: str = "HZ") -> s
     if table.mag_only:
         lines.append("!MAGONLY")
     lines.append(f"# {unit} S {fmt} R {table.z0:.17g}")
+    yield "\n".join(lines) + "\n"
     # A model table's s12 equals its s21 and its s22 its s11, and a matched
     # model's s11 is constant: about three of the nine columns are formatted.
-    lines.extend(map(" ".join, zip(*format_columns(columns, "%.17g"))))
-    return "\n".join(lines) + "\n"
+    for rows in row_blocks(columns, "%.17g"):
+        yield "\n".join(map(" ".join, rows)) + "\n"
+
+
+def write_touchstone(table: SParamTable, fmt: str = "RI", unit: str = "HZ") -> str:
+    """Serialize a table as Touchstone v1 text, 17 significant digits."""
+    return "".join(touchstone_blocks(table, fmt, unit))
 
 
 def insertion_loss_db(s21):

@@ -404,6 +404,27 @@ class TestCompare:
         code, _, _ = run(capsys, ["compare", str(tmp_path / "nope.s2p"), "--design", proto_file])
         assert code == 2
 
+    def test_no_transmission_on_both_sides_differs_by_zero(self, capsys, tmp_path, proto):
+        # 450 sections: the model's S21 underflows to 0 at 80 GHz, as the
+        # measured S21 is; both losses are infinite there.
+        design = tmp_path / "deep.design"
+        design.write_text(dumps_design(replace(proto, sections=450)))
+        s21 = np.array([0.99, 0.0], dtype=complex)
+        zeros = np.zeros(2, dtype=complex)
+        table = SParamTable(
+            FrequencyGrid((1e9, 80e9)), Provenance.MEASURED, s11=zeros, s21=s21, s12=s21, s22=zeros
+        )
+        s2p = tmp_path / "dead.s2p"
+        s2p.write_text(write_touchstone(table, "RI", "GHZ"))
+        argv = ["compare", str(s2p), "--design", str(design)]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert "band [70000000000, 145000000000] Hz: max |IL_measured - IL_model| = 0 dB" in out
+        code, out, err = run(capsys, [*argv, "--format", "json"])
+        assert (code, err) == (0, "")
+        stopband = json.loads(out)["deviations"][1]
+        assert stopband == {"band_hz": [70e9, 145e9], "max_abs_il_delta_db": 0.0}
+
 
 def _measured(tmp_path, freqs, s21_db, s11=0.0, mag_only=False):
     """A measured .s2p of a symmetric two-port with real entries: S21 at the

@@ -28,7 +28,7 @@ from herd import (
     rect_cutoff,
     synthesize,
 )
-from herd import modes
+from herd import model, modes
 from herd.cli import main
 from herd.synthesis import SPEC_FILE, validate_spec
 
@@ -173,12 +173,14 @@ class TestGridArray:
 
 
 # Grid and sweep bounds are checked once, by FrequencyGrid and by building
-# each swept design in with_aperture; the CLI passes them on unchecked. 10**15
-# float64 values (7.1 PiB) are more than a 47-bit address space can map, so
-# numpy's allocation fails at once, and the CLI reports its MemoryError.
+# each swept design in with_aperture; the CLI passes them on unchecked. A grid
+# of 10**15 points is refused by its size bound before any allocation. For a
+# sweep, 10**15 float64 values (7.1 PiB) are more than a 47-bit address space
+# can map, so numpy's allocation fails at once, and the CLI reports its
+# MemoryError.
 HUGE = str(10**15)
 BAD_GRIDS = {
-    "too_large_for_memory": (["--points", HUGE], "Unable to allocate"),
+    "too_large_for_memory": (["--points", HUGE], f"takes at most 10000000 points (got {HUGE})"),
     "one_point": (["--points", "1"], "needs at least 2 points (got 1)"),
     "zero_start": (["--fstart", "0"], "needs 0 < start < stop < inf"),
     "reversed": (["--fstart", "2e9", "--fstop", "1e9"], "needs 0 < start < stop < inf"),
@@ -200,6 +202,22 @@ class TestGridBounds:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("herd: input error:") and message in err
+
+    @pytest.mark.parametrize("spacing", ["linear", "logarithmic"])
+    def test_constructors_refuse_too_many_points_before_numpy(self, spacing):
+        # refused before the 80 MB array would be allocated
+        with pytest.raises(DomainError, match=f"a {spacing} grid takes at most 10000000 points"):
+            getattr(FrequencyGrid, spacing)(1e8, 145e9, model.MAX_GRID_POINTS + 1)
+
+    def test_analyze_takes_a_grid_at_the_bound(self, capsys, tmp_path, proto, monkeypatch):
+        monkeypatch.setattr(model, "MAX_GRID_POINTS", 100)
+        path = tmp_path / "stock.design"
+        path.write_text(dumps_design(proto))
+        argv = ["analyze", "--design", str(path), "--format", "json"]
+        assert main([*argv, "--points", "100"]) == 0
+        assert main([*argv, "--log", "--points", "101"]) == 2
+        err = capsys.readouterr().err
+        assert err == "herd: input error: a logarithmic grid takes at most 100 points (got 101)\n"
 
     @pytest.mark.parametrize("spacing", ["linear", "logarithmic"])
     @pytest.mark.parametrize("start, stop", [(1e9, 0.0), (1e9, -1.0), (1e8, math.inf), (0.0, 1e9)])

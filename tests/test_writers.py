@@ -4,11 +4,14 @@
 ``%.17g`` row template, and ``_oracle_response`` builds the per-point dicts
 that ``json.dumps(indent=2)`` rendered for ``herd analyze --format json``;
 ``_ORACLE_CSV_ROW`` is the CSV row template. The writers must reproduce their
-output byte for byte.
+output byte for byte. ``herd analyze`` writes its rows in blocks of
+``tsio.WRITE_BLOCK_ROWS``; a run that spans several blocks must write the
+bytes of the same run in one block, and hold little more than its arrays.
 """
 
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +30,7 @@ from herd import (
     return_loss_db,
     write_touchstone,
 )
+from herd import tsio
 from herd.cli import main
 from herd.tsio import FREQUENCY_UNITS, format_columns
 
@@ -272,3 +276,65 @@ def test_analyze_matches_the_oracle(tmp_path, capsys, proto, sections, fmt, log,
         comments = [line for line in text.splitlines() if line.startswith("#")]
         expected = "\n".join(["frequency_hz,s21_db,s11_db", *data, *comments]) + "\n"
     assert text == expected
+
+
+# --- row blocks --------------------------------------------------------------
+
+BLOCK = tsio.WRITE_BLOCK_ROWS
+
+
+def _run(capsys, argv, out):
+    """Exit code, stdout, stderr and the text of ``out`` (None without it)."""
+    code = main([*argv, "--out", str(out)] if out else argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, out.read_text() if out else None
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+@pytest.mark.parametrize("points", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("fmt", ["csv", "json", "touchstone"])
+def test_row_blocks_write_the_bytes_of_one_block(
+    tmp_path, capsys, monkeypatch, proto, fmt, points, to_file
+):
+    path = tmp_path / "filter.design"
+    path.write_text(dumps_design(proto))
+    argv = ["analyze", "--design", str(path), "--points", str(points), "--log",
+            "--format", fmt, "--claims", "default"]
+    blocks = _run(capsys, argv, tmp_path / "blocks.txt" if to_file else None)
+    monkeypatch.setattr(tsio, "WRITE_BLOCK_ROWS", points)
+    assert _run(capsys, argv, tmp_path / "whole.txt" if to_file else None) == blocks
+    assert blocks[0] == 0
+
+    if fmt == "json":
+        text = blocks[3] if to_file else blocks[1]
+        doc = json.loads(text)
+        assert text == json.dumps(doc, indent=2) + "\n"
+        assert doc["response"] == _oracle_response(filter_response(proto, _grid(True, points)))
+
+
+# A streamed run holds its arrays (40 bytes per point in the model table, and
+# the output columns derived from it) and one block of text: about 1.6x the
+# table's bytes for CSV and JSON and 2.2x for Touchstone. A writer that holds
+# the whole document as one string peaks at 7.4x (CSV) to 12.3x (Touchstone).
+MEMORY_MULTIPLE = 3.0
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "touchstone"])
+def test_traced_peak_is_bounded_by_the_arrays(tmp_path, capsys, proto, fmt):
+    points = 200_000
+    table = filter_response(proto, _grid(False, points))
+    array_bytes = table.f.nbytes + table.s11.nbytes + table.s21.nbytes
+    del table
+    path = tmp_path / "filter.design"
+    path.write_text(dumps_design(proto))
+    argv = ["analyze", "--design", str(path), "--points", str(points), "--format", fmt,
+            "--claims", "default", "--out", str(tmp_path / "out.txt")]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak < MEMORY_MULTIPLE * array_bytes
