@@ -31,6 +31,13 @@ from .modes import corner_frequency
 DEFAULT_TRANSITION_WIDTH = 0.10
 _LOGISTIC_SHARPNESS = 2.0 * math.log(99.0)
 
+# Most rows attenuation_vs_sections lists, and most attenuation figures
+# (sections x frequencies) `herd sections` writes. Its JSON output holds about
+# 1.5 kB per figure with one frequency (CSV 0.6 kB, and less per figure with
+# more frequencies), so a table at the bound stays under the 1 GiB that
+# model.MAX_GRID_POINTS budgets.
+MAX_SECTIONS = 500_000
+
 
 class Provenance(enum.Enum):
     MODEL = "MODEL"
@@ -219,6 +226,8 @@ def attenuation_vs_sections(
     """
     if max_sections < 1:
         raise DomainError(f"max_sections must be >= 1 (got {max_sections!r})")
+    if max_sections > MAX_SECTIONS:
+        raise DomainError(f"max_sections must be <= {MAX_SECTIONS} (got {max_sections!r})")
     f = float(f)
     if not 0.0 < f < math.inf:
         raise DomainError(f"frequency grid points must be finite and > 0 (got {f!r})")

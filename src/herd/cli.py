@@ -15,10 +15,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .cascade import attenuation_vs_sections, filter_response, max_singular_value
+from .cascade import MAX_SECTIONS, attenuation_vs_sections, filter_response, max_singular_value
 from .errors import DomainError, InfeasibleDesignError, ParseError
 from .leakage import inband_transmission
-from .model import FilterDesign, FrequencyGrid, dumps_design, loads_design, with_aperture
+from .model import (
+    AIR,
+    DESIGN_FILE,
+    FilterDesign,
+    FrequencyGrid,
+    Material,
+    build_part,
+    dumps_design,
+    loads_design,
+    with_aperture,
+)
 from .modes import (
     coax_char_impedance,
     coax_first_higher_mode_cutoff,
@@ -26,7 +36,6 @@ from .modes import (
     mode_chart,
     solve_inner_radius,
 )
-from .model import AIR, DESIGN_FILE, Material
 from .synthesis import loads_design_spec, synthesize
 from .tsio import (
     Claim,
@@ -58,6 +67,11 @@ CLAIM_PROFILES: dict[str, list[Claim]] = {
 }
 
 _SWEEP_FIELDS = {"a": "width_a", "b": "height_b", "d": "depth_d"}
+
+# Most rows `herd sweep` writes. Its JSON output holds about 1.5 kB per row
+# (CSV 0.6 kB), so a sweep at the bound stays under the 1 GiB that
+# model.MAX_GRID_POINTS budgets.
+MAX_SWEEP_STEPS = 500_000
 
 # `compare` takes a measured point for gain when the largest singular value of
 # its S matrix exceeds 1 by more than this many dB. A passband measurement
@@ -159,7 +173,9 @@ def _cmd_modes(args) -> int:
         chart = mode_chart(design.aperture, design.aperture_fill, fmax)
         chart = [{"m": e.index.m, "n": e.index.n, "cutoff_hz": e.cutoff_hz} for e in chart]
     elif args.z0 is not None and args.single_mode is not None:
-        fill = Material(eps_r=args.coax_eps) if args.coax_eps is not None else AIR
+        fill = AIR
+        if args.coax_eps is not None:
+            fill = build_part("coax_fill", Material, {"eps_r": args.coax_eps})
         geometry = solve_inner_radius(args.z0, args.single_mode, fill)
         z0 = args.z0
     else:
@@ -311,6 +327,8 @@ def _cmd_sweep(args) -> int:
     design = _load_design(args.design)
     if args.steps < 1:
         raise DomainError(f"steps must be >= 1 (got {args.steps!r})")
+    if args.steps > MAX_SWEEP_STEPS:
+        raise DomainError(f"steps must be <= {MAX_SWEEP_STEPS} (got {args.steps!r})")
     field = _SWEEP_FIELDS[args.param]
     # An infinite or overflowing span gives nan values, which with_aperture
     # refuses like any other non-positive value when it builds the variant.
@@ -351,6 +369,11 @@ def _cmd_sections(args) -> int:
         raise DomainError(f"unparsable frequency list {args.freqs!r}") from None
     if not freqs:
         raise DomainError("need at least one frequency")
+    if args.max_sections * len(freqs) > MAX_SECTIONS:
+        raise DomainError(
+            f"sections writes at most {MAX_SECTIONS} attenuation figures "
+            f"(got {args.max_sections} sections x {len(freqs)} frequencies)"
+        )
 
     columns = [attenuation_vs_sections(design, f, args.max_sections) for f in freqs]
     rows = [

@@ -1,9 +1,11 @@
 """Domain types for the leaky-coax low-pass filter toolkit.
 
-All types are immutable value objects. A design and a frequency grid refuse
-bad values with :class:`DomainError` when they are built; :func:`validate`
-lists a design's violations. The parts of a design accept any value, since
-their checks name each value by its role in the design (``coax_fill.eps_r``).
+All types are immutable value objects that refuse bad values with
+:class:`DomainError` when they are built, so a value that exists is valid and
+no function checks it again. A part of a design (a fill, the coax, the
+aperture) names the bare field in its message (``eps_r``), and
+:func:`build_part` adds the part's role (``coax_fill.eps_r``).
+:func:`validate` lists a design's violations.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .constants import C0
 from .errors import DomainError, ParseError
 
 # Per-aperture power fraction drained above the aperture cutoff. Calibrated so
@@ -42,14 +45,13 @@ class Material:
 
     eps_r: float
 
+    def __post_init__(self):
+        raise_violations(material_violations(self))
+
     @property
     def refractive_index(self) -> float:
         """sqrt(eps_r), the slowing factor relative to vacuum."""
         return math.sqrt(self.eps_r)
-
-
-AIR = Material(eps_r=1.0)
-PTFE = Material(eps_r=2.2)
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,9 @@ class CoaxGeometry:
 
     r_inner: float
     r_outer: float
+
+    def __post_init__(self):
+        raise_violations(coax_violations(self))
 
     @property
     def ratio(self) -> float:
@@ -71,6 +76,9 @@ class RectAperture:
     width_a: float
     height_b: float
     depth_d: float
+
+    def __post_init__(self):
+        raise_violations(aperture_violations(self))
 
 
 class DominantModeAxis(enum.Enum):
@@ -100,9 +108,7 @@ class FilterDesign:
     dominant_mode_axis: DominantModeAxis = DominantModeAxis.WIDTH
 
     def __post_init__(self):
-        violations = validate(self)
-        if violations:
-            raise DomainError("; ".join(violations))
+        raise_violations(validate(self))
 
     @property
     def total_apertures(self) -> int:
@@ -193,8 +199,13 @@ def prototype_design() -> FilterDesign:
 
 # --- invariants ---------------------------------------------------------------
 #
-# The part checks format nothing for a valid part: the mode functions run them
-# on every call. `0.0 < x < math.inf` is false for nan and infinities.
+# `0.0 < x < math.inf` is false for nan and infinities.
+
+
+def raise_violations(violations: list[str]) -> None:
+    """Raise one :class:`DomainError` listing ``violations``, if there are any."""
+    if violations:
+        raise DomainError("; ".join(violations))
 
 
 def real_violations(name: str, value) -> list[str]:
@@ -223,45 +234,46 @@ def positive_violations(name: str, value) -> list[str]:
     return out
 
 
-def material_violations(name: str, mat: Material) -> list[str]:
-    """Violations of a fill medium, named ``<name>.eps_r``."""
-    eps_r = mat.eps_r
-    if type(eps_r) is float and 1.0 <= eps_r < math.inf:
-        return []
-    out = real_violations(f"{name}.eps_r", eps_r)
-    if not out and not 1.0 <= eps_r < math.inf:
-        out.append(f"{name}.eps_r must be finite and >= 1 (got {eps_r!r})")
+def material_violations(mat: Material) -> list[str]:
+    out = real_violations("eps_r", mat.eps_r)
+    if not out and not 1.0 <= mat.eps_r < math.inf:
+        out.append(f"eps_r must be finite and >= 1 (got {mat.eps_r!r})")
     return out
 
 
 def coax_violations(coax: CoaxGeometry) -> list[str]:
-    if type(coax.r_inner) is not float or type(coax.r_outer) is not float:
-        out = real_violations("coax.r_inner", coax.r_inner)
-        out += real_violations("coax.r_outer", coax.r_outer)
-        if out:
-            return out
-    out = []
+    out = real_violations("r_inner", coax.r_inner) + real_violations("r_outer", coax.r_outer)
+    if out:
+        return out
     if not 0.0 < coax.r_inner < math.inf:
-        out.append(f"coax.r_inner must be finite and > 0 (got {coax.r_inner!r})")
+        out.append(f"r_inner must be finite and > 0 (got {coax.r_inner!r})")
     if not coax.r_inner < coax.r_outer < math.inf:
-        out.append(
-            "coax.r_outer must exceed coax.r_inner "
-            f"(got r_inner={coax.r_inner!r}, r_outer={coax.r_outer!r})"
-        )
+        got = f"r_inner={coax.r_inner!r}, r_outer={coax.r_outer!r}"
+        out.append(f"r_outer must exceed r_inner (got {got})")
     return out
 
 
 def aperture_violations(ap: RectAperture) -> list[str]:
-    a, b, d = ap.width_a, ap.height_b, ap.depth_d
-    # the mode functions run this on every call: three valid floats make no call
-    if type(a) is float and type(b) is float and type(d) is float:
-        if 0.0 < a < math.inf and 0.0 < b < math.inf and 0.0 < d < math.inf:
-            return []
     return [
-        *positive_violations("aperture.width_a", a),
-        *positive_violations("aperture.height_b", b),
-        *positive_violations("aperture.depth_d", d),
+        *positive_violations("width_a", ap.width_a),
+        *positive_violations("height_b", ap.height_b),
+        *positive_violations("depth_d", ap.depth_d),
     ]
+
+
+def build_part(role: str, cls: type, values: dict):
+    """``cls(**values)``, a part of a design, with each violation it raises
+    named by the part's role: ``coax_fill.eps_r`` for ``eps_r``. The
+    violations are split at the ``"; "`` that joins them, which the repr of
+    a number never holds."""
+    try:
+        return cls(**values)
+    except DomainError as exc:
+        raise DomainError("; ".join(f"{role}.{v}" for v in str(exc).split("; "))) from None
+
+
+AIR = Material(eps_r=1.0)
+PTFE = Material(eps_r=2.2)
 
 
 def count_violations(name: str, count) -> list[str]:
@@ -279,12 +291,9 @@ def validate(design: FilterDesign) -> list[str]:
 
     An empty list means the design is valid. Nothing is raised: violations
     are the return value, which :class:`FilterDesign` raises when it is built.
+    The parts checked themselves when they were built.
     """
     out = [
-        *material_violations("coax_fill", design.coax_fill),
-        *material_violations("aperture_fill", design.aperture_fill),
-        *coax_violations(design.coax),
-        *aperture_violations(design.aperture),
         *count_violations("sections", design.sections),
         *count_violations("apertures_per_section", design.apertures_per_section),
     ]
@@ -294,8 +303,20 @@ def validate(design: FilterDesign) -> list[str]:
     if not kappa_violations and not 0.0 < kappa < 1.0:
         kappa_violations.append(f"stopband_kappa must lie strictly between 0 and 1 (got {kappa!r})")
     out += kappa_violations
-    if not isinstance(design.dominant_mode_axis, DominantModeAxis):
-        out.append(f"dominant_mode_axis must be a DominantModeAxis (got {design.dominant_mode_axis!r})")
+    axis = design.dominant_mode_axis
+    if not isinstance(axis, DominantModeAxis):
+        out.append(f"dominant_mode_axis must be a DominantModeAxis (got {axis!r})")
+        return out
+    # The dominant mode's cutoff as modes.corner_frequency computes it. A
+    # subnormal side overflows it, and a huge side and eps_r underflow it.
+    key = "height_b" if axis is DominantModeAxis.HEIGHT else "width_a"
+    side = float(getattr(design.aperture, key))
+    corner = C0 / (2.0 * design.aperture_fill.refractive_index) * (1.0 / side)
+    if not 0.0 < corner < math.inf:
+        out.append(
+            "dominant-mode corner frequency must be finite and > 0 "
+            f"(got {corner!r} Hz from aperture.{key} = {side!r} m)"
+        )
     return out
 
 
@@ -328,7 +349,8 @@ class Field:
 class KeyValueFormat:
     """The file format of ``cls``. ``parts`` maps each attribute of ``cls``
     that is itself a value object to its type. :meth:`loads` raises the
-    :class:`DomainError` of building ``cls`` as a :class:`ParseError`."""
+    :class:`DomainError` of building a part (named by its role) or ``cls``
+    as a :class:`ParseError`; the first faulty part is the one reported."""
 
     def __init__(self, name: str, cls: type, parts: dict[str, type], fields: tuple[Field, ...]):
         self.name = name
@@ -365,9 +387,9 @@ class KeyValueFormat:
             if field.default is None and field.key not in read:
                 raise ParseError(f"missing required key {field.key!r}")
             (parts[part] if part else kwargs)[attr] = read.get(field.key, field.default)
-        for part, part_cls in self.parts.items():
-            kwargs[part] = part_cls(**parts[part])
         try:
+            for part, part_cls in self.parts.items():
+                kwargs[part] = build_part(part, part_cls, parts[part])
             return self.cls(**kwargs)
         except DomainError as exc:
             raise ParseError(f"invalid {self.name}: {exc}") from None
@@ -425,4 +447,5 @@ def dumps_design(design: FilterDesign, header: str = "") -> str:
 
 def with_aperture(design: FilterDesign, **dims: float) -> FilterDesign:
     """Copy a design with one or more aperture dimensions replaced; the copy is checked."""
-    return replace(design, aperture=RectAperture(**{**vars(design.aperture), **dims}))
+    aperture = build_part("aperture", RectAperture, {**vars(design.aperture), **dims})
+    return replace(design, aperture=aperture)

@@ -1,21 +1,31 @@
 """Closed-form mode arithmetic for the coaxial line and rectangular apertures.
 
-Pure functions of immutable inputs; everything is SI (Hz, m, Np/m).
+Pure functions of immutable inputs; everything is SI (Hz, m, Np/m). The
+parts they take checked their values when they were built, so only the
+plain numbers (an impedance, a frequency) are checked here.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .constants import C0, ETA0
 from .errors import DomainError
 from .model import CoaxGeometry, DominantModeAxis, FilterDesign, Material, RectAperture
-from .model import aperture_violations, coax_violations, material_violations
 
 # Largest number of (m, n) candidates mode_chart examines, (m_max+1)(n_max+1);
 # on the stock design this charts up to about 2.3e13 Hz.
 MODE_CHART_MAX_CANDIDATES = 1_000_000
+
+# Largest exponent math.exp takes without overflowing.
+_MAX_EXP = math.log(sys.float_info.max)
+
+# Relative error that solve_inner_radius may leave in the impedance and the
+# single-mode limit of the radii it returns. Radii that carry the inputs at
+# all carry them to a few 1e-16; the solve refuses the rest.
+SOLVE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -38,18 +48,11 @@ class ModeEntry:
     cutoff_hz: float
 
 
-def _require(violations: list[str]) -> None:
-    """Raise the first violation found by the model's part checks."""
-    if violations:
-        raise DomainError(violations[0])
-
-
 def coax_char_impedance(geom: CoaxGeometry, fill: Material) -> float:
     """TEM characteristic impedance of a cylindrical coax [ohm].
 
     Z0 = eta0/(2 pi) * sqrt(1/eps_r) * ln(r_outer/r_inner)
     """
-    _require(coax_violations(geom) or material_violations("coax_fill", fill))
     return ETA0 / (2.0 * math.pi) * math.sqrt(1.0 / fill.eps_r) * math.log(geom.ratio)
 
 
@@ -58,30 +61,47 @@ def coax_ratio_for_impedance(z0: float, fill: Material) -> float:
     :func:`coax_char_impedance`)."""
     if not (math.isfinite(z0) and z0 > 0.0):
         raise DomainError(f"z0 must be finite and > 0 (got {z0!r})")
-    _require(material_violations("coax_fill", fill))
-    return math.exp(2.0 * math.pi * z0 / (ETA0 * math.sqrt(1.0 / fill.eps_r)))
+    exponent = 2.0 * math.pi * z0 / (ETA0 * math.sqrt(1.0 / fill.eps_r))
+    if not exponent <= _MAX_EXP:
+        raise DomainError(
+            f"z0 = {z0!r} ohm needs a radius ratio r_outer/r_inner beyond the float range"
+        )
+    return math.exp(exponent)
 
 
 def coax_first_higher_mode_cutoff(geom: CoaxGeometry, fill: Material) -> float:
     """Onset of the lowest non-TEM coax mode, from the mean-circumference
     approximation lambda = pi (r_outer + r_inner) [Hz]."""
-    _require(coax_violations(geom) or material_violations("coax_fill", fill))
     return C0 / (fill.refractive_index * math.pi * (geom.r_outer + geom.r_inner))
 
 
 def solve_inner_radius(z0: float, f_single_mode: float, fill: Material) -> CoaxGeometry:
     """Coax radii matching impedance ``z0`` with the first higher mode placed
-    at ``f_single_mode``."""
+    at ``f_single_mode``, both to :data:`SOLVE_RTOL`.
+
+    Radii that over- or underflow, or whose ratio or sum rounds the inputs
+    away (a ratio within about 1e-4 of 1), are refused with a
+    :class:`DomainError` naming the inputs.
+    """
     if not (math.isfinite(f_single_mode) and f_single_mode > 0.0):
         raise DomainError(f"f_single_mode must be finite and > 0 (got {f_single_mode!r})")
     ratio = coax_ratio_for_impedance(z0, fill)
     r_inner = C0 / (fill.refractive_index * f_single_mode * math.pi * (1.0 + ratio))
-    return CoaxGeometry(r_inner=r_inner, r_outer=r_inner * ratio)
+    r_outer = r_inner * ratio
+    if 0.0 < r_inner < r_outer < math.inf:
+        geom = CoaxGeometry(r_inner=r_inner, r_outer=r_outer)
+        z0_error = coax_char_impedance(geom, fill) - z0
+        f_error = coax_first_higher_mode_cutoff(geom, fill) - f_single_mode
+        if abs(z0_error) <= SOLVE_RTOL * z0 and abs(f_error) <= SOLVE_RTOL * f_single_mode:
+            return geom
+    raise DomainError(
+        f"no float coax radii give z0 = {z0!r} ohm with the single-mode limit "
+        f"at f_single_mode = {f_single_mode!r} Hz"
+    )
 
 
 def rect_cutoff(index: ModeIndex, ap: RectAperture, fill: Material) -> float:
     """TE(m,n) cutoff frequency of a filled rectangular waveguide [Hz]."""
-    _require(aperture_violations(ap) or material_violations("aperture_fill", fill))
     return (
         C0
         / (2.0 * fill.refractive_index)
@@ -110,7 +130,6 @@ def mode_chart(ap: RectAperture, fill: Material, f_max: float) -> list[ModeEntry
     """All TE modes with cutoff <= ``f_max``, sorted ascending by cutoff."""
     if not (math.isfinite(f_max) and f_max > 0.0):
         raise DomainError(f"f_max must be finite and > 0 (got {f_max!r})")
-    _require(aperture_violations(ap) or material_violations("aperture_fill", fill))
     # Index bound guarantees completeness: TE(m,0) cutoff exceeds f_max once
     # m > 2 f_max a sqrt(eps_r) / c0, and likewise along the height. The
     # min() keeps an overflowing bound finite until the size check rejects it.
@@ -129,7 +148,6 @@ def mode_chart(ap: RectAperture, fill: Material, f_max: float) -> list[ModeEntry
         for n in range(n_max + 1):
             if m == 0 and n == 0:
                 continue
-            # rect_cutoff without its per-call input checks, done once above
             fc = scale * math.hypot(m / ap.width_a, n / ap.height_b)
             if fc <= f_max:
                 entries.append(ModeEntry(ModeIndex(m, n), fc))

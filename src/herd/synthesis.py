@@ -15,8 +15,8 @@ from .constants import C0, ELEMENTARY_CHARGE, PLANCK_H
 from .errors import DomainError, InfeasibleDesignError
 from .leakage import inband_transmission, min_depth_for_budget
 from .model import DEFAULT_APERTURES_PER_SECTION, DEFAULT_STOPBAND_KAPPA, FilterDesign, FrequencyGrid
-from .model import Field, KeyValueFormat, Material, RectAperture, count_violations, material_violations
-from .model import positive_violations, with_aperture
+from .model import Field, KeyValueFormat, Material, RectAperture, count_violations
+from .model import build_part, positive_violations, raise_violations, with_aperture
 from .modes import corner_frequency, solve_inner_radius
 from .tsio import insertion_loss_db
 
@@ -50,9 +50,7 @@ class DesignSpec:
     apertures_per_section: int = DEFAULT_APERTURES_PER_SECTION
 
     def __post_init__(self):
-        violations = validate_spec(self)
-        if violations:
-            raise DomainError("; ".join(violations))
+        raise_violations(validate_spec(self))
 
 
 @dataclass(frozen=True)
@@ -85,8 +83,9 @@ def per_section_attenuation_db(apertures_per_section: int) -> float:
 
 
 def validate_spec(spec: DesignSpec) -> list[str]:
-    """One message per violated spec invariant. A stopband start at or below
-    the passband top is valid: :func:`synthesize` reports it as infeasible."""
+    """One message per violated spec invariant; the fills checked themselves
+    when they were built. A stopband start at or below the passband top is
+    valid: :func:`synthesize` reports it as infeasible."""
     out = [
         *positive_violations("z0", spec.z0),
         *positive_violations("f_passband_top", spec.f_passband_top),
@@ -94,8 +93,6 @@ def validate_spec(spec: DesignSpec) -> list[str]:
         *positive_violations("f_stopband_start", spec.f_stopband_start),
         *positive_violations("stopband_min_attenuation_db", spec.stopband_min_attenuation_db),
     ]
-    out += material_violations("aperture_fill", spec.aperture_fill)
-    out += material_violations("coax_fill", spec.coax_fill)
     out += count_violations("apertures_per_section", spec.apertures_per_section)
     return out
 
@@ -128,7 +125,11 @@ def synthesize(spec: DesignSpec) -> SynthesisReport:
     draft = FilterDesign(
         coax=coax,
         coax_fill=spec.coax_fill,
-        aperture=RectAperture(width_a=width, height_b=HEIGHT_TO_WIDTH * width, depth_d=1.0),
+        aperture=build_part(
+            "aperture",
+            RectAperture,
+            {"width_a": width, "height_b": HEIGHT_TO_WIDTH * width, "depth_d": 1.0},
+        ),
         aperture_fill=spec.aperture_fill,
         sections=sections,
         apertures_per_section=spec.apertures_per_section,

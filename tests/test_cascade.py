@@ -28,7 +28,7 @@ from herd import (
     prototype_design,
     synthesize,
 )
-from herd import cascade, model, modes
+from herd import cascade, model
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -94,34 +94,35 @@ def test_model_entry_points_reject_invalid_designs(proto, entry, changes, field)
 
 
 @pytest.fixture
-def aperture_checks(monkeypatch):
-    """Calls of model.aperture_violations, counted at every binding of it."""
+def part_checks(monkeypatch):
+    """Names of the model's part checks, one per call. A part runs its
+    check when it is built, and only then."""
     calls = []
-    original = model.aperture_violations
+    for name in ("material_violations", "coax_violations", "aperture_violations"):
+        original = getattr(model, name)
 
-    def counted(ap):
-        calls.append(ap)
-        return original(ap)
+        def counted(part, name=name, original=original):
+            calls.append(name)
+            return original(part)
 
-    for module in (model, modes):
-        monkeypatch.setattr(module, "aperture_violations", counted)
+        monkeypatch.setattr(model, name, counted)
     return calls
 
 
-@pytest.mark.parametrize(
-    "entry", ["filter_response", "inband_transmission", "attenuation_vs_sections"]
-)
-def test_one_aperture_check_per_model_call(proto, aperture_checks, entry):
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_no_part_check_per_model_call(proto, part_checks, entry):
     ENTRY_POINTS[entry](proto)
-    assert len(aperture_checks) == 1
+    assert part_checks == []
 
 
-def test_aperture_checks_per_synthesis(aperture_checks):
+def test_aperture_checks_per_synthesis(part_checks):
     spec = loads_design_spec((CONFIGS / "reference_targets.spec").read_text())
+    assert part_checks.count("material_violations") == 2  # the spec file's two fills
+    part_checks.clear()
     synthesize(spec)
-    # the draft and the final design are each built once; corner_frequency
-    # runs in min_depth_for_budget and three times in verify
-    assert len(aperture_checks) == 6
+    # the coax radius solve builds one coax; the draft's aperture and the
+    # one with the final depth are the two apertures
+    assert part_checks == ["coax_violations", "aperture_violations", "aperture_violations"]
 
 
 class TestTwoPort:

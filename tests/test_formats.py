@@ -3,10 +3,11 @@ always ends in a value or a ParseError."""
 
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, reject
 from hypothesis import strategies as st
 
 from herd import (
@@ -46,7 +47,7 @@ _count = st.one_of(_or_numpy(st.integers(min_value=1, max_value=10**6), np.int64
 @st.composite
 def valid_designs(draw):
     r_inner = draw(st.floats(min_value=1e-9, max_value=1.0))
-    return FilterDesign(
+    values = dict(
         coax=CoaxGeometry(r_inner=r_inner, r_outer=r_inner * draw(st.floats(1.001, 1e3))),
         coax_fill=Material(eps_r=draw(_eps_r)),
         aperture=RectAperture(width_a=draw(_positive), height_b=draw(_positive), depth_d=draw(_positive)),
@@ -57,6 +58,11 @@ def valid_designs(draw):
         stopband_kappa=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
         dominant_mode_axis=draw(st.sampled_from(DominantModeAxis)),
     )
+    try:
+        return FilterDesign(**values)
+    except DomainError:
+        # the side and fill put the dominant-mode corner at 0 or inf Hz
+        reject()
 
 
 @st.composite
@@ -194,12 +200,56 @@ class TestSchema:
             "stopband_min_attenuation_db = 60.0\n"
             "aperture_eps_r = 0.5\n"
         )
-        with pytest.raises(ParseError, match="invalid spec") as err:
+        # a faulty part is reported first, and alone, as a bad line is
+        with pytest.raises(ParseError) as err:
             loads_design_spec(text)
-        assert "passband_il_budget_db" in str(err.value)
-        assert "aperture_fill.eps_r" in str(err.value)
+        assert str(err.value) == "invalid spec: aperture_fill.eps_r must be finite and >= 1 (got 0.5)"
+        with pytest.raises(ParseError) as err:
+            loads_design_spec(text.replace("aperture_eps_r = 0.5", "aperture_eps_r = 2.2"))
+        assert str(err.value) == "invalid spec: passband_il_budget_db must be finite and > 0 (got -1.0)"
 
     def test_multi_line_header_stays_a_comment(self, proto):
         text = dumps_design(proto, header="two\nlines = 1")
         assert text.startswith("# two\n# lines = 1\n")
         assert loads_design(text) == proto
+
+
+# Each key that fills a part of a design or spec, a bad value for it, and the
+# message its file gives: the part's own message with the part's role.
+PART_KEY_ERRORS = {
+    ("design", "a_m"): ("0", "aperture.width_a must be finite and > 0 (got 0.0)"),
+    ("design", "b_m"): ("-1e-3", "aperture.height_b must be finite and > 0 (got -0.001)"),
+    ("design", "d_m"): ("nan", "aperture.depth_d must be finite and > 0 (got nan)"),
+    ("design", "r_inner_m"): ("0", "coax.r_inner must be finite and > 0 (got 0.0)"),
+    ("design", "r_outer_m"): (
+        "0.001", "coax.r_outer must exceed r_inner (got r_inner=0.00159, r_outer=0.001)"
+    ),
+    ("design", "coax_eps_r"): ("0.5", "coax_fill.eps_r must be finite and >= 1 (got 0.5)"),
+    ("design", "aperture_eps_r"): ("inf", "aperture_fill.eps_r must be finite and >= 1 (got inf)"),
+    ("spec", "aperture_eps_r"): ("0.5", "aperture_fill.eps_r must be finite and >= 1 (got 0.5)"),
+    ("spec", "coax_eps_r"): ("0.9", "coax_fill.eps_r must be finite and >= 1 (got 0.9)"),
+}
+_FILES = {
+    "design": (DESIGN_FILE, dumps_design(prototype_design())),
+    "spec": (SPEC_FILE, (Path(__file__).resolve().parent.parent / "configs/reference_targets.spec").read_text()),
+}
+
+
+def test_every_part_key_has_a_pinned_message():
+    part_keys = {
+        (name, field.key)
+        for name, (kv_format, _) in _FILES.items()
+        for field in kv_format.fields
+        if "." in field.attr
+    }
+    assert part_keys == set(PART_KEY_ERRORS)
+
+
+@pytest.mark.parametrize("name, key", sorted(PART_KEY_ERRORS))
+def test_a_bad_part_key_names_the_part_by_its_role(name, key):
+    kv_format, good = _FILES[name]
+    value, message = PART_KEY_ERRORS[name, key]
+    lines = [line for line in good.splitlines() if line.partition(" = ")[0] != key]
+    with pytest.raises(ParseError) as err:
+        kv_format.loads("\n".join([*lines, f"{key} = {value}"]) + "\n")
+    assert str(err.value) == f"invalid {name}: {message}"

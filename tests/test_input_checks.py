@@ -1,6 +1,6 @@
-"""Invalid specs are input errors, the mode chart has a size limit, the mode
-functions reject bad parts through the model's checks, and grids hold one
-read-only array."""
+"""Invalid specs are input errors, the mode chart, the sections table and
+the sweep have size limits, parts refuse bad values when they are built, and
+grids hold one read-only array."""
 
 import math
 from dataclasses import replace
@@ -16,20 +16,21 @@ from herd import (
     CoaxGeometry,
     DesignSpec,
     DomainError,
+    DominantModeAxis,
     FrequencyGrid,
     InfeasibleDesignError,
     Material,
-    ModeIndex,
     RectAperture,
-    coax_char_impedance,
+    attenuation_vs_sections,
     dumps_design,
     dumps_design_spec,
     mode_chart,
     rect_cutoff,
     synthesize,
 )
-from herd import model, modes
+from herd import cascade, cli, model, modes
 from herd.cli import main
+from herd.model import build_part
 from herd.synthesis import SPEC_FILE, validate_spec
 
 
@@ -46,11 +47,12 @@ def headline_spec() -> DesignSpec:
 
 
 # A spec file line and the same fault as a change of a built spec. Before the
-# spec check, the first two were reported as infeasible (exit 3).
+# spec check, the first two were reported as infeasible (exit 3). A fill is a
+# part: the change is the Material's own field, which refuses it when built.
 BAD_SPECS = {
     "nan_stopband_start": ("f_stopband_start_hz = nan", {"f_stopband_start": math.nan}),
-    "aperture_eps_below_one": ("aperture_eps_r = 0.5", {"aperture_fill": Material(eps_r=0.5)}),
-    "coax_eps_below_one": ("coax_eps_r = 0.9", {"coax_fill": Material(eps_r=0.9)}),
+    "aperture_eps_below_one": ("aperture_eps_r = 0.5", {"aperture_fill": {"eps_r": 0.5}}),
+    "coax_eps_below_one": ("coax_eps_r = 0.9", {"coax_fill": {"eps_r": 0.9}}),
     "infinite_budget": ("passband_il_budget_db = inf", {"passband_il_budget_db": math.inf}),
 }
 
@@ -64,8 +66,15 @@ def _bad_spec_text(line: str) -> str:
 
 def _assert_refused(change: dict) -> None:
     """Building the headline spec with ``change`` raises what validate_spec
-    lists for the same fields, so synthesize is never reached."""
-    with pytest.raises(DomainError, match=next(iter(change))) as err:
+    lists for the same fields, so synthesize is never reached. A fill's
+    change is refused by the Material, with what it lists."""
+    (name, value), = change.items()
+    if name.endswith("_fill"):
+        with pytest.raises(DomainError) as err:
+            Material(**value)
+        assert str(err.value) == "; ".join(model.material_violations(SimpleNamespace(**value)))
+        return
+    with pytest.raises(DomainError, match=name) as err:
         synthesize(replace(headline_spec(), **change))
     assert str(err.value) == "; ".join(validate_spec(SimpleNamespace(**{**vars(headline_spec()), **change})))
 
@@ -108,6 +117,10 @@ def _no_entries(*args):
     raise AssertionError("mode_chart entered its loop")
 
 
+def _not_reached(*args):
+    raise AssertionError("a bound let through a count it refuses")
+
+
 class TestModeChartLimit:
     def test_raises_before_the_loop(self, monkeypatch):
         monkeypatch.setattr(modes, "ModeEntry", _no_entries)
@@ -143,15 +156,26 @@ class TestModeChartLimit:
 
 class TestModeChecks:
     def test_messages_name_the_part(self):
-        geom = CoaxGeometry(r_inner=1e-3, r_outer=2e-3)
-        with pytest.raises(DomainError, match="coax_fill.eps_r"):
-            coax_char_impedance(geom, Material(eps_r=0.5))
-        with pytest.raises(DomainError, match="coax.r_outer"):
-            coax_char_impedance(CoaxGeometry(r_inner=2e-3, r_outer=1e-3), AIR)
-        with pytest.raises(DomainError, match="aperture.depth_d"):
-            rect_cutoff(ModeIndex(1, 0), RectAperture(4e-3, 5e-3, -1.0), AIR)
-        with pytest.raises(DomainError, match="aperture_fill.eps_r"):
-            rect_cutoff(ModeIndex(1, 0), RectAperture(4e-3, 5e-3, 1e-3), Material(math.inf))
+        # The mode functions check no part: each part refuses a bad value
+        # when it is built, naming the bare field, and a caller that knows
+        # the part's role names it (build_part, the files, `herd modes`).
+        with pytest.raises(DomainError, match=r"^eps_r must be finite and >= 1 \(got 0\.5\)$"):
+            Material(eps_r=0.5)
+        with pytest.raises(DomainError, match=r"^r_outer must exceed r_inner "):
+            CoaxGeometry(r_inner=2e-3, r_outer=1e-3)
+        with pytest.raises(DomainError, match=r"^depth_d must be finite and > 0 \(got -1\.0\)$"):
+            RectAperture(4e-3, 5e-3, -1.0)
+        with pytest.raises(DomainError, match=r"^eps_r must be finite and >= 1 \(got inf\)$"):
+            Material(math.inf)
+        with pytest.raises(DomainError, match=r"^aperture_fill\.eps_r must be finite and >= 1 "):
+            build_part("aperture_fill", Material, {"eps_r": math.inf})
+
+    def test_modes_names_the_coax_fill(self, capsys):
+        argv = ["modes", "--z0", "50", "--single-mode", "10e9", "--coax-eps", "0.5"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "herd: input error: coax_fill.eps_r must be finite and >= 1 (got 0.5)\n"
 
 
 class TestGridArray:
@@ -174,10 +198,8 @@ class TestGridArray:
 
 # Grid and sweep bounds are checked once, by FrequencyGrid and by building
 # each swept design in with_aperture; the CLI passes them on unchecked. A grid
-# of 10**15 points is refused by its size bound before any allocation. For a
-# sweep, 10**15 float64 values (7.1 PiB) are more than a 47-bit address space
-# can map, so numpy's allocation fails at once, and the CLI reports its
-# MemoryError.
+# of 10**15 points and a sweep of 10**15 steps are refused by their size
+# bounds before any allocation.
 HUGE = str(10**15)
 BAD_GRIDS = {
     "too_large_for_memory": (["--points", HUGE], f"takes at most 10000000 points (got {HUGE})"),
@@ -233,7 +255,13 @@ BAD_SWEEPS = {
     "overflowing_span": (["--from=-1e308", "--to=1e308"], "(got nan)"),
     "infinite_end": (["--from", "3e-3", "--to", "inf"], "(got nan)"),
     "no_steps": (["--from", "3e-3", "--to", "6e-3", "--steps", "0"], "steps must be >= 1"),
-    "too_large_for_memory": (["--from", "3e-3", "--to", "6e-3", "--steps", HUGE], "Unable to allocate"),
+    "too_large_for_memory": (
+        ["--from", "3e-3", "--to", "6e-3", "--steps", HUGE], f"steps must be <= 500000 (got {HUGE})"
+    ),
+    "subnormal_widths": (
+        ["--from", "1e-320", "--to", "1e-310", "--steps", "2"],
+        "dominant-mode corner frequency must be finite and > 0 (got inf Hz from aperture.width_a = 1e-320 m)",
+    ),
 }
 
 
@@ -257,3 +285,88 @@ def test_sweep_of_depth_refuses_a_zero_depth(capsys, tmp_path, proto):
                  "--steps", "3"])
     assert code == 2
     assert "aperture.depth_d must be finite and > 0 (got 0.0)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axis, key", [("WIDTH", "a_m"), ("HEIGHT", "b_m")])
+def test_analyze_refuses_a_design_whose_corner_overflows(capsys, tmp_path, proto, axis, key):
+    text = dumps_design(replace(proto, dominant_mode_axis=DominantModeAxis[axis]))
+    lines = [line for line in text.splitlines() if not line.startswith(f"{key} = ")]
+    path = tmp_path / "subnormal.design"
+    path.write_text("\n".join([*lines, f"{key} = 1e-310"]) + "\n")
+    assert main(["analyze", "--design", str(path), "--points", "3", "--claims", "default"]) == 2
+    out, err = capsys.readouterr()
+    side = {"a_m": "width_a", "b_m": "height_b"}[key]
+    assert out == ""
+    assert err == (
+        "herd: parse error: invalid design: dominant-mode corner frequency must be finite "
+        f"and > 0 (got inf Hz from aperture.{side} = 1e-310 m)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "z0, f, named",
+    [("1e6", "10e9", "z0 = 1000000.0 ohm"), ("50", "1e-300", "f_single_mode = 1e-300 Hz")],
+)
+def test_modes_refuses_radii_out_of_float_range(capsys, z0, f, named):
+    assert main(["modes", "--z0", z0, "--single-mode", f]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("herd: input error:") and named in err
+
+
+def test_sections_refuses_more_figures_than_the_bound(capsys, tmp_path, proto, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_SECTIONS", 6)
+    path = tmp_path / "stock.design"
+    path.write_text(dumps_design(proto))
+    argv = ["sections", "--design", str(path), "--freqs", "40e9,60e9"]
+    assert main([*argv, "--max-sections", "3"]) == 0
+    capsys.readouterr()
+    # refused before any attenuation is computed
+    monkeypatch.setattr(cli, "attenuation_vs_sections", _not_reached)
+    assert main([*argv, "--max-sections", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "herd: input error: sections writes at most 6 attenuation figures "
+        "(got 4 sections x 2 frequencies)\n"
+    )
+
+
+def test_attenuation_vs_sections_refuses_more_rows_than_the_bound(proto, monkeypatch):
+    assert cascade.MAX_SECTIONS == 500_000
+    with pytest.raises(DomainError, match=r"^max_sections must be <= 500000 \(got 1000000000000000\)$"):
+        attenuation_vs_sections(proto, 70e9, 10**15)
+    monkeypatch.setattr(cascade, "MAX_SECTIONS", 5)
+    assert len(attenuation_vs_sections(proto, 70e9, 5)) == 5
+    with pytest.raises(DomainError, match=r"^max_sections must be <= 5 \(got 6\)$"):
+        attenuation_vs_sections(proto, 70e9, 6)
+
+
+def test_sweep_refuses_more_steps_than_the_bound(capsys, tmp_path, proto, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_SWEEP_STEPS", 3)
+    path = tmp_path / "stock.design"
+    path.write_text(dumps_design(proto))
+    argv = ["sweep", "--design", str(path), "--param", "a", "--from", "3e-3", "--to", "6e-3"]
+    assert main([*argv, "--steps", "3"]) == 0
+    capsys.readouterr()
+    # refused before the values are allocated
+    monkeypatch.setattr(cli.np, "linspace", _not_reached)
+    assert main([*argv, "--steps", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "herd: input error: steps must be <= 3 (got 4)\n"
+
+
+def test_synthesize_names_an_underflowing_aperture_by_its_role(capsys, tmp_path):
+    # c0 / (2 f sqrt(eps_r)) underflows to a zero width
+    path = tmp_path / "huge.spec"
+    kept = SPEC_FILE.values(headline_spec())
+    kept.update(f_stopband_start_hz=1e308, aperture_eps_r=1e300)
+    path.write_text("".join(f"{key} = {value!r}\n" for key, value in kept.items()))
+    assert main(["synthesize", "--spec", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "herd: input error: aperture.width_a must be finite and > 0 (got 0.0); "
+        "aperture.height_b must be finite and > 0 (got 0.0)\n"
+    )

@@ -16,12 +16,17 @@ from herd import (
     Material,
     ParseError,
     RectAperture,
+    corner_frequency,
     dumps_design,
     loads_design,
     prototype_design,
     validate,
+    with_aperture,
 )
-from dataclasses import fields, replace
+from herd import model
+from herd.model import build_part
+from dataclasses import replace
+from fractions import Fraction
 from types import SimpleNamespace
 
 
@@ -57,10 +62,10 @@ def _refused(proto, **changes) -> list[str]:
 
 
 class TestValidate:
-    def test_equal_radii_single_violation(self, proto):
-        violations = _refused(proto, coax=CoaxGeometry(r_inner=2e-3, r_outer=2e-3))
-        assert len(violations) == 1
-        assert "r_outer" in violations[0] and "r_inner" in violations[0]
+    def test_equal_radii_single_violation(self):
+        with pytest.raises(DomainError) as err:
+            CoaxGeometry(r_inner=2e-3, r_outer=2e-3)
+        assert str(err.value) == "r_outer must exceed r_inner (got r_inner=0.002, r_outer=0.002)"
 
     def test_zero_sections_single_violation(self, proto):
         violations = _refused(proto, sections=0)
@@ -71,38 +76,87 @@ class TestValidate:
         for kappa in (0.0, 1.0, -0.1, 1.5, math.nan):
             assert any("stopband_kappa" in v for v in _refused(proto, stopband_kappa=kappa))
 
-    def test_material_violations_named(self, proto):
-        violations = _refused(proto, aperture_fill=Material(eps_r=0.5))
-        assert any("aperture_fill.eps_r" in v for v in violations)
-        violations = _refused(proto, coax_fill=Material(eps_r=0.0))
-        assert any("coax_fill.eps_r" in v for v in violations)
+    def test_material_violations_named(self):
+        with pytest.raises(DomainError) as err:
+            Material(eps_r=0.5)
+        assert str(err.value) == "eps_r must be finite and >= 1 (got 0.5)"
+        with pytest.raises(DomainError) as err:
+            build_part("coax_fill", Material, {"eps_r": 0.0})
+        assert str(err.value) == "coax_fill.eps_r must be finite and >= 1 (got 0.0)"
 
-
-def _expected_valid(design: FilterDesign) -> bool:
-    def ok_material(m):
-        return math.isfinite(m.eps_r) and m.eps_r >= 1.0
-
-    return (
-        ok_material(design.coax_fill)
-        and ok_material(design.aperture_fill)
-        and math.isfinite(design.coax.r_inner)
-        and design.coax.r_inner > 0.0
-        and math.isfinite(design.coax.r_outer)
-        and design.coax.r_outer > design.coax.r_inner
-        and all(
-            math.isfinite(v) and v > 0.0
-            for v in (
-                design.aperture.width_a,
-                design.aperture.height_b,
-                design.aperture.depth_d,
-            )
+    def test_build_part_names_every_violation_by_its_role(self):
+        values = {"width_a": 0.0, "height_b": 5e-3, "depth_d": math.nan}
+        with pytest.raises(DomainError) as err:
+            build_part("aperture", RectAperture, values)
+        assert str(err.value) == (
+            "aperture.width_a must be finite and > 0 (got 0.0); "
+            "aperture.depth_d must be finite and > 0 (got nan)"
         )
-        and design.sections >= 1
+
+
+class TestCornerCheck:
+    """A design whose dominant-mode corner over- or underflows is refused,
+    on either axis; the other side of the aperture does not enter."""
+
+    @pytest.mark.parametrize("axis, side", [("WIDTH", "width_a"), ("HEIGHT", "height_b")])
+    @pytest.mark.parametrize("value", [1e-310, 5e-324, 1e-308])
+    def test_a_subnormal_or_tiny_dominant_side_is_refused(self, proto, axis, side, value):
+        design = replace(proto, dominant_mode_axis=DominantModeAxis[axis])
+        with pytest.raises(DomainError) as err:
+            with_aperture(design, **{side: value})
+        assert str(err.value) == (
+            "dominant-mode corner frequency must be finite and > 0 "
+            f"(got inf Hz from aperture.{side} = {value!r} m)"
+        )
+
+    @pytest.mark.parametrize("axis, side", [("WIDTH", "height_b"), ("HEIGHT", "width_a")])
+    def test_the_other_side_does_not_enter(self, proto, axis, side):
+        design = with_aperture(replace(proto, dominant_mode_axis=DominantModeAxis[axis]), **{side: 1e-310})
+        assert 0.0 < corner_frequency(design) < math.inf
+
+    def test_an_underflowing_corner_is_refused(self, proto):
+        with pytest.raises(DomainError, match=r"got 0\.0 Hz from aperture\.width_a = 1e\+300 m"):
+            replace(proto, aperture=RectAperture(1e300, 1e-3, 1e-3), aperture_fill=Material(1e300))
+
+
+_any_side = st.floats(min_value=5e-324, allow_infinity=False)
+
+
+@given(
+    side=_any_side,
+    other=_any_side,
+    eps_r=st.floats(min_value=1.0, allow_infinity=False),
+    axis=st.sampled_from(DominantModeAxis),
+)
+def test_corner_check_matches_corner_frequency(side, other, eps_r, axis):
+    """A design builds iff the corner that modes.corner_frequency gives for
+    the same fields is finite and > 0."""
+    a, b = (side, other) if axis is DominantModeAxis.WIDTH else (other, side)
+    values = dict(
+        aperture=RectAperture(width_a=a, height_b=b, depth_d=1e-3),
+        aperture_fill=Material(eps_r=eps_r),
+        dominant_mode_axis=axis,
+    )
+    corner = corner_frequency(SimpleNamespace(**values))
+    try:
+        design = replace(prototype_design(), **values)
+    except DomainError as exc:
+        assert not 0.0 < corner < math.inf
+        assert str(exc).startswith("dominant-mode corner frequency must be finite and > 0")
+    else:
+        assert 0.0 < corner_frequency(design) == corner < math.inf
+
+
+def _expected_valid(design) -> bool:
+    """The design-level invariants; the parts checked themselves."""
+    return (
+        design.sections >= 1
         and design.apertures_per_section >= 1
         and math.isfinite(design.section_pitch)
         and design.section_pitch > 0.0
         and math.isfinite(design.stopband_kappa)
         and 0.0 < design.stopband_kappa < 1.0
+        and 0.0 < corner_frequency(design) < math.inf
     )
 
 
@@ -114,47 +168,84 @@ _maybe_bad_length = st.one_of(
     st.floats(min_value=-1e-3, max_value=1e-2),
     st.sampled_from([0.0, math.nan]),
 )
+# Values that are no real number a float holds exactly, and small integers,
+# which are.
+_not_real = st.sampled_from([Fraction(1, 3), 10**400, "3", None])
+_small_int = st.integers(min_value=-2, max_value=3)
+
+
+def _real(value) -> bool:
+    """A float, or an integer that a float holds exactly."""
+    return type(value) is float or (type(value) is int and value.bit_length() <= 53)
 
 
 @given(
-    eps1=_maybe_bad_float,
-    eps2=_maybe_bad_float,
-    r_inner=_maybe_bad_length,
-    r_outer=_maybe_bad_length,
-    a=_maybe_bad_length,
-    b=_maybe_bad_length,
-    d=_maybe_bad_length,
     sections=st.integers(min_value=-2, max_value=6),
     per_section=st.integers(min_value=-2, max_value=12),
     pitch=_maybe_bad_length,
     kappa=_maybe_bad_float,
+    width=st.one_of(st.just(4e-3), st.sampled_from([1e-310, 5e-324])),
+    axis=st.sampled_from(DominantModeAxis),
 )
-def test_validate_matches_invariants(
-    eps1, eps2, r_inner, r_outer, a, b, d, sections, per_section, pitch, kappa
-):
-    """A design builds iff its fields hold every invariant; otherwise the
-    error lists exactly what ``validate`` finds in the same fields."""
+def test_validate_matches_invariants(sections, per_section, pitch, kappa, width, axis):
+    """A design builds iff its fields hold every design invariant; otherwise
+    the error lists exactly what ``validate`` finds in the same fields."""
+    proto = prototype_design()
     values = dict(
-        coax=CoaxGeometry(r_inner=r_inner, r_outer=r_outer),
-        coax_fill=Material(eps_r=eps1),
-        aperture=RectAperture(width_a=a, height_b=b, depth_d=d),
-        aperture_fill=Material(eps_r=eps2),
+        aperture=RectAperture(width_a=width, height_b=width, depth_d=4.85e-3),
         sections=sections,
         apertures_per_section=per_section,
         section_pitch=pitch,
         stopband_kappa=kappa,
+        dominant_mode_axis=axis,
     )
-    unbuilt = SimpleNamespace(
-        **{f.name: f.default for f in fields(FilterDesign) if f.name not in values}, **values
-    )
+    unbuilt = SimpleNamespace(**{**vars(proto), **values})
     try:
-        FilterDesign(**values)
+        FilterDesign(**vars(unbuilt))
     except DomainError as exc:
         assert not _expected_valid(unbuilt)
         assert str(exc) == "; ".join(validate(unbuilt))
     else:
         assert _expected_valid(unbuilt)
         assert validate(unbuilt) == []
+
+
+def _check_part(cls, violations, valid: bool, **values) -> None:
+    """``cls(**values)`` builds iff ``valid``; otherwise its message is
+    ``"; ".join`` of ``violations`` of the same fields."""
+    try:
+        part = cls(**values)
+    except DomainError as exc:
+        assert not valid
+        assert str(exc) == "; ".join(violations(SimpleNamespace(**values)))
+    else:
+        assert valid
+        assert violations(part) == []
+
+
+@given(eps_r=st.one_of(_maybe_bad_float, _not_real, _small_int))
+def test_material_builds_iff_valid(eps_r):
+    valid = _real(eps_r) and 1.0 <= eps_r < math.inf
+    _check_part(Material, model.material_violations, valid, eps_r=eps_r)
+
+
+@given(
+    r_inner=st.one_of(_maybe_bad_length, _not_real, _small_int),
+    r_outer=st.one_of(_maybe_bad_length, _not_real, _small_int),
+)
+def test_coax_builds_iff_valid(r_inner, r_outer):
+    valid = _real(r_inner) and _real(r_outer) and 0.0 < r_inner < r_outer < math.inf
+    _check_part(CoaxGeometry, model.coax_violations, valid, r_inner=r_inner, r_outer=r_outer)
+
+
+@given(
+    a=st.one_of(_maybe_bad_length, _not_real, _small_int),
+    b=st.one_of(_maybe_bad_length, _not_real, _small_int),
+    d=st.one_of(_maybe_bad_length, _not_real, _small_int),
+)
+def test_aperture_builds_iff_valid(a, b, d):
+    valid = all(_real(v) and 0.0 < v < math.inf for v in (a, b, d))
+    _check_part(RectAperture, model.aperture_violations, valid, width_a=a, height_b=b, depth_d=d)
 
 
 class TestFrequencyGrid:

@@ -144,6 +144,48 @@ class TestSolveInnerRadius:
         with pytest.raises(DomainError):
             solve_inner_radius(50.0, 0.0, AIR)
 
+    @pytest.mark.parametrize("z0", [1e6, 1e308])
+    def test_a_ratio_beyond_the_float_range_names_z0(self, z0):
+        message = f"z0 = {z0!r} ohm needs a radius ratio r_outer/r_inner beyond the float range"
+        with pytest.raises(DomainError) as err:
+            solve_inner_radius(z0, 10e9, AIR)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "z0, f",
+        [
+            (50.0, 1e-300),  # the radii are finite, pi (r_outer + r_inner) is not
+            (50.0, 1e-320),  # r_inner overflows
+            (1e-10, 10e9),  # the ratio rounds to within 2e-16 of itself
+            (50.0, 1e308),  # r_inner underflows to 0
+        ],
+    )
+    def test_radii_that_do_not_carry_the_inputs_name_them(self, z0, f):
+        with pytest.raises(DomainError) as err:
+            solve_inner_radius(z0, f, AIR)
+        assert str(err.value) == (
+            f"no float coax radii give z0 = {z0!r} ohm with the single-mode limit "
+            f"at f_single_mode = {f!r} Hz"
+        )
+
+    @given(
+        # the whole float range, and the edges where radii stop carrying the
+        # inputs: a ratio near 1, a ratio near overflow, radii near overflow
+        z0=st.one_of(st.floats(), st.floats(1e-8, 1e-1), st.floats(1e4, 1e5)),
+        f=st.one_of(st.floats(), st.floats(1e-310, 1e-280)),
+        eps=st.floats(min_value=1.0, allow_infinity=False),
+    )
+    def test_returned_radii_carry_both_inputs(self, z0, f, eps):
+        """Over the whole float range: where the solve returns, its radii give
+        back the impedance and the single-mode limit to 1e-12."""
+        fill = Material(eps_r=eps)
+        try:
+            geom = solve_inner_radius(z0, f, fill)
+        except DomainError:
+            return
+        assert coax_char_impedance(geom, fill) == pytest.approx(z0, rel=1e-12, abs=0.0)
+        assert coax_first_higher_mode_cutoff(geom, fill) == pytest.approx(f, rel=1e-12, abs=0.0)
+
 
 class TestRectCutoff:
     def test_width_mode(self, proto):
