@@ -23,13 +23,8 @@ import numpy as np
 from .constants import C0
 from .errors import DomainError
 from .leakage import evanescent_gamma
-from .model import FilterDesign, FrequencyGrid
+from .model import DEFAULT_TRANSITION_WIDTH, LOGISTIC_SHARPNESS, FilterDesign, FrequencyGrid
 from .modes import corner_frequency
-
-# Fraction of the corner frequency over which the below/above-cutoff branches
-# are blended. The logistic runs from 1% to 99% across that band.
-DEFAULT_TRANSITION_WIDTH = 0.10
-_LOGISTIC_SHARPNESS = 2.0 * math.log(99.0)
 
 # Most rows attenuation_vs_sections lists, and most attenuation figures
 # (sections x frequencies) `herd sections` writes. Its JSON output holds about
@@ -183,10 +178,11 @@ def _section_power(design: FilterDesign, fc: float, f):
     t_above = (1.0 - design.stopband_kappa) ** n_ap
 
     # Logistic stopband weight: 0 deep in band, 1/2 at the corner, 1 above.
-    # For f > 0, arg > -_LOGISTIC_SHARPNESS / DEFAULT_TRANSITION_WIDTH (about
-    # -92), so exp(-arg) cannot overflow; far above the corner it underflows
-    # to 0 and the weight rounds to 1.
-    arg = (f - fc) * (_LOGISTIC_SHARPNESS / (DEFAULT_TRANSITION_WIDTH * fc))
+    # A valid design keeps the scale finite (model.validate). For f > 0,
+    # arg > -LOGISTIC_SHARPNESS / DEFAULT_TRANSITION_WIDTH (about -92), so
+    # exp(-arg) cannot overflow; far above the corner it underflows to 0 and
+    # the weight rounds to 1.
+    arg = (f - fc) * (LOGISTIC_SHARPNESS / (DEFAULT_TRANSITION_WIDTH * fc))
     weight = 1.0 / (1.0 + np.exp(-arg))
     return (1.0 - weight) * t_below + weight * t_above
 

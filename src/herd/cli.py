@@ -210,24 +210,36 @@ def _analysis_grid(args) -> FrequencyGrid:
     return spacing(args.fstart, args.fstop, args.points)
 
 
-# One element of the "response" array as json.dumps(..., indent=2) lays it out
-# at that depth, and the string that stands in for the array until it is
-# spliced in. Only "command" and "grid" precede "response", so the first
-# occurrence of the slot is the response's.
-_RESPONSE_ROW = '    {\n      "frequency_hz": %s,\n      "s21_db": %s,\n      "s11_db": %s\n    }'
+# The "response" array's objects as json.dumps(..., indent=2) lays them out at
+# that depth, in six parts per row: the fixed texts, with None where the
+# frequency, s21 and s11 strings go. A row opens by closing the row before it,
+# except the first of a block. The slot is the string that stands in for the
+# array until it is spliced in. Only "command" and "grid" precede "response",
+# so the first occurrence of the slot is the response's.
+_ROW_OPEN = '    {\n      "frequency_hz": '
+_ROW_CLOSE = "\n    }"
+_ROW_PARTS = (
+    _ROW_CLOSE + ",\n" + _ROW_OPEN, None, ',\n      "s21_db": ', None, ',\n      "s11_db": ', None
+)
 _RESPONSE_SLOT = "\0response"
 
 
 def _json_blocks(text: str, columns):
     """``text`` in pieces, with its response slot replaced by the list of
     objects built from ``columns`` (frequency, s21 and s11 arrays), as
-    json.dumps would write it, but with each distinct column formatted once
-    per block of rows."""
+    json.dumps would write it, but with each block of rows laid out by one
+    join of its column strings and the fixed texts between them."""
     head, _, tail = text.partition(json.dumps(_RESPONSE_SLOT))
     yield head + "[\n"
     separator = ""
-    for rows in row_blocks(columns, "json"):
-        yield separator + ",\n".join(map(_RESPONSE_ROW.__mod__, rows))
+    for f, s21, s11 in row_blocks(columns, "json"):
+        parts = [*_ROW_PARTS] * len(f)
+        parts[0] = separator + _ROW_OPEN
+        parts[1::6] = f
+        parts[3::6] = s21
+        parts[5::6] = s11
+        parts.append(_ROW_CLOSE)
+        yield "".join(parts)
         separator = ",\n"
     yield "\n  ]" + tail
 
@@ -237,8 +249,8 @@ def _csv_blocks(columns, notes: list[str]):
     blocks, then each of ``notes`` as a ``# `` line."""
     yield "frequency_hz,s21_db,s11_db\n"
     # "%.12g" formats a float exactly as _fmt does.
-    for rows in row_blocks(columns, "%.12g"):
-        yield "\n".join(map(",".join, rows)) + "\n"
+    for strings in row_blocks(columns, "%.12g"):
+        yield "\n".join(map(",".join, zip(*strings))) + "\n"
     yield "".join(f"# {line}\n" for line in notes)
 
 

@@ -32,6 +32,13 @@ DEFAULT_SECTION_PITCH = 0.010
 
 DEFAULT_APERTURES_PER_SECTION = 8
 
+# Fraction of the corner frequency over which the cascade blends its
+# below/above-cutoff branches. The logistic runs from 1% to 99% across that
+# band, so it scales f - fc by LOGISTIC_SHARPNESS / (DEFAULT_TRANSITION_WIDTH
+# * fc), which a design's corner must keep finite.
+DEFAULT_TRANSITION_WIDTH = 0.10
+LOGISTIC_SHARPNESS = 2.0 * math.log(99.0)
+
 # Most points a FrequencyGrid.linear or .logarithmic grid may have. A streamed
 # `herd analyze` holds about 64 (CSV, JSON) to 88 (Touchstone) resident bytes
 # per point, so a grid of this size stays under 1 GiB; a larger one is refused
@@ -315,6 +322,14 @@ def validate(design: FilterDesign) -> list[str]:
     if not 0.0 < corner < math.inf:
         out.append(
             "dominant-mode corner frequency must be finite and > 0 "
+            f"(got {corner!r} Hz from aperture.{key} = {side!r} m)"
+        )
+        return out
+    # The stopband blend's scale overflows below a corner of about 5e-307 Hz.
+    width = DEFAULT_TRANSITION_WIDTH * corner
+    if not (width > 0.0 and LOGISTIC_SHARPNESS / width < math.inf):
+        out.append(
+            "dominant-mode corner frequency is too small for the stopband blend "
             f"(got {corner!r} Hz from aperture.{key} = {side!r} m)"
         )
     return out

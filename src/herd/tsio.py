@@ -305,9 +305,11 @@ def format_columns(columns, style: str) -> list[list[str]]:
 
     ``style`` is a printf format such as ``"%.17g"`` or ``"%.12g"``, or
     ``"json"``: the float's repr, as ``json.dumps`` writes it, and ``null``
-    for a non-finite value. A column whose bits equal those of an earlier
-    column reuses its strings (so ``-0.0`` and ``0.0`` stay distinct), and a
-    constant column is formatted once.
+    for a non-finite value. Values are told apart by their bits, so ``-0.0``
+    and ``0.0`` stay distinct and a NaN equals itself. A column whose bits
+    equal those of an earlier column reuses its strings; otherwise each
+    distinct value of a column is formatted once, and a value that repeats
+    (a flat stopband, a constant column) reuses its string.
     """
     done: list[tuple[np.ndarray, list[str]]] = []
     out = []
@@ -318,22 +320,24 @@ def format_columns(columns, style: str) -> list[list[str]]:
             if np.array_equal(seen, bits):
                 break
         else:
-            if len(bits) > 1 and (bits == bits[0]).all():
-                strings = _format_column(values[:1], style) * len(values)
-            else:
+            distinct, inverse = np.unique(bits, return_inverse=True)
+            if len(distinct) == len(bits):
                 strings = _format_column(values, style)
+            else:
+                once = _format_column(distinct.view(np.float64), style)
+                strings = np.array(once, dtype=object)[inverse].tolist()
             done.append((bits, strings))
         out.append(strings)
     return out
 
 
 def row_blocks(columns, style: str):
-    """The rows of equal-length float64 ``columns``, ``WRITE_BLOCK_ROWS`` at
-    a time: per block, an iterator of one tuple of strings per row, from
-    ``format_columns`` of the block's slice of each column."""
+    """The equal-length float64 ``columns`` in blocks of ``WRITE_BLOCK_ROWS``
+    rows: per block, the ``format_columns`` strings of its slice of each
+    column, which the writer lays out as rows."""
     for start in range(0, len(columns[0]), WRITE_BLOCK_ROWS):
         block = [column[start : start + WRITE_BLOCK_ROWS] for column in columns]
-        yield zip(*format_columns(block, style))
+        yield format_columns(block, style)
 
 
 def touchstone_blocks(table: SParamTable, fmt: str = "RI", unit: str = "HZ"):
@@ -358,10 +362,11 @@ def touchstone_blocks(table: SParamTable, fmt: str = "RI", unit: str = "HZ"):
         lines.append("!MAGONLY")
     lines.append(f"# {unit} S {fmt} R {table.z0:.17g}")
     yield "\n".join(lines) + "\n"
-    # A model table's s12 equals its s21 and its s22 its s11, and a matched
-    # model's s11 is constant: about three of the nine columns are formatted.
-    for rows in row_blocks(columns, "%.17g"):
-        yield "\n".join(map(" ".join, rows)) + "\n"
+    # A model table's s12 equals its s21 and its s22 its s11: about three of
+    # the nine columns are formatted, each one string per distinct value (a
+    # matched model's s11 is one value).
+    for strings in row_blocks(columns, "%.17g"):
+        yield "\n".join(map(" ".join, zip(*strings))) + "\n"
 
 
 def write_touchstone(table: SParamTable, fmt: str = "RI", unit: str = "HZ") -> str:

@@ -303,6 +303,23 @@ def test_analyze_refuses_a_design_whose_corner_overflows(capsys, tmp_path, proto
     )
 
 
+def test_analyze_refuses_a_corner_too_small_for_the_stopband_blend(capsys, tmp_path, proto):
+    text = dumps_design(proto)
+    text = text.replace("a_m = 0.004\n", "a_m = 1.7e308\n").replace(
+        "aperture_eps_r = 2.2\n", "aperture_eps_r = 1e14\n"
+    )
+    path = tmp_path / "tiny_corner.design"
+    path.write_text(text)
+    argv = ["analyze", "--design", str(path), "--fstart", "1e-310", "--fstop", "1", "--points", "3"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "herd: parse error: invalid design: dominant-mode corner frequency is too small for the "
+        "stopband blend (got 8.817425235294121e-308 Hz from aperture.width_a = 1.7e+308 m)\n"
+    )
+
+
 @pytest.mark.parametrize(
     "z0, f, named",
     [("1e6", "10e9", "z0 = 1000000.0 ohm"), ("50", "1e-300", "f_single_mode = 1e-300 Hz")],

@@ -16,15 +16,17 @@ from herd import (
     Material,
     ParseError,
     RectAperture,
+    attenuation_vs_sections,
     corner_frequency,
     dumps_design,
+    filter_response,
     loads_design,
     prototype_design,
     validate,
     with_aperture,
 )
 from herd import model
-from herd.model import build_part
+from herd.model import DEFAULT_TRANSITION_WIDTH, LOGISTIC_SHARPNESS, build_part
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -118,8 +120,38 @@ class TestCornerCheck:
         with pytest.raises(DomainError, match=r"got 0\.0 Hz from aperture\.width_a = 1e\+300 m"):
             replace(proto, aperture=RectAperture(1e300, 1e-3, 1e-3), aperture_fill=Material(1e300))
 
+    # The stopband blend scales f - fc by LOGISTIC_SHARPNESS /
+    # (DEFAULT_TRANSITION_WIDTH * fc), which overflows for a positive corner
+    # below about 5e-307 Hz, and divides by zero where 0.1 fc underflows.
+    @pytest.mark.parametrize("eps_r, corner", [(1e14, "8.817425235294121e-308"), (1e46, "1e-323")])
+    def test_a_corner_too_small_for_the_stopband_blend_is_refused(self, proto, eps_r, corner):
+        with pytest.raises(DomainError) as err:
+            replace(proto, aperture=RectAperture(1.7e308, 1e-3, 1e-3), aperture_fill=Material(eps_r))
+        assert str(err.value) == (
+            "dominant-mode corner frequency is too small for the stopband blend "
+            f"(got {corner} Hz from aperture.width_a = 1.7e+308 m)"
+        )
+
+    def test_a_tiny_corner_that_builds_gives_a_finite_response(self, proto):
+        # A corner of 1.5e-305 Hz keeps the blend's scale finite: half the
+        # stopband drain at the corner, all of it at 1 Hz.
+        design = replace(proto, aperture=RectAperture(1e306, 1e-3, 1e-3), aperture_fill=Material(1e14))
+        fc = corner_frequency(design)
+        power = np.abs(filter_response(design, FrequencyGrid((fc, 1.0))).s21) ** 2
+        t_above = (1.0 - design.stopband_kappa) ** design.apertures_per_section
+        assert power == pytest.approx([(0.5 * t_above) ** design.sections, t_above**design.sections])
+        assert attenuation_vs_sections(design, 1.0, 1)[0][1] == pytest.approx(-10.0 * math.log10(t_above))
+
 
 _any_side = st.floats(min_value=5e-324, allow_infinity=False)
+
+
+def _blend_scale_finite(corner: float) -> bool:
+    """Whether the stopband blend's scale at ``corner`` is finite, in numpy
+    float64 arithmetic, where dividing by an underflowed zero gives inf."""
+    with np.errstate(over="ignore", divide="ignore"):
+        width = np.float64(DEFAULT_TRANSITION_WIDTH) * corner
+        return bool(np.isfinite(np.float64(LOGISTIC_SHARPNESS) / width))
 
 
 @given(
@@ -130,7 +162,8 @@ _any_side = st.floats(min_value=5e-324, allow_infinity=False)
 )
 def test_corner_check_matches_corner_frequency(side, other, eps_r, axis):
     """A design builds iff the corner that modes.corner_frequency gives for
-    the same fields is finite and > 0."""
+    the same fields is finite and > 0 and keeps the stopband blend's scale
+    finite; the response of a design that builds is finite at its corner."""
     a, b = (side, other) if axis is DominantModeAxis.WIDTH else (other, side)
     values = dict(
         aperture=RectAperture(width_a=a, height_b=b, depth_d=1e-3),
@@ -141,10 +174,15 @@ def test_corner_check_matches_corner_frequency(side, other, eps_r, axis):
     try:
         design = replace(prototype_design(), **values)
     except DomainError as exc:
-        assert not 0.0 < corner < math.inf
-        assert str(exc).startswith("dominant-mode corner frequency must be finite and > 0")
+        if not 0.0 < corner < math.inf:
+            assert str(exc).startswith("dominant-mode corner frequency must be finite and > 0")
+        else:
+            assert not _blend_scale_finite(corner)
+            assert str(exc).startswith("dominant-mode corner frequency is too small")
     else:
         assert 0.0 < corner_frequency(design) == corner < math.inf
+        assert _blend_scale_finite(corner)
+        assert np.isfinite(filter_response(design, FrequencyGrid((corner,))).s21).all()
 
 
 def _expected_valid(design) -> bool:
@@ -157,6 +195,7 @@ def _expected_valid(design) -> bool:
         and math.isfinite(design.stopband_kappa)
         and 0.0 < design.stopband_kappa < 1.0
         and 0.0 < corner_frequency(design) < math.inf
+        and _blend_scale_finite(corner_frequency(design))
     )
 
 

@@ -140,13 +140,27 @@ _value = st.one_of(st.floats(), _special)
 
 
 @st.composite
+def _repeating_column(draw, length):
+    """``length`` values drawn from a pool of a few, so that values repeat at
+    scattered positions: signed zeros, NaNs of either sign, infinities, and
+    a float with its neighbours one ulp away, which most often format alike
+    at 12 digits and never at 17."""
+    x = draw(st.floats(allow_nan=False, allow_infinity=False))
+    neighbours = [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+    values = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, *neighbours]
+    pool = draw(st.lists(st.sampled_from(values), min_size=1, max_size=5))
+    return draw(st.lists(st.sampled_from(pool), min_size=length, max_size=length))
+
+
+@st.composite
 def _column_sets(draw):
-    length = draw(st.integers(min_value=0, max_value=12))
+    length = draw(st.integers(min_value=0, max_value=24))
     pool = draw(
         st.lists(
             st.one_of(
                 st.lists(_value, min_size=length, max_size=length),
                 _value.map(lambda x: [x] * length),
+                _repeating_column(length),
             ),
             min_size=1,
             max_size=4,
@@ -183,6 +197,47 @@ def test_equal_columns_share_their_strings():
 def test_json_style_writes_null_for_non_finite_values():
     column = np.array([1.5, math.inf, -math.inf, math.nan, -0.0])
     assert format_columns([column], "json") == [["1.5", "null", "null", "null", "-0.0"]]
+
+
+def _count_formatted(monkeypatch):
+    """Record the number of values each ``tsio._format_column`` call formats."""
+    counts = []
+    format_column = tsio._format_column
+
+    def counting(values, style):
+        counts.append(len(values))
+        return format_column(values, style)
+
+    monkeypatch.setattr(tsio, "_format_column", counting)
+    return counts
+
+
+@pytest.mark.parametrize("style", _STYLES)
+def test_each_block_formats_its_distinct_values_once(monkeypatch, style):
+    # A flat stopband: 96 distinct values, then one value to the end, in
+    # blocks of BLOCK, BLOCK and 1 rows. The frequencies are all distinct,
+    # and the third column equals the second.
+    rows = 2 * BLOCK + 1
+    f = np.linspace(1e8, 145e9, rows)
+    s21 = np.full(rows, -123.25)
+    s21[:96] = np.linspace(-0.5, -60.0, 96)
+    counts = _count_formatted(monkeypatch)
+    blocks = list(tsio.row_blocks([f, s21, s21.copy()], style))
+    assert counts == [BLOCK, 96 + 1, BLOCK, 1, 1, 1]
+    assert [len(block) for block in blocks] == [3, 3, 3]
+    for start, (f_strings, s21_strings, again) in zip(range(0, rows, BLOCK), blocks):
+        assert f_strings == _reference(f[start : start + BLOCK], style)
+        assert s21_strings == _reference(s21[start : start + BLOCK], style)
+        assert again is s21_strings
+
+
+def test_signed_zeros_and_nans_are_told_apart_by_their_bits(monkeypatch):
+    column = np.array([0.0, -0.0, math.nan, -math.nan, 0.0, math.nan, -0.0, -math.nan])
+    counts = _count_formatted(monkeypatch)
+    assert format_columns([column], "json") == [
+        ["0.0", "-0.0", "null", "null", "0.0", "null", "-0.0", "null"]
+    ]
+    assert counts == [4]
 
 
 def test_non_contiguous_columns():
