@@ -27,10 +27,10 @@ from .model import DEFAULT_TRANSITION_WIDTH, LOGISTIC_SHARPNESS, FilterDesign, F
 from .modes import corner_frequency
 
 # Most rows attenuation_vs_sections lists, and most attenuation figures
-# (sections x frequencies) `herd sections` writes. Its JSON output holds about
-# 1.5 kB per figure with one frequency (CSV 0.6 kB, and less per figure with
-# more frequencies), so a table at the bound stays under the 1 GiB that
-# model.MAX_GRID_POINTS budgets.
+# (sections x frequencies) `herd sections` writes. The command streams its
+# table in row blocks and holds about 20 resident bytes per figure at its
+# peak, so a table at the bound adds about 10 MB to the interpreter; the list
+# of tuples attenuation_vs_sections returns holds about 120 bytes per row.
 MAX_SECTIONS = 500_000
 
 
@@ -173,16 +173,20 @@ def _section_power(design: FilterDesign, fc: float, f):
 
     # Evanescent decay of the dominant aperture mode. At and above the corner
     # gamma is 0, so amp = 1 and the below-cutoff transmission is exactly 0.
+    # np.power runs the same loop for one frequency as for an array, so a
+    # figure has the same bits either way (a numpy scalar's ** calls the C
+    # library's pow instead).
     amp = np.exp(evanescent_gamma(design, fc, f) * -design.aperture.depth_d)
-    t_below = (1.0 - amp * amp) ** n_ap
+    t_below = np.power(1.0 - amp * amp, n_ap)
     t_above = (1.0 - design.stopband_kappa) ** n_ap
 
     # Logistic stopband weight: 0 deep in band, 1/2 at the corner, 1 above.
     # A valid design keeps the scale finite (model.validate). For f > 0,
     # arg > -LOGISTIC_SHARPNESS / DEFAULT_TRANSITION_WIDTH (about -92), so
-    # exp(-arg) cannot overflow; far above the corner it underflows to 0 and
-    # the weight rounds to 1.
-    arg = (f - fc) * (LOGISTIC_SHARPNESS / (DEFAULT_TRANSITION_WIDTH * fc))
+    # exp(-arg) cannot overflow. Clamping f - fc at fc keeps the product from
+    # overflowing far above a tiny corner; from there up arg is at least
+    # about 92, where exp(-arg) < 2**-53 and the weight rounds to 1 either way.
+    arg = np.minimum(f - fc, fc) * (LOGISTIC_SHARPNESS / (DEFAULT_TRANSITION_WIDTH * fc))
     weight = 1.0 / (1.0 + np.exp(-arg))
     return (1.0 - weight) * t_below + weight * t_above
 
@@ -212,25 +216,31 @@ def filter_response(design: FilterDesign, grid: FrequencyGrid) -> SParamTable:
     )
 
 
-def attenuation_vs_sections(
-    design: FilterDesign, f: float, max_sections: int
-) -> list[tuple[int, float]]:
-    """Attenuation at ``f`` for 1..max_sections sections [(count, dB)].
-
-    Matched identical sections make this exactly linear in the count: row n
-    is n times the attenuation of one section, -10 log10 |s21|^2.
-    """
-    if max_sections < 1:
-        raise DomainError(f"max_sections must be >= 1 (got {max_sections!r})")
-    if max_sections > MAX_SECTIONS:
-        raise DomainError(f"max_sections must be <= {MAX_SECTIONS} (got {max_sections!r})")
+def section_attenuation_db(design: FilterDesign, f: float) -> float:
+    """Attenuation of one section at the frequency ``f`` [dB],
+    -10 log10 |s21|^2."""
     f = float(f)
     if not 0.0 < f < math.inf:
         raise DomainError(f"frequency grid points must be finite and > 0 (got {f!r})")
     power = _section_power(design, corner_frequency(design), f)
     if power == 0.0:
         raise DomainError("cannot cascade a two-port with zero transmission (s21 = 0)")
-    att = float(-10.0 * np.log10(power))
+    return float(-10.0 * np.log10(power))
+
+
+def attenuation_vs_sections(
+    design: FilterDesign, f: float, max_sections: int
+) -> list[tuple[int, float]]:
+    """Attenuation at ``f`` for 1..max_sections sections [(count, dB)].
+
+    Matched identical sections make this exactly linear in the count: row n
+    is n times :func:`section_attenuation_db`.
+    """
+    if max_sections < 1:
+        raise DomainError(f"max_sections must be >= 1 (got {max_sections!r})")
+    if max_sections > MAX_SECTIONS:
+        raise DomainError(f"max_sections must be <= {MAX_SECTIONS} (got {max_sections!r})")
+    att = section_attenuation_db(design, f)
     return [(count, count * att) for count in range(1, max_sections + 1)]
 
 

@@ -15,9 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .cascade import MAX_SECTIONS, attenuation_vs_sections, filter_response, max_singular_value
+from .cascade import MAX_SECTIONS, filter_response, max_singular_value, section_attenuation_db
 from .errors import DomainError, InfeasibleDesignError, ParseError
-from .leakage import inband_transmission
+from .leakage import aperture_sweep
 from .model import (
     AIR,
     DESIGN_FILE,
@@ -27,7 +27,6 @@ from .model import (
     build_part,
     dumps_design,
     loads_design,
-    with_aperture,
 )
 from .modes import (
     coax_char_impedance,
@@ -68,9 +67,9 @@ CLAIM_PROFILES: dict[str, list[Claim]] = {
 
 _SWEEP_FIELDS = {"a": "width_a", "b": "height_b", "d": "depth_d"}
 
-# Most rows `herd sweep` writes. Its JSON output holds about 1.5 kB per row
-# (CSV 0.6 kB), so a sweep at the bound stays under the 1 GiB that
-# model.MAX_GRID_POINTS budgets.
+# Most rows `herd sweep` writes. A sweep is streamed in row blocks and holds
+# about 60 resident bytes per row at its peak (its arrays and their
+# temporaries), so one at the bound adds about 30 MB to the interpreter.
 MAX_SWEEP_STEPS = 500_000
 
 # `compare` takes a measured point for gain when the largest singular value of
@@ -80,8 +79,10 @@ GAIN_TOL_DB = 0.05
 
 
 def _fmt(x) -> str:
-    """12 significant digits; ``n/a`` for a value the model does not give."""
-    return "n/a" if x is None else format(float(x), ".12g")
+    """12 significant digits; ``n/a`` for a value the model does not give
+    or that is not finite, as the ``"text"`` style of ``tsio.format_columns``
+    writes it."""
+    return "n/a" if x is None or not math.isfinite(x) else format(float(x), ".12g")
 
 
 def _finite(value):
@@ -104,11 +105,60 @@ def _kv_lines(values: dict) -> list[str]:
     return [f"{key} = {_fmt(value)}" for key, value in values.items()]
 
 
-def _csv_lines(keys: tuple[str, ...], rows: list[dict]) -> list[str]:
-    """A header of ``keys``, then one line per row dict, its values in that order."""
-    lines = [",".join(keys)]
-    lines += [",".join(_fmt(row[key]) for key in keys) for row in rows]
-    return lines
+# A table is a list of (key, column, style) entries: row i holds value i of
+# each column, written in the entry's tsio.format_columns style ("%d" for
+# integers). Its rows are formatted and written a block at a time
+# (tsio.row_blocks), so only the arrays and one block of text are held.
+
+# The string that stands in for the rows, and for each value of a row, until
+# they are spliced in.
+_SLOT = "\0"
+
+
+def _json_blocks(doc: dict, key: str, entries):
+    """The JSON document ``doc`` in pieces, with the value of its ``key`` the
+    list of row objects built from ``entries``, as json.dumps(indent=2)
+    writes it: a "%d" column as integers, any other as floats, null where
+    not finite. An entry whose column is a list of columns gives each row a
+    list. A row's fixed texts come from dumping one row of slots, and each
+    block of rows is laid out by one join of those texts and the strings."""
+    columns, styles, row = [], [], {}
+    for name, values, style in entries:
+        nested = isinstance(values, list)
+        group = values if nested else [values]
+        columns += group
+        styles += ["%d" if style == "%d" else "json"] * len(group)
+        row[name] = [_SLOT] * len(group) if nested else _SLOT
+    head, _, tail = _json_doc({**doc, key: _SLOT}).partition(json.dumps(_SLOT))
+    # a row as an item of a list that is the value of a key of the document
+    text = "    " + json.dumps(row, indent=2).replace("\n", "\n    ")
+    *before, end = text.split(json.dumps(_SLOT))
+    # the text before each value, in a row that follows another, and a slot
+    # for the value's string
+    parts_of_row = [part for piece in [end + ",\n" + before[0], *before[1:]] for part in (piece, None)]
+
+    yield head
+    opening = "[\n"
+    for strings in row_blocks(columns, styles):
+        parts = parts_of_row * len(strings[0])
+        parts[0] = opening + before[0]
+        for i, column in enumerate(strings):
+            parts[2 * i + 1 :: len(parts_of_row)] = column
+        parts.append(end)
+        yield "".join(parts)
+        opening = ",\n"
+    yield ("[]" if opening == "[\n" else "\n  ]") + tail
+
+
+def _csv_blocks(entries, head=(), notes=()):
+    """The CSV document in pieces: each of ``head`` as a ``# `` line, the
+    header of the entries' keys, their rows in blocks, then each of
+    ``notes`` as a ``# `` line."""
+    keys, columns, styles = zip(*entries)
+    yield "".join(f"# {line}\n" for line in head) + ",".join(keys) + "\n"
+    for strings in row_blocks(columns, styles):
+        yield "\n".join(map(",".join, zip(*strings))) + "\n"
+    yield "".join(f"# {line}\n" for line in notes)
 
 
 def _emit(blocks, out: str | None) -> None:
@@ -171,7 +221,6 @@ def _cmd_modes(args) -> int:
         corner = corner_frequency(design)
         fmax = args.fmax if args.fmax is not None else 2.0 * corner
         chart = mode_chart(design.aperture, design.aperture_fill, fmax)
-        chart = [{"m": e.index.m, "n": e.index.n, "cutoff_hz": e.cutoff_hz} for e in chart]
     elif args.z0 is not None and args.single_mode is not None:
         fill = AIR
         if args.coax_eps is not None:
@@ -187,18 +236,23 @@ def _cmd_modes(args) -> int:
         "single_mode_limit_hz": coax_first_higher_mode_cutoff(geometry, fill),
         "corner_frequency_hz": corner,
     }
-
-    if args.format == "json":
-        _emit([_json_doc({"command": "modes", **scalars, "mode_chart": chart})], args.out)
-        return EXIT_OK
     lines = _kv_lines({key: value for key, value in scalars.items() if value is not None})
-    if chart is not None:
-        if args.format == "csv":
-            lines = [f"# {line}" for line in lines] + _csv_lines(("m", "n", "cutoff_hz"), chart)
-        else:
+    doc = {"command": "modes", **scalars, "mode_chart": None}
+
+    if chart is None or args.format == "text":
+        if chart is not None:
             lines.append("mode chart (m, n, cutoff_hz):")
-            lines += [f"  TE{row['m']}{row['n']}  {_fmt(row['cutoff_hz'])}" for row in chart]
-    _emit(["\n".join(lines) + "\n"], args.out)
+            lines += [f"  TE{e.index.m}{e.index.n}  {_fmt(e.cutoff_hz)}" for e in chart]
+        blocks = [_json_doc(doc) if args.format == "json" else "\n".join(lines) + "\n"]
+    else:
+        # (3, rows), also for an empty chart
+        m, n, cutoff = np.array([(e.index.m, e.index.n, e.cutoff_hz) for e in chart]).reshape(-1, 3).T
+        entries = [("m", m, "%d"), ("n", n, "%d"), ("cutoff_hz", cutoff, "text")]
+        if args.format == "json":
+            blocks = _json_blocks(doc, "mode_chart", entries)
+        else:
+            blocks = _csv_blocks(entries, lines)
+    _emit(blocks, args.out)
     return EXIT_OK
 
 
@@ -208,50 +262,6 @@ def _cmd_modes(args) -> int:
 def _analysis_grid(args) -> FrequencyGrid:
     spacing = FrequencyGrid.logarithmic if args.log else FrequencyGrid.linear
     return spacing(args.fstart, args.fstop, args.points)
-
-
-# The "response" array's objects as json.dumps(..., indent=2) lays them out at
-# that depth, in six parts per row: the fixed texts, with None where the
-# frequency, s21 and s11 strings go. A row opens by closing the row before it,
-# except the first of a block. The slot is the string that stands in for the
-# array until it is spliced in. Only "command" and "grid" precede "response",
-# so the first occurrence of the slot is the response's.
-_ROW_OPEN = '    {\n      "frequency_hz": '
-_ROW_CLOSE = "\n    }"
-_ROW_PARTS = (
-    _ROW_CLOSE + ",\n" + _ROW_OPEN, None, ',\n      "s21_db": ', None, ',\n      "s11_db": ', None
-)
-_RESPONSE_SLOT = "\0response"
-
-
-def _json_blocks(text: str, columns):
-    """``text`` in pieces, with its response slot replaced by the list of
-    objects built from ``columns`` (frequency, s21 and s11 arrays), as
-    json.dumps would write it, but with each block of rows laid out by one
-    join of its column strings and the fixed texts between them."""
-    head, _, tail = text.partition(json.dumps(_RESPONSE_SLOT))
-    yield head + "[\n"
-    separator = ""
-    for f, s21, s11 in row_blocks(columns, "json"):
-        parts = [*_ROW_PARTS] * len(f)
-        parts[0] = separator + _ROW_OPEN
-        parts[1::6] = f
-        parts[3::6] = s21
-        parts[5::6] = s11
-        parts.append(_ROW_CLOSE)
-        yield "".join(parts)
-        separator = ",\n"
-    yield "\n  ]" + tail
-
-
-def _csv_blocks(columns, notes: list[str]):
-    """The CSV document in pieces: the header, the rows of ``columns`` in
-    blocks, then each of ``notes`` as a ``# `` line."""
-    yield "frequency_hz,s21_db,s11_db\n"
-    # "%.12g" formats a float exactly as _fmt does.
-    for strings in row_blocks(columns, "%.12g"):
-        yield "\n".join(map(",".join, zip(*strings))) + "\n"
-    yield "".join(f"# {line}\n" for line in notes)
 
 
 # Each band metric figure, by its key in JSON and its label in text.
@@ -264,9 +274,7 @@ _METRIC_LABELS = {
 
 
 def _metric_rows(table, profile: list[Claim]) -> list[dict]:
-    """The metrics of each distinct claim band, or the error the band gives.
-    A figure that is not finite (the return loss of a matched table, the
-    loss of a point without transmission) is n/a."""
+    """The metrics of each distinct claim band, or the error the band gives."""
     rows = []
     for band in dict.fromkeys(claim.band for claim in profile):
         try:
@@ -276,7 +284,7 @@ def _metric_rows(table, profile: list[Claim]) -> list[dict]:
             continue
         figures = {key: getattr(metric, key) for key in _METRIC_LABELS}
         rows.append({"band_hz": list(band), **figures})
-    return _finite(rows)
+    return rows
 
 
 def _metric_lines(rows: list[dict]) -> list[str]:
@@ -305,26 +313,26 @@ def _cmd_analyze(args) -> int:
             "points": args.points,
             "spacing": "log" if args.log else "linear",
         },
-        "response": _RESPONSE_SLOT,
+        "response": None,
         "band_metrics": _metric_rows(table, profile),
         "claims_profile": args.claims,
         "claims": None if report is None else [_claim_doc(r) for r in report.results],
         "claims_passed": None if report is None else report.passed,
     }
 
-    # The document is written in pieces, the rows in blocks, so only the
-    # arrays and one block of text are held at a time.
     if args.format == "touchstone":
         _emit(touchstone_blocks(table, fmt="DB", unit="GHZ"), args.out)
         if args.out:
             _emit(["\n".join(_metric_lines(doc["band_metrics"])) + "\n"], None)
     else:
+        # CSV keeps the -inf s11_db of a matched filter
         columns = (table.f, -insertion_loss_db(table.s21), return_loss_db(table.s11))
+        entries = list(zip(("frequency_hz", "s21_db", "s11_db"), columns, ["%.12g"] * 3))
         if args.format == "json":
-            blocks = _json_blocks(_json_doc(doc), columns)
+            blocks = _json_blocks(doc, "response", entries)
         else:
             notes = _metric_lines(doc["band_metrics"]) + _claim_lines(doc["claims"] or [])
-            blocks = _csv_blocks(columns, notes)
+            blocks = _csv_blocks(entries, notes=notes)
         _emit(blocks, args.out)
 
     if report is not None and not report.passed:
@@ -341,32 +349,22 @@ def _cmd_sweep(args) -> int:
         raise DomainError(f"steps must be >= 1 (got {args.steps!r})")
     if args.steps > MAX_SWEEP_STEPS:
         raise DomainError(f"steps must be <= {MAX_SWEEP_STEPS} (got {args.steps!r})")
-    field = _SWEEP_FIELDS[args.param]
-    # An infinite or overflowing span gives nan values, which with_aperture
-    # refuses like any other non-positive value when it builds the variant.
+    # An infinite or overflowing span gives nan values, which aperture_sweep
+    # refuses with with_aperture's message, like any other non-positive value.
     with np.errstate(over="ignore", invalid="ignore"):
-        values = np.linspace(args.sweep_from, args.sweep_to, args.steps).tolist()
-
+        values = np.linspace(args.sweep_from, args.sweep_to, args.steps)
     # The in-band loss is n/a (null in JSON) on rows whose corner lies at or
-    # below a valid --fref, and where the transmission underflows to an
-    # infinite loss; the leakage model rejects every other bad --fref.
-    rows = []
-    for value in values:
-        variant = with_aperture(design, **{field: value})
-        corner = corner_frequency(variant)
-        loss = None
-        if not (math.isfinite(args.fref) and args.fref >= corner):
-            loss = inband_transmission(variant, args.fref).insertion_loss_db
-        rows.append({"value_m": value, "corner_frequency_hz": corner, "insertion_loss_db": loss})
-    rows = _finite(rows)
+    # below --fref, and where the transmission underflows to an infinite loss.
+    corner, loss = aperture_sweep(design, _SWEEP_FIELDS[args.param], values, args.fref)
 
+    keys = ("value_m", "corner_frequency_hz", "insertion_loss_db")
+    entries = list(zip(keys, (values, corner, loss), ["text"] * 3))
     if args.format == "json":
         doc = {"command": "sweep", "parameter": args.param, "reference_frequency_hz": args.fref}
-        _emit([_json_doc({**doc, "rows": rows})], args.out)
+        _emit(_json_blocks({**doc, "rows": None}, "rows", entries), args.out)
     else:
-        lines = [f"# sweep {args.param}, in-band loss at {_fmt(args.fref)} Hz"]
-        lines += _csv_lines(("value_m", "corner_frequency_hz", "insertion_loss_db"), rows)
-        _emit(["\n".join(lines) + "\n"], args.out)
+        head = [f"sweep {args.param}, in-band loss at {_fmt(args.fref)} Hz"]
+        _emit(_csv_blocks(entries, head), args.out)
     return EXIT_OK
 
 
@@ -386,20 +384,21 @@ def _cmd_sections(args) -> int:
             f"sections writes at most {MAX_SECTIONS} attenuation figures "
             f"(got {args.max_sections} sections x {len(freqs)} frequencies)"
         )
+    if args.max_sections < 1:
+        raise DomainError(f"max_sections must be >= 1 (got {args.max_sections!r})")
 
-    columns = [attenuation_vs_sections(design, f, args.max_sections) for f in freqs]
-    rows = [
-        {"sections": n + 1, "attenuation_db": [column[n][1] for column in columns]}
-        for n in range(args.max_sections)
-    ]
+    # Matched sections: n of them attenuate n times as much as one, which
+    # is cascade.attenuation_vs_sections' count * att, bit for bit.
+    counts = np.arange(1, args.max_sections + 1)
+    columns = [counts * section_attenuation_db(design, f) for f in freqs]
 
     if args.format == "json":
-        _emit([_json_doc({"command": "sections", "frequencies_hz": freqs, "rows": rows})], args.out)
+        doc = {"command": "sections", "frequencies_hz": freqs, "rows": None}
+        blocks = _json_blocks(doc, "rows", [("sections", counts, "%d"), ("attenuation_db", columns, "text")])
     else:
-        lines = ["sections," + ",".join(f"att_db_{_fmt(f)}hz" for f in freqs)]
-        for row in rows:
-            lines.append(",".join([str(row["sections"]), *map(_fmt, row["attenuation_db"])]))
-        _emit(["\n".join(lines) + "\n"], args.out)
+        names = [f"att_db_{_fmt(f)}hz" for f in freqs]
+        blocks = _csv_blocks([("sections", counts, "%d"), *zip(names, columns, ["text"] * len(freqs))])
+    _emit(blocks, args.out)
     return EXIT_OK
 
 

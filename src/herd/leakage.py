@@ -15,7 +15,7 @@ import numpy as np
 
 from .constants import C0
 from .errors import DomainError, InfeasibleDesignError
-from .model import FilterDesign
+from .model import FilterDesign, swept_corners, with_aperture
 from .modes import corner_frequency
 
 
@@ -50,6 +50,11 @@ def _all(one: bool, values) -> bool:
     return bool(values) if one else bool(values.all())
 
 
+def _check_frequency(f: float) -> None:
+    if not (math.isfinite(f) and f > 0.0):
+        raise DomainError(f"frequency must be finite and > 0 (got {f!r})")
+
+
 def _inband(design: FilterDesign, f):
     """(one, freqs, gamma): whether ``f`` is one frequency, ``f`` as a float
     or a float64 array, and :func:`evanescent_gamma` there, after checking
@@ -63,13 +68,30 @@ def _inband(design: FilterDesign, f):
     inside = (freqs > 0.0) & (freqs < fc)
     if not _all(one, inside):
         bad = np.reshape(freqs, -1)[int(np.argmin(inside))].item()
-        if not (math.isfinite(bad) and bad > 0.0):
-            raise DomainError(f"frequency must be finite and > 0 (got {bad!r})")
+        _check_frequency(bad)
         raise DomainError(
             f"frequency {bad!r} Hz is at or above the aperture corner frequency "
             f"{fc!r} Hz; the in-band leakage model does not apply there"
         )
     return one, freqs, evanescent_gamma(design, fc, freqs)
+
+
+def _transmission(design: FilterDesign, gamma, depth, one: bool):
+    """(leak, total, loss): the power fraction lost to one aperture of depth
+    ``depth`` whose mode decays by ``gamma``, the transmission past all of
+    the design's apertures, and its loss [dB], infinite where the
+    transmission underflows to 0. np.power runs the same loop for one value
+    as for an array, so a figure has the same bits either way (a numpy
+    scalar's ** calls the C library's pow instead)."""
+    amp = np.exp(gamma * -depth)
+    leak = amp * amp
+    total = np.power(1.0 - leak, design.total_apertures)
+    if _all(one, total):
+        loss = -10.0 * np.log10(total)
+    else:
+        with np.errstate(divide="ignore"):
+            loss = -10.0 * np.log10(total)
+    return leak, total, loss
 
 
 def evanescent_amplitude(design: FilterDesign, f):
@@ -85,19 +107,37 @@ def inband_transmission(design: FilterDesign, f) -> InbandLossBreakdown:
     A transmission that underflows to 0 is an infinite loss.
     """
     one, freqs, gamma = _inband(design, f)
-    amp = np.exp(gamma * -design.aperture.depth_d)
-    leak = amp * amp
-    total = (1.0 - leak) ** design.total_apertures
-    if _all(one, total):
-        loss = -10.0 * np.log10(total)
-    else:
-        with np.errstate(divide="ignore"):
-            loss = -10.0 * np.log10(total)
+    leak, total, loss = _transmission(design, gamma, design.aperture.depth_d, one)
     if one:
         leak, total, loss = float(leak), float(total), float(loss)
     return InbandLossBreakdown(
         frequency=freqs, per_aperture_leak_power=leak, total_transmission=total, insertion_loss_db=loss
     )
+
+
+def aperture_sweep(design: FilterDesign, field: str, values: np.ndarray, f: float):
+    """(corner, loss): per value of the float64 ``values``, the
+    :func:`corner_frequency` and the :func:`inband_transmission` loss at
+    ``f`` [dB] of ``design`` with its aperture's ``field`` set to that
+    value, as two arrays, without building the variants. The loss is NaN
+    where ``f`` is at or above the corner, where the model does not apply.
+
+    A value :func:`with_aperture` refuses raises its error, the first such
+    value first, and a bad ``f`` is refused after the first value: the order
+    in which building and evaluating the variants one by one finds them.
+    """
+    corner, ok = swept_corners(design, field, values)
+    bad = np.flatnonzero(~ok)[:1].tolist()
+    # with_aperture raises for a value that ok marks
+    if bad == [0]:
+        with_aperture(design, **{field: values[0].item()})
+    _check_frequency(f)
+    if bad:
+        with_aperture(design, **{field: values[bad[0]].item()})
+    depth = values if field == "depth_d" else design.aperture.depth_d
+    loss = _transmission(design, evanescent_gamma(design, corner, f), depth, False)[2]
+    loss[corner <= f] = math.nan
+    return corner, loss
 
 
 def mismatch_loss_db(return_loss_db: float) -> float:

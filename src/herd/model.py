@@ -314,11 +314,11 @@ def validate(design: FilterDesign) -> list[str]:
     if not isinstance(axis, DominantModeAxis):
         out.append(f"dominant_mode_axis must be a DominantModeAxis (got {axis!r})")
         return out
-    # The dominant mode's cutoff as modes.corner_frequency computes it. A
-    # subnormal side overflows it, and a huge side and eps_r underflow it.
-    key = "height_b" if axis is DominantModeAxis.HEIGHT else "width_a"
+    # A subnormal side overflows the corner, and a huge side and eps_r
+    # underflow it.
+    key = dominant_side(design)
     side = float(getattr(design.aperture, key))
-    corner = C0 / (2.0 * design.aperture_fill.refractive_index) * (1.0 / side)
+    corner = dominant_corner(design.aperture_fill, side)
     if not 0.0 < corner < math.inf:
         out.append(
             "dominant-mode corner frequency must be finite and > 0 "
@@ -333,6 +333,35 @@ def validate(design: FilterDesign) -> list[str]:
             f"(got {corner!r} Hz from aperture.{key} = {side!r} m)"
         )
     return out
+
+
+def dominant_side(design: FilterDesign) -> str:
+    """The aperture field the dominant mode spans one half-wave across:
+    ``"height_b"`` with the HEIGHT axis, else ``"width_a"``."""
+    return "height_b" if design.dominant_mode_axis is DominantModeAxis.HEIGHT else "width_a"
+
+
+def dominant_corner(fill: Material, side):
+    """Cutoff of the dominant aperture mode across ``side`` [m] (a float or
+    an array) in ``fill``, c0 / (2 side sqrt(eps_r)) [Hz]: the corner
+    frequency."""
+    return C0 / (2.0 * fill.refractive_index) * (1.0 / side)
+
+
+def swept_corners(design: FilterDesign, field: str, values: np.ndarray):
+    """(corner, ok) for ``design`` with its aperture's ``field`` set to each
+    of the float64 ``values``: each variant's corner frequency [Hz], and
+    whether :func:`with_aperture` builds it, as :func:`validate` decides
+    it (a value finite and > 0, and a corner finite, > 0 and large enough
+    for the stopband blend). Both are arrays, found without a numpy warning
+    and without building a variant."""
+    key = dominant_side(design)
+    sides = values if field == key else np.full(len(values), float(getattr(design.aperture, key)))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        corner = dominant_corner(design.aperture_fill, sides)
+        ok = (values > 0.0) & (values < math.inf) & (corner > 0.0) & (corner < math.inf)
+        ok &= LOGISTIC_SHARPNESS / (DEFAULT_TRANSITION_WIDTH * corner) < math.inf
+    return corner, ok
 
 
 # --- key-value files -----------------------------------------------------------

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .constants import C0, ETA0
 from .errors import DomainError
 from .model import CoaxGeometry, DominantModeAxis, FilterDesign, Material, RectAperture
+from .model import dominant_corner, dominant_side
 
 # Largest number of (m, n) candidates mode_chart examines, (m_max+1)(n_max+1);
 # on the stock design this charts up to about 2.3e13 Hz.
@@ -168,4 +169,5 @@ def corner_frequency(design: FilterDesign) -> float:
     With the default WIDTH axis this is c0 / (2 a sqrt(eps_r)); the
     aperture height does not enter.
     """
-    return rect_cutoff(dominant_mode_index(design), design.aperture, design.aperture_fill)
+    side = float(getattr(design.aperture, dominant_side(design)))
+    return dominant_corner(design.aperture_fill, side)

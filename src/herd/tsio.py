@@ -291,53 +291,67 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return np.array_equal(*bits)
 
 
+# The styles that write a word for a value that is not finite: each one's
+# formatter of a finite float, and the word.
+_NON_FINITE = {"json": (float.__repr__, "null"), "text": ("%.12g".__mod__, "n/a")}
+
+
 def _format_column(values: np.ndarray, style: str) -> list[str]:
-    if style == "json":
-        strings = list(map(float.__repr__, values.tolist()))
+    if style in _NON_FINITE:
+        form, word = _NON_FINITE[style]
+        strings = list(map(form, values.tolist()))
         for i in np.flatnonzero(~np.isfinite(values)).tolist():
-            strings[i] = "null"
+            strings[i] = word
         return strings
     return list(map(style.__mod__, values.tolist()))
 
 
-def format_columns(columns, style: str) -> list[list[str]]:
-    """The strings of each float64 column, one per value.
+def format_columns(columns, styles) -> list[list[str]]:
+    """The strings of each float64 column, one per value, in the style given
+    for that column.
 
-    ``style`` is a printf format such as ``"%.17g"`` or ``"%.12g"``, or
-    ``"json"``: the float's repr, as ``json.dumps`` writes it, and ``null``
-    for a non-finite value. Values are told apart by their bits, so ``-0.0``
-    and ``0.0`` stay distinct and a NaN equals itself. A column whose bits
-    equal those of an earlier column reuses its strings; otherwise each
-    distinct value of a column is formatted once, and a value that repeats
-    (a flat stopband, a constant column) reuses its string.
+    A style is a printf format such as ``"%.17g"``, ``"%.12g"`` or ``"%d"``
+    (for a column of integers); ``"json"``: the float's repr, as
+    ``json.dumps`` writes it, and ``null`` for a non-finite value; or
+    ``"text"``: ``"%.12g"``, and ``n/a`` for a non-finite value. Values are
+    told apart by their bits, so ``-0.0`` and ``0.0`` stay distinct and a
+    NaN equals itself. A column whose style and bits equal those of an
+    earlier column reuses its strings. Otherwise each distinct value of a
+    column is formatted once, and a value that repeats (a flat stopband, a
+    constant column) reuses its string; a strictly increasing column (a
+    frequency grid, a count) holds no repeat, so it is formatted whole
+    without being sorted.
     """
-    done: list[tuple[np.ndarray, list[str]]] = []
+    done: list[tuple[str, np.ndarray, list[str]]] = []
     out = []
-    for column in columns:
+    for column, style in zip(columns, styles):
         values = np.ascontiguousarray(column, dtype=np.float64)
         bits = values.view(np.int64)
-        for seen, strings in done:
-            if np.array_equal(seen, bits):
+        for seen_style, seen, strings in done:
+            if seen_style == style and np.array_equal(seen, bits):
                 break
         else:
-            distinct, inverse = np.unique(bits, return_inverse=True)
-            if len(distinct) == len(bits):
+            if (values[1:] > values[:-1]).all():
                 strings = _format_column(values, style)
             else:
-                once = _format_column(distinct.view(np.float64), style)
-                strings = np.array(once, dtype=object)[inverse].tolist()
-            done.append((bits, strings))
+                distinct, inverse = np.unique(bits, return_inverse=True)
+                if len(distinct) == len(bits):
+                    strings = _format_column(values, style)
+                else:
+                    once = _format_column(distinct.view(np.float64), style)
+                    strings = np.array(once, dtype=object)[inverse].tolist()
+            done.append((style, bits, strings))
         out.append(strings)
     return out
 
 
-def row_blocks(columns, style: str):
+def row_blocks(columns, styles):
     """The equal-length float64 ``columns`` in blocks of ``WRITE_BLOCK_ROWS``
     rows: per block, the ``format_columns`` strings of its slice of each
-    column, which the writer lays out as rows."""
+    column in that column's style, which the writer lays out as rows."""
     for start in range(0, len(columns[0]), WRITE_BLOCK_ROWS):
         block = [column[start : start + WRITE_BLOCK_ROWS] for column in columns]
-        yield format_columns(block, style)
+        yield format_columns(block, styles)
 
 
 def touchstone_blocks(table: SParamTable, fmt: str = "RI", unit: str = "HZ"):
@@ -365,7 +379,7 @@ def touchstone_blocks(table: SParamTable, fmt: str = "RI", unit: str = "HZ"):
     # A model table's s12 equals its s21 and its s22 its s11: about three of
     # the nine columns are formatted, each one string per distinct value (a
     # matched model's s11 is one value).
-    for strings in row_blocks(columns, "%.17g"):
+    for strings in row_blocks(columns, ["%.17g"] * len(columns)):
         yield "\n".join(map(" ".join, zip(*strings))) + "\n"
 
 

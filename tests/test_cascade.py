@@ -4,6 +4,7 @@ from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from herd import (
@@ -302,6 +303,30 @@ class TestAttenuationVsSections:
         # the counters see the one-section response the ladder replaced
         cascade.filter_response(replace(proto, sections=1), FrequencyGrid((70e9,)))
         assert built == ["FrequencyGrid", "filter_response", "SParamTable"]
+
+
+class TestSectionPower:
+    def test_one_frequency_has_the_bits_of_the_same_frequency_in_a_grid(self, proto):
+        # Below the corner t_below = (1 - amp**2)**8 is raised by np.power,
+        # whose loop is the same for one value as for an array.
+        rng = np.random.default_rng(20)
+        fc = corner_frequency(proto)
+        f = rng.uniform(1e8, 0.999 * fc, 2000)
+        grid_power = cascade._section_power(proto, fc, f)
+        one_power = [cascade._section_power(proto, fc, x) for x in f.tolist()]
+        assert np.array_equal(np.array(one_power), grid_power)
+
+    @pytest.mark.filterwarnings("error")
+    def test_far_above_a_tiny_corner_the_blend_does_not_overflow(self, proto):
+        # Corner 1.5e-305 Hz: (f - fc) times the blend's scale would exceed
+        # the float range at 1e30 Hz. The weight there is 1.
+        design = replace(proto, aperture=model.RectAperture(1e306, 1e-3, 1e-3),
+                         aperture_fill=Material(1e14))
+        fc = corner_frequency(design)
+        table = filter_response(design, FrequencyGrid((fc, 1e30)))
+        t_above = (1.0 - design.stopband_kappa) ** design.apertures_per_section
+        assert np.abs(table.s21[1]) ** 2 == pytest.approx(t_above**design.sections, rel=1e-12)
+        assert cascade._section_power(design, fc, 1e30) == t_above
 
 
 class TestCalibrateKappa:

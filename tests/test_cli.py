@@ -165,6 +165,22 @@ class TestAnalyze:
         assert all(a < b for a, b in zip(losses, losses[1:]))
 
 
+    def test_an_infinite_figure_is_na_on_every_text_line(self, capsys, tmp_path, proto):
+        # 450 sections: S21 underflows to 0 over the stopband, so its least
+        # attenuation, and the figure the stopband claim observes, is infinite
+        design = tmp_path / "deep.design"
+        design.write_text(dumps_design(replace(proto, sections=450)))
+        argv = ["analyze", "--design", str(design), "--points", "50", "--claims", "default"]
+        code, out, _ = run(capsys, argv)
+        assert code == 1
+        assert "min_att=n/a dB" in out
+        assert "# PASS  stopband attenuation 70-145 GHz: observed n/a dB (threshold 60 dB)\n" in out
+        # the CSV rows keep -inf for s11_db; the lines under them do not
+        assert not [line for line in out.splitlines() if line.startswith("#") and "inf" in line]
+        code, out, _ = run(capsys, [*argv, "--format", "json"])
+        assert json.loads(out)["claims"][1]["observed_db"] is None
+
+
 class TestSweep:
     def _rows(self, out):
         lines = [l for l in out.splitlines() if l and not l.startswith("#")]

@@ -339,7 +339,7 @@ def test_sections_refuses_more_figures_than_the_bound(capsys, tmp_path, proto, m
     assert main([*argv, "--max-sections", "3"]) == 0
     capsys.readouterr()
     # refused before any attenuation is computed
-    monkeypatch.setattr(cli, "attenuation_vs_sections", _not_reached)
+    monkeypatch.setattr(cli, "section_attenuation_db", _not_reached)
     assert main([*argv, "--max-sections", "4"]) == 2
     out, err = capsys.readouterr()
     assert out == ""

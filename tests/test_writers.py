@@ -131,10 +131,12 @@ def _signed_zero_table():
 def _reference(column, style):
     if style == "json":
         return [repr(x) if math.isfinite(x) else "null" for x in column.tolist()]
+    if style == "text":
+        return ["%.12g" % x if math.isfinite(x) else "n/a" for x in column.tolist()]
     return [style % x for x in column.tolist()]
 
 
-_STYLES = ("%.17g", "%.12g", "json")
+_STYLES = ("%.17g", "%.12g", "json", "text")
 _special = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e-320, -400.0, 1e300])
 _value = st.one_of(st.floats(), _special)
 
@@ -173,7 +175,7 @@ def _column_sets(draw):
 @pytest.mark.parametrize("style", _STYLES)
 @given(columns=_column_sets())
 def test_format_columns_matches_per_value_formatting(style, columns):
-    assert format_columns(columns, style) == [_reference(c, style) for c in columns]
+    assert format_columns(columns, [style] * len(columns)) == [_reference(c, style) for c in columns]
 
 
 @pytest.mark.parametrize(
@@ -182,7 +184,7 @@ def test_format_columns_matches_per_value_formatting(style, columns):
 )
 def test_signed_zero_columns_stay_distinct(style, zero, negative_zero):
     zeros = np.zeros(4)
-    first, second, third = format_columns([zeros, -zeros, zeros.copy()], style)
+    first, second, third = format_columns([zeros, -zeros, zeros.copy()], [style] * 3)
     assert first == [zero] * 4
     assert second == [negative_zero] * 4
     assert third == first
@@ -190,13 +192,13 @@ def test_signed_zero_columns_stay_distinct(style, zero, negative_zero):
 
 def test_equal_columns_share_their_strings():
     column = np.linspace(1.0, 2.0, 5)
-    first, second = format_columns([column, column.copy()], "%.17g")
+    first, second = format_columns([column, column.copy()], ["%.17g"] * 2)
     assert second is first
 
 
 def test_json_style_writes_null_for_non_finite_values():
     column = np.array([1.5, math.inf, -math.inf, math.nan, -0.0])
-    assert format_columns([column], "json") == [["1.5", "null", "null", "null", "-0.0"]]
+    assert format_columns([column], ["json"]) == [["1.5", "null", "null", "null", "-0.0"]]
 
 
 def _count_formatted(monkeypatch):
@@ -222,7 +224,7 @@ def test_each_block_formats_its_distinct_values_once(monkeypatch, style):
     s21 = np.full(rows, -123.25)
     s21[:96] = np.linspace(-0.5, -60.0, 96)
     counts = _count_formatted(monkeypatch)
-    blocks = list(tsio.row_blocks([f, s21, s21.copy()], style))
+    blocks = list(tsio.row_blocks([f, s21, s21.copy()], [style] * 3))
     assert counts == [BLOCK, 96 + 1, BLOCK, 1, 1, 1]
     assert [len(block) for block in blocks] == [3, 3, 3]
     for start, (f_strings, s21_strings, again) in zip(range(0, rows, BLOCK), blocks):
@@ -231,10 +233,40 @@ def test_each_block_formats_its_distinct_values_once(monkeypatch, style):
         assert again is s21_strings
 
 
+@pytest.mark.parametrize("style", _STYLES)
+def test_strictly_increasing_columns_are_not_sorted(monkeypatch, style):
+    # A grid and a count column never repeat a value, so they are formatted
+    # whole; the falling column beside them still finds its one repeat.
+    f = np.linspace(1e8, 145e9, 50)
+    counts = np.arange(1.0, 51.0)
+    falling = np.linspace(-0.5, -60.0, 50)
+    falling[-1] = falling[0]
+    unique = np.unique
+    sorted_columns = []
+
+    def counting(values, *args, **kwargs):
+        sorted_columns.append(len(values))
+        return unique(values, *args, **kwargs)
+
+    monkeypatch.setattr(tsio.np, "unique", counting)
+    strings = format_columns([f, counts, falling], [style] * 3)
+    assert sorted_columns == [50]
+    assert strings == [_reference(f, style), _reference(counts, style), _reference(falling, style)]
+
+
+def test_each_column_takes_its_own_style():
+    column = np.array([1.0, math.inf, -0.0])
+    text, json_, printf = format_columns([column, column, column], ["text", "json", "%.12g"])
+    assert text == ["1", "n/a", "-0"]
+    assert json_ == ["1.0", "null", "-0.0"]
+    assert printf == ["1", "inf", "-0"]
+    assert format_columns([np.array([3.0, 500000.0])], ["%d"]) == [["3", "500000"]]
+
+
 def test_signed_zeros_and_nans_are_told_apart_by_their_bits(monkeypatch):
     column = np.array([0.0, -0.0, math.nan, -math.nan, 0.0, math.nan, -0.0, -math.nan])
     counts = _count_formatted(monkeypatch)
-    assert format_columns([column], "json") == [
+    assert format_columns([column], ["json"]) == [
         ["0.0", "-0.0", "null", "null", "0.0", "null", "-0.0", "null"]
     ]
     assert counts == [4]
@@ -242,7 +274,7 @@ def test_signed_zeros_and_nans_are_told_apart_by_their_bits(monkeypatch):
 
 def test_non_contiguous_columns():
     values = np.array([complex(1.0, -0.0), complex(-0.0, 2.0), complex(3.5, 0.0)])
-    real, imag = format_columns([values.real, values.imag], "%.17g")
+    real, imag = format_columns([values.real, values.imag], ["%.17g"] * 2)
     assert real == ["1", "-0", "3.5"]
     assert imag == ["-0", "2", "0"]
 
