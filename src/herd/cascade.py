@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,14 +67,6 @@ class TwoPort:
     s12: complex
     s21: complex
     s22: complex
-    z0: float = 50.0
-
-    def max_singular_value(self) -> float:
-        """Largest singular value of [[s11, s12], [s21, s22]]."""
-        return float(max_singular_value(self.s11, self.s12, self.s21, self.s22))
-
-    def is_passive(self, tol: float = 1e-9) -> bool:
-        return self.max_singular_value() <= 1.0 + tol
 
 
 class SParamTable:
@@ -138,8 +129,8 @@ class SParamTable:
         )
 
 
-class _TwoPortView(Sequence):
-    """Read-only sequence of one :class:`TwoPort` per point of a table."""
+class _TwoPortView:
+    """One :class:`TwoPort` per point of a table, in grid order."""
 
     __slots__ = ("_table",)
 
@@ -149,21 +140,11 @@ class _TwoPortView(Sequence):
     def __len__(self) -> int:
         return len(self._table.grid)
 
-    def __getitem__(self, index: int) -> TwoPort:
-        t = self._table
-        return TwoPort(
-            s11=complex(t.s11[index]),
-            s12=complex(t.s12[index]),
-            s21=complex(t.s21[index]),
-            s22=complex(t.s22[index]),
-            z0=t.z0,
-        )
-
     def __iter__(self):
         t = self._table
         columns = (t.s11.tolist(), t.s12.tolist(), t.s21.tolist(), t.s22.tolist())
         for s11, s12, s21, s22 in zip(*columns):
-            yield TwoPort(s11=s11, s12=s12, s21=s21, s22=s22, z0=t.z0)
+            yield TwoPort(s11=s11, s12=s12, s21=s21, s22=s22)
 
 
 def _section_power(design: FilterDesign, fc: float, f):
@@ -218,14 +199,14 @@ def filter_response(design: FilterDesign, grid: FrequencyGrid) -> SParamTable:
 
 def section_attenuation_db(design: FilterDesign, f: float) -> float:
     """Attenuation of one section at the frequency ``f`` [dB],
-    -10 log10 |s21|^2."""
+    -10 log10 |s21|^2, and +0 rather than -0 where |s21| is exactly 1."""
     f = float(f)
     if not 0.0 < f < math.inf:
         raise DomainError(f"frequency grid points must be finite and > 0 (got {f!r})")
     power = _section_power(design, corner_frequency(design), f)
     if power == 0.0:
         raise DomainError("cannot cascade a two-port with zero transmission (s21 = 0)")
-    return float(-10.0 * np.log10(power))
+    return float(-10.0 * np.log10(power)) + 0.0
 
 
 def attenuation_vs_sections(

@@ -242,11 +242,11 @@ def _cmd_modes(args) -> int:
     if chart is None or args.format == "text":
         if chart is not None:
             lines.append("mode chart (m, n, cutoff_hz):")
-            lines += [f"  TE{e.index.m}{e.index.n}  {_fmt(e.cutoff_hz)}" for e in chart]
+            lines += [f"  TE{e.m}{e.n}  {_fmt(e.cutoff_hz)}" for e in chart]
         blocks = [_json_doc(doc) if args.format == "json" else "\n".join(lines) + "\n"]
     else:
         # (3, rows), also for an empty chart
-        m, n, cutoff = np.array([(e.index.m, e.index.n, e.cutoff_hz) for e in chart]).reshape(-1, 3).T
+        m, n, cutoff = np.array([(e.m, e.n, e.cutoff_hz) for e in chart]).reshape(-1, 3).T
         entries = [("m", m, "%d"), ("n", n, "%d"), ("cutoff_hz", cutoff, "text")]
         if args.format == "json":
             blocks = _json_blocks(doc, "mode_chart", entries)

@@ -14,9 +14,3 @@ C0 = 299_792_458.0
 # Vacuum wave impedance eta0 = mu0 * c0 [ohm]; the exact value is used rather
 # than the common 377-ohm shorthand so results reproduce to machine precision.
 ETA0 = 4e-7 * math.pi * C0
-
-# Planck constant [J s].
-PLANCK_H = 6.626_070_15e-34
-
-# Elementary charge [C].
-ELEMENTARY_CHARGE = 1.602_176_634e-19

@@ -15,33 +15,35 @@ import numpy as np
 
 from .constants import C0
 from .errors import DomainError, InfeasibleDesignError
-from .model import FilterDesign, swept_corners, with_aperture
+from .model import FilterDesign, positive_violations, raise_violations, swept_corners, with_aperture
 from .modes import corner_frequency
 
 
 @dataclass(frozen=True)
 class InbandLossBreakdown:
-    """In-band operating points of the leakage model.
+    """In-band loss over all apertures [dB]: a float for one frequency and an
+    array for an array of them."""
 
-    ``per_aperture_leak_power`` is |F|^2, the power fraction lost to a single
-    aperture; ``total_transmission`` is (1 - |F|^2)**A over all A apertures.
-    Each field is a float for one frequency and an array for an array of them.
-    """
-
-    frequency: float | np.ndarray
-    per_aperture_leak_power: float | np.ndarray
-    total_transmission: float | np.ndarray
     insertion_loss_db: float | np.ndarray
 
 
-def evanescent_gamma(design: FilterDesign, fc: float, f: np.ndarray) -> np.ndarray:
+def evanescent_gamma(design: FilterDesign, fc, f):
     """Attenuation constant of the dominant aperture mode [Np/m] at each
-    frequency of ``f``, with ``fc`` the design's :func:`corner_frequency`:
+    frequency of ``f``, with ``fc`` the design's :func:`corner_frequency`
+    (a float, or an array of corners for one ``f``):
     gamma = 2 pi n / c0 * sqrt(max(fc - f, 0) (fc + f)), which is 0 at and
     above the corner. Clamping fc - f before the product keeps it from
     overflowing at frequencies far above the corner."""
     scale = 2.0 * math.pi * design.aperture_fill.refractive_index / C0
-    return scale * np.sqrt(np.maximum(fc - f, 0.0) * (fc + f))
+    if type(fc) is float and fc < 2.0**500:
+        return scale * np.sqrt(np.maximum(fc - f, 0.0) * (fc + f))
+    # Past about 1e154 Hz the product overflows. From 2**500 Hz up, fc and f
+    # are first scaled by 2**-513, which keeps the product of any float
+    # corner finite and normal. Scaling by a power of two is exact, so a
+    # corner whose product was finite keeps the bits of the path above.
+    shrink = np.where(fc < 2.0**500, 1.0, 2.0**-513)
+    fc, f = fc * shrink, f * shrink
+    return scale * (np.sqrt(np.maximum(fc - f, 0.0) * (fc + f)) / shrink)
 
 
 def _all(one: bool, values) -> bool:
@@ -50,16 +52,11 @@ def _all(one: bool, values) -> bool:
     return bool(values) if one else bool(values.all())
 
 
-def _check_frequency(f: float) -> None:
-    if not (math.isfinite(f) and f > 0.0):
-        raise DomainError(f"frequency must be finite and > 0 (got {f!r})")
-
-
 def _inband(design: FilterDesign, f):
-    """(one, freqs, gamma): whether ``f`` is one frequency, ``f`` as a float
-    or a float64 array, and :func:`evanescent_gamma` there, after checking
-    that every frequency lies strictly between 0 and the corner; the first
-    frequency outside is named."""
+    """(one, gamma): whether ``f`` is one frequency, and
+    :func:`evanescent_gamma` there, after checking that every frequency lies
+    strictly between 0 and the corner; the first frequency outside is
+    named."""
     fc = corner_frequency(design)
     freqs = np.asarray(f, dtype=float)
     one = freqs.ndim == 0
@@ -68,37 +65,29 @@ def _inband(design: FilterDesign, f):
     inside = (freqs > 0.0) & (freqs < fc)
     if not _all(one, inside):
         bad = np.reshape(freqs, -1)[int(np.argmin(inside))].item()
-        _check_frequency(bad)
+        raise_violations(positive_violations("frequency", bad))
         raise DomainError(
             f"frequency {bad!r} Hz is at or above the aperture corner frequency "
             f"{fc!r} Hz; the in-band leakage model does not apply there"
         )
-    return one, freqs, evanescent_gamma(design, fc, freqs)
+    return one, evanescent_gamma(design, fc, freqs)
 
 
 def _transmission(design: FilterDesign, gamma, depth, one: bool):
-    """(leak, total, loss): the power fraction lost to one aperture of depth
-    ``depth`` whose mode decays by ``gamma``, the transmission past all of
-    the design's apertures, and its loss [dB], infinite where the
-    transmission underflows to 0. np.power runs the same loop for one value
-    as for an array, so a figure has the same bits either way (a numpy
-    scalar's ** calls the C library's pow instead)."""
+    """In-band loss [dB] past all of the design's apertures, each of depth
+    ``depth`` with its mode decaying by ``gamma``: infinite where the
+    transmission underflows to 0, and +0, not -0, where it is exactly 1.
+    np.power runs the same loop for one value as for an array, so a figure
+    has the same bits either way (a numpy scalar's ** calls the C library's
+    pow instead)."""
     amp = np.exp(gamma * -depth)
-    leak = amp * amp
-    total = np.power(1.0 - leak, design.total_apertures)
+    total = np.power(1.0 - amp * amp, design.total_apertures)
     if _all(one, total):
         loss = -10.0 * np.log10(total)
     else:
         with np.errstate(divide="ignore"):
             loss = -10.0 * np.log10(total)
-    return leak, total, loss
-
-
-def evanescent_amplitude(design: FilterDesign, f):
-    """Field amplitude F = exp(-gamma d) surviving one aperture depth."""
-    one, _, gamma = _inband(design, f)
-    amp = np.exp(gamma * -design.aperture.depth_d)
-    return float(amp) if one else amp
+    return loss + 0.0
 
 
 def inband_transmission(design: FilterDesign, f) -> InbandLossBreakdown:
@@ -106,13 +95,9 @@ def inband_transmission(design: FilterDesign, f) -> InbandLossBreakdown:
 
     A transmission that underflows to 0 is an infinite loss.
     """
-    one, freqs, gamma = _inband(design, f)
-    leak, total, loss = _transmission(design, gamma, design.aperture.depth_d, one)
-    if one:
-        leak, total, loss = float(leak), float(total), float(loss)
-    return InbandLossBreakdown(
-        frequency=freqs, per_aperture_leak_power=leak, total_transmission=total, insertion_loss_db=loss
-    )
+    one, gamma = _inband(design, f)
+    loss = _transmission(design, gamma, design.aperture.depth_d, one)
+    return InbandLossBreakdown(float(loss) if one else loss)
 
 
 def aperture_sweep(design: FilterDesign, field: str, values: np.ndarray, f: float):
@@ -131,11 +116,11 @@ def aperture_sweep(design: FilterDesign, field: str, values: np.ndarray, f: floa
     # with_aperture raises for a value that ok marks
     if bad == [0]:
         with_aperture(design, **{field: values[0].item()})
-    _check_frequency(f)
+    raise_violations(positive_violations("frequency", f))
     if bad:
         with_aperture(design, **{field: values[bad[0]].item()})
     depth = values if field == "depth_d" else design.aperture.depth_d
-    loss = _transmission(design, evanescent_gamma(design, corner, f), depth, False)[2]
+    loss = _transmission(design, evanescent_gamma(design, corner, f), depth, False)
     loss[corner <= f] = math.nan
     return corner, loss
 
@@ -155,7 +140,7 @@ def min_depth_for_budget(design: FilterDesign, f, budget_db: float):
     ``budget_db``; closed-form inverse of :func:`inband_transmission`."""
     if not (math.isfinite(budget_db) and budget_db > 0.0):
         raise DomainError(f"budget must be finite and > 0 dB (got {budget_db!r})")
-    one, _, gamma = _inband(design, f)
+    one, gamma = _inband(design, f)
     amp_required = math.sqrt(1.0 - 10.0 ** (-budget_db / (10.0 * design.total_apertures)))
     if not 0.0 < amp_required <= 1.0:
         raise InfeasibleDesignError(

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 from .constants import C0, ETA0
 from .errors import DomainError
-from .model import CoaxGeometry, DominantModeAxis, FilterDesign, Material, RectAperture
-from .model import dominant_corner, dominant_side
+from .model import CoaxGeometry, FilterDesign, Material, RectAperture
+from .model import dominant_corner, dominant_side, positive_violations, raise_violations
 
 # Largest number of (m, n) candidates mode_chart examines, (m_max+1)(n_max+1);
 # on the stock design this charts up to about 2.3e13 Hz.
@@ -30,22 +30,11 @@ SOLVE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
-class ModeIndex:
-    """TE mode numbers (m along the width, n along the height)."""
+class ModeEntry:
+    """TE(m,n) mode (m along the width, n along the height) and its cutoff."""
 
     m: int
     n: int
-
-    def __post_init__(self):
-        if self.m < 0 or self.n < 0:
-            raise DomainError(f"mode numbers must be non-negative (got {self.m}, {self.n})")
-        if self.m == 0 and self.n == 0:
-            raise DomainError("TE00 does not exist")
-
-
-@dataclass(frozen=True)
-class ModeEntry:
-    index: ModeIndex
     cutoff_hz: float
 
 
@@ -60,8 +49,7 @@ def coax_char_impedance(geom: CoaxGeometry, fill: Material) -> float:
 def coax_ratio_for_impedance(z0: float, fill: Material) -> float:
     """Radius ratio r_outer/r_inner giving impedance ``z0`` (inverse of
     :func:`coax_char_impedance`)."""
-    if not (math.isfinite(z0) and z0 > 0.0):
-        raise DomainError(f"z0 must be finite and > 0 (got {z0!r})")
+    raise_violations(positive_violations("z0", z0))
     exponent = 2.0 * math.pi * z0 / (ETA0 * math.sqrt(1.0 / fill.eps_r))
     if not exponent <= _MAX_EXP:
         raise DomainError(
@@ -84,8 +72,7 @@ def solve_inner_radius(z0: float, f_single_mode: float, fill: Material) -> CoaxG
     away (a ratio within about 1e-4 of 1), are refused with a
     :class:`DomainError` naming the inputs.
     """
-    if not (math.isfinite(f_single_mode) and f_single_mode > 0.0):
-        raise DomainError(f"f_single_mode must be finite and > 0 (got {f_single_mode!r})")
+    raise_violations(positive_violations("f_single_mode", f_single_mode))
     ratio = coax_ratio_for_impedance(z0, fill)
     r_inner = C0 / (fill.refractive_index * f_single_mode * math.pi * (1.0 + ratio))
     r_outer = r_inner * ratio
@@ -101,36 +88,9 @@ def solve_inner_radius(z0: float, f_single_mode: float, fill: Material) -> CoaxG
     )
 
 
-def rect_cutoff(index: ModeIndex, ap: RectAperture, fill: Material) -> float:
-    """TE(m,n) cutoff frequency of a filled rectangular waveguide [Hz]."""
-    return (
-        C0
-        / (2.0 * fill.refractive_index)
-        * math.hypot(index.m / ap.width_a, index.n / ap.height_b)
-    )
-
-
-def rect_gamma(index: ModeIndex, ap: RectAperture, fill: Material, f: float) -> complex:
-    """Propagation constant of TE(m,n) at frequency ``f`` [1/m].
-
-    Below cutoff: purely real attenuation constant sqrt(kc^2 - k0^2) in Np/m.
-    Above cutoff: purely imaginary phase constant. Exactly at cutoff: 0.
-    """
-    if not (math.isfinite(f) and f > 0.0):
-        raise DomainError(f"frequency must be finite and > 0 (got {f!r})")
-    fc = rect_cutoff(index, ap, fill)
-    scale = 2.0 * math.pi * fill.refractive_index / C0
-    if f < fc:
-        return complex(scale * math.sqrt((fc - f) * (fc + f)), 0.0)
-    if f > fc:
-        return complex(0.0, scale * math.sqrt((f - fc) * (f + fc)))
-    return 0j
-
-
 def mode_chart(ap: RectAperture, fill: Material, f_max: float) -> list[ModeEntry]:
     """All TE modes with cutoff <= ``f_max``, sorted ascending by cutoff."""
-    if not (math.isfinite(f_max) and f_max > 0.0):
-        raise DomainError(f"f_max must be finite and > 0 (got {f_max!r})")
+    raise_violations(positive_violations("f_max", f_max))
     # Index bound guarantees completeness: TE(m,0) cutoff exceeds f_max once
     # m > 2 f_max a sqrt(eps_r) / c0, and likewise along the height. The
     # min() keeps an overflowing bound finite until the size check rejects it.
@@ -151,16 +111,9 @@ def mode_chart(ap: RectAperture, fill: Material, f_max: float) -> list[ModeEntry
                 continue
             fc = scale * math.hypot(m / ap.width_a, n / ap.height_b)
             if fc <= f_max:
-                entries.append(ModeEntry(ModeIndex(m, n), fc))
-    entries.sort(key=lambda e: (e.cutoff_hz, e.index.m, e.index.n))
+                entries.append(ModeEntry(m, n, fc))
+    entries.sort(key=lambda e: (e.cutoff_hz, e.m, e.n))
     return entries
-
-
-def dominant_mode_index(design: FilterDesign) -> ModeIndex:
-    """Index of the aperture mode selected by ``dominant_mode_axis``."""
-    if design.dominant_mode_axis is DominantModeAxis.HEIGHT:
-        return ModeIndex(0, 1)
-    return ModeIndex(1, 0)
 
 
 def corner_frequency(design: FilterDesign) -> float:

@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass
 
 from .cascade import filter_response
-from .constants import C0, ELEMENTARY_CHARGE, PLANCK_H
-from .errors import DomainError, InfeasibleDesignError
+from .constants import C0
+from .errors import InfeasibleDesignError
 from .leakage import inband_transmission, min_depth_for_budget
 from .model import DEFAULT_APERTURES_PER_SECTION, DEFAULT_STOPBAND_KAPPA, FilterDesign, FrequencyGrid
 from .model import Field, KeyValueFormat, Material, RectAperture, count_violations
@@ -59,17 +59,6 @@ class SynthesisReport:
     margin_passband_db: float
     margin_stopband_db: float
     total_length: float
-
-
-def pair_breaking_frequency(gap_energy_ev: float) -> float:
-    """Photon frequency matching twice a superconducting gap energy [Hz].
-
-    Radiation above this frequency can break Cooper pairs, which is what the
-    stopband is there to reject. f = 2 * gap / h, gap given in eV.
-    """
-    if not (math.isfinite(gap_energy_ev) and gap_energy_ev > 0.0):
-        raise DomainError(f"gap energy must be finite and > 0 eV (got {gap_energy_ev!r})")
-    return 2.0 * gap_energy_ev * ELEMENTARY_CHARGE / PLANCK_H
 
 
 def octagon_face_width(r_outer: float) -> float:

@@ -29,12 +29,10 @@ from herd import (
     dumps_design,
     filter_response,
     parse_touchstone,
-    rect_gamma,
     write_touchstone,
 )
-from herd.cascade import DEFAULT_TRANSITION_WIDTH
+from herd.cascade import DEFAULT_TRANSITION_WIDTH, max_singular_value
 from herd.cli import main
-from herd.modes import dominant_mode_index
 
 REL = 1e-12
 SHARPNESS = 2.0 * math.log(99.0)
@@ -50,8 +48,8 @@ def _scalar_section(design, f):
     n_ap = design.apertures_per_section
 
     if f < fc:
-        index = dominant_mode_index(design)
-        gamma = rect_gamma(index, design.aperture, design.aperture_fill, f).real
+        n = design.aperture_fill.refractive_index
+        gamma = 2.0 * math.pi * n / C0 * math.sqrt((fc - f) * (fc + f))
         amp = math.exp(-gamma * design.aperture.depth_d)
         t_below = (1.0 - amp * amp) ** n_ap
     else:
@@ -127,9 +125,9 @@ def test_blend_band_and_exact_corner(proto):
     fc = corner_frequency(proto)
     points = sorted(set(np.linspace(0.9 * fc, 1.1 * fc, 201).tolist()) | {fc})
     table = _assert_agrees(proto, FrequencyGrid(tuple(points)))
-    at_corner = table.entries[points.index(fc)]
+    at_corner = table.s21[points.index(fc)]
     t_above = (1.0 - proto.stopband_kappa) ** proto.apertures_per_section
-    assert abs(at_corner.s21) ** 2 == pytest.approx((0.5 * t_above) ** proto.sections, rel=1e-12)
+    assert abs(at_corner) ** 2 == pytest.approx((0.5 * t_above) ** proto.sections, rel=1e-12)
 
 
 @pytest.mark.parametrize("sections", [1, 4])
@@ -190,14 +188,13 @@ def test_analyze_output_byte_identical_over_reruns(tmp_path, capsys, proto, fmt)
 def test_table_from_arrays_and_back():
     grid = FrequencyGrid((1e9, 2e9, 3e9))
     ports = tuple(
-        TwoPort(s11=0.1j * k, s12=0.9 - 0.1j * k, s21=0.8 + 0.05j * k, s22=-0.2 * k, z0=75.0)
+        TwoPort(s11=0.1j * k, s12=0.9 - 0.1j * k, s21=0.8 + 0.05j * k, s22=-0.2 * k)
         for k in range(3)
     )
     arrays = {name: [getattr(p, name) for p in ports] for name in ("s11", "s21", "s12", "s22")}
     table = SParamTable(grid, Provenance.MEASURED, z0=75.0, **arrays)
     assert table.z0 == 75.0
     assert tuple(table.entries) == ports
-    assert table.entries[1] == ports[1] and table.entries[-1] == ports[-1]
     assert len(table.entries) == 3
     np.testing.assert_array_equal(table.f, [1e9, 2e9, 3e9])
     np.testing.assert_array_equal(table.s12, [p.s12 for p in ports])
@@ -292,14 +289,12 @@ _entry = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=F
 
 @given(s11=_entry, s12=_entry, s21=_entry, s22=_entry)
 def test_max_singular_value_matches_svd(s11, s12, s21, s22):
-    port = TwoPort(s11=s11, s12=s12, s21=s21, s22=s22)
     expected = np.linalg.svd(np.array([[s11, s12], [s21, s22]]), compute_uv=False)[0]
-    got = port.max_singular_value()
+    got = max_singular_value(s11, s12, s21, s22)
     assert abs(got - expected) <= 1e-12 * expected
 
 
 def test_max_singular_value_of_scaled_unitary():
     # equal singular values: the form without cancellation stays exact
     for scale in (1e-200, 0.7, 1.0, 1e200):
-        port = TwoPort(s11=0j, s12=scale * 1j, s21=scale * 1j, s22=0j)
-        assert port.max_singular_value() == pytest.approx(scale, rel=1e-15)
+        assert max_singular_value(0j, scale * 1j, scale * 1j, 0j) == pytest.approx(scale, rel=1e-15)

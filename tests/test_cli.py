@@ -288,6 +288,37 @@ class TestSweep:
         assert "frequency must be finite and > 0" in err
 
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_zero_loss_is_written_without_a_sign(self, capsys, proto_file, fmt):
+        # half a metre deep, the field through a hole rounds to nothing
+        argv = ["sweep", "--design", proto_file, "--param", "d", "--from", "0.5", "--to", "1",
+                "--steps", "2", "--format", fmt]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        if fmt == "csv":
+            assert [row[2] for row in self._rows(out)] == ["0", "0"]
+        else:
+            assert '"insertion_loss_db": 0.0' in out and "-0" not in out
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_corners_near_the_float_limit(self, capsys, tmp_path, proto, fmt):
+        # corners from 1e308 down to 5e307 Hz; the 1e-300 m hole loses 0.26 dB at
+        # 10 GHz, and wider holes lose more
+        path = tmp_path / "tiny.design"
+        path.write_text(dumps_design(with_aperture(proto, width_a=1e-300, depth_d=1e-300)))
+        argv = ["sweep", "--design", str(path), "--param", "a", "--from", "1e-300", "--to", "2e-300",
+                "--steps", "3", "--format", fmt]
+        code, out, err = run(capsys, argv)
+        assert code == 0 and err == ""
+        if fmt == "csv":
+            losses = [float(row[2]) for row in self._rows(out)]
+        else:
+            losses = [row["insertion_loss_db"] for row in json.loads(out)["rows"]]
+        assert losses[0] == pytest.approx(0.25977, abs=1e-5)
+        assert 0.0 < losses[0] < losses[1] < losses[2]
+
+
 class TestSections:
     def test_stock_ladder(self, capsys, proto_file):
         code, out, _ = run(
@@ -331,6 +362,17 @@ class TestSections:
             (att,) = row["attenuation_db"]
             assert math.isfinite(att)
             assert att == pytest.approx(row["sections"] * first, rel=1e-12)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_zero_attenuation_is_written_without_a_sign(self, capsys, tmp_path, proto, fmt):
+        path = tmp_path / "deep.design"
+        path.write_text(dumps_design(with_aperture(proto, depth_d=0.5)))
+        argv = ["sections", "--design", str(path), "--freqs", "1e9", "--max-sections", "2",
+                "--format", fmt]
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and "-0" not in out
+        if fmt == "csv":
+            assert out.splitlines()[1:] == ["1,0", "2,0"]
 
     def test_unparsable_frequency(self, capsys, proto_file):
         code, _, err = run(

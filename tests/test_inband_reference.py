@@ -2,7 +2,7 @@
 
 ``_scalar_*`` keep the per-frequency in-band math that ``leakage`` and
 ``synthesis.verify`` evaluated one point at a time before the model became
-one array kernel: the dominant-mode gamma from ``rect_gamma``, the amplitude,
+one array kernel: the dominant-mode gamma in closed form, the amplitude,
 the additive transmission loss, the depth inverse and verify's passband loop.
 The kernel must agree with them to 1e-12 relative, for one frequency and for
 arrays, and raise the same errors with the same messages.
@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from herd import (
+    C0,
     PTFE,
     DesignSpec,
     DomainError,
@@ -22,15 +23,13 @@ from herd import (
     InfeasibleDesignError,
     Material,
     corner_frequency,
-    evanescent_amplitude,
     inband_transmission,
     min_depth_for_budget,
-    rect_gamma,
     synthesize,
     verify,
 )
+from herd.leakage import evanescent_gamma
 from herd.model import AIR, DominantModeAxis
-from herd.modes import dominant_mode_index
 
 REL = 1e-12
 
@@ -47,7 +46,8 @@ def _scalar_gamma(design, f):
             f"frequency {f!r} Hz is at or above the aperture corner frequency "
             f"{fc!r} Hz; the in-band leakage model does not apply there"
         )
-    return rect_gamma(dominant_mode_index(design), design.aperture, design.aperture_fill, f).real
+    n = design.aperture_fill.refractive_index
+    return 2.0 * math.pi * n / C0 * math.sqrt((fc - f) * (fc + f))
 
 
 def _scalar_amplitude(design, f):
@@ -55,11 +55,10 @@ def _scalar_amplitude(design, f):
 
 
 def _scalar_transmission(design, f):
-    """(leak power per aperture, total transmission, insertion loss dB)."""
+    """(leak power per aperture, insertion loss dB)."""
     amp = _scalar_amplitude(design, f)
     leak = amp * amp
-    total = (1.0 - leak) ** design.total_apertures
-    return leak, total, -10.0 * math.log10(total)
+    return leak, -10.0 * math.log10((1.0 - leak) ** design.total_apertures)
 
 
 def _scalar_depth(design, f, budget_db):
@@ -76,7 +75,7 @@ def _scalar_passband_margin(design, spec, points=101):
         if f >= fc:
             worst_il = math.inf
             break
-        worst_il = max(worst_il, _scalar_transmission(design, f)[2])
+        worst_il = max(worst_il, _scalar_transmission(design, f)[1])
     return spec.passband_il_budget_db - worst_il
 
 
@@ -128,17 +127,14 @@ def _inband_freqs(design, points=499):
 def test_arrays_agree_with_scalar_reference(name):
     design = DESIGNS[name]
     freqs = _inband_freqs(design)
-    amps = evanescent_amplitude(design, freqs)
-    curve = inband_transmission(design, freqs)
+    gammas = evanescent_gamma(design, corner_frequency(design), freqs)
+    losses = inband_transmission(design, freqs).insertion_loss_db
     depths = min_depth_for_budget(design, freqs, 0.1)
-    assert isinstance(amps, np.ndarray) and amps.shape == freqs.shape
+    assert isinstance(losses, np.ndarray) and losses.shape == freqs.shape
     for i, f in enumerate(freqs.tolist()):
-        leak, total, loss = _scalar_transmission(design, f)
-        cond = _cond(design, leak)
-        assert _close(amps[i], _scalar_amplitude(design, f)), (f, amps[i])
-        assert _close(curve.per_aperture_leak_power[i], leak)
-        assert _close(curve.total_transmission[i], total, cond)
-        assert _close(curve.insertion_loss_db[i], loss, cond)
+        leak, loss = _scalar_transmission(design, f)
+        assert _close(gammas[i], _scalar_gamma(design, f)), (f, gammas[i])
+        assert _close(losses[i], loss, _cond(design, leak))
         assert _close(depths[i], _scalar_depth(design, f, 0.1))
 
 
@@ -146,19 +142,11 @@ def test_arrays_agree_with_scalar_reference(name):
 def test_floats_agree_with_scalar_reference(name):
     design = DESIGNS[name]
     for f in _inband_freqs(design, 23).tolist():
-        amp = evanescent_amplitude(design, f)
-        point = inband_transmission(design, f)
+        loss = inband_transmission(design, f).insertion_loss_db
         depth = min_depth_for_budget(design, f, 0.1)
-        for value in (amp, point.per_aperture_leak_power, point.total_transmission,
-                      point.insertion_loss_db, depth):
-            assert type(value) is float
-        assert point.frequency == f
-        leak, total, loss = _scalar_transmission(design, f)
-        cond = _cond(design, leak)
-        assert _close(amp, _scalar_amplitude(design, f))
-        assert _close(point.per_aperture_leak_power, leak)
-        assert _close(point.total_transmission, total, cond)
-        assert _close(point.insertion_loss_db, loss, cond)
+        assert type(loss) is float and type(depth) is float
+        leak, want = _scalar_transmission(design, f)
+        assert _close(loss, want, _cond(design, leak))
         assert _close(depth, _scalar_depth(design, f, 0.1))
 
 
@@ -166,25 +154,16 @@ def test_floats_agree_with_scalar_reference(name):
 def test_floats_agree_with_the_array_call(name):
     design = DESIGNS[name]
     freqs = _inband_freqs(design, 23)
-    amps = evanescent_amplitude(design, freqs)
     curve = inband_transmission(design, freqs)
     depths = min_depth_for_budget(design, freqs, 0.1)
     for i, f in enumerate(freqs.tolist()):
+        cond = _cond(design, _scalar_transmission(design, f)[0])
         # a float, a numpy scalar and a 0-d array are each one frequency
         for one in (f, np.float64(f), np.array(f)):
-            amp = evanescent_amplitude(design, one)
-            point = inband_transmission(design, one)
+            loss = inband_transmission(design, one).insertion_loss_db
             depth = min_depth_for_budget(design, one, 0.1)
-            fields = (point.frequency, point.per_aperture_leak_power,
-                      point.total_transmission, point.insertion_loss_db)
-            for value in (amp, depth, *fields):
-                assert type(value) is float
-            cond = _cond(design, point.per_aperture_leak_power)
-            assert point.frequency == f
-            assert _close(amp, amps[i])
-            assert _close(point.per_aperture_leak_power, curve.per_aperture_leak_power[i])
-            assert _close(point.total_transmission, curve.total_transmission[i], cond)
-            assert _close(point.insertion_loss_db, curve.insertion_loss_db[i], cond)
+            assert type(loss) is float and type(depth) is float
+            assert _close(loss, curve.insertion_loss_db[i], cond)
             assert _close(depth, depths[i])
 
 
@@ -225,10 +204,8 @@ def test_first_bad_frequency_named_with_the_scalar_message(proto, bad):
     want = _message(lambda: _scalar_gamma(proto, f_bad))
     freqs = np.array([1e9, 2e9, f_bad, 0.0, 2.0 * fc])
     for call in (
-        lambda: evanescent_amplitude(proto, f_bad),
         lambda: inband_transmission(proto, f_bad),
         lambda: min_depth_for_budget(proto, f_bad, 0.1),
-        lambda: evanescent_amplitude(proto, freqs),
         lambda: inband_transmission(proto, freqs),
         lambda: min_depth_for_budget(proto, freqs, 0.1),
     ):

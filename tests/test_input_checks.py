@@ -25,11 +25,11 @@ from herd import (
     dumps_design,
     dumps_design_spec,
     mode_chart,
-    rect_cutoff,
     synthesize,
 )
 from herd import cascade, cli, model, modes
 from herd.cli import main
+from herd.leakage import aperture_sweep
 from herd.model import build_part
 from herd.synthesis import SPEC_FILE, validate_spec
 
@@ -148,10 +148,35 @@ class TestModeChartLimit:
         assert "f_max" in capsys.readouterr().err
 
     def test_chart_matches_rect_cutoff(self, proto):
+        # the TE(m,n) cutoff of a filled rectangular waveguide
         chart = mode_chart(proto.aperture, proto.aperture_fill, 200e9)
         assert chart
+        ap, scale = proto.aperture, C0 / (2.0 * proto.aperture_fill.refractive_index)
         for entry in chart:
-            assert entry.cutoff_hz == rect_cutoff(entry.index, proto.aperture, proto.aperture_fill)
+            assert entry.cutoff_hz == scale * math.hypot(entry.m / ap.width_a, entry.n / ap.height_b)
+
+
+HUGE_INT = 10**400
+EXACT = "a real number that a float holds exactly"
+_AP = RectAperture(width_a=4e-3, height_b=5e-3, depth_d=4.85e-3)
+
+# A plain number a mode function takes, each bad one refused with a
+# DomainError naming it: (function, arguments, message). The message for a
+# float is the one the hand-written checks gave.
+BAD_MODE_NUMBERS = {
+    "chart_nan": (modes.mode_chart, (_AP, AIR, math.nan), "f_max must be finite and > 0 (got nan)"),
+    "chart_zero": (modes.mode_chart, (_AP, AIR, 0.0), "f_max must be finite and > 0 (got 0.0)"),
+    "chart_huge_int": (modes.mode_chart, (_AP, AIR, HUGE_INT), f"f_max must be {EXACT} (got {HUGE_INT})"),
+    "chart_text": (modes.mode_chart, (_AP, AIR, "1e9"), f"f_max must be {EXACT} (got '1e9')"),
+    "ratio_negative": (modes.coax_ratio_for_impedance, (-50.0, AIR), "z0 must be finite and > 0 (got -50.0)"),
+    "ratio_inf": (modes.coax_ratio_for_impedance, (math.inf, AIR), "z0 must be finite and > 0 (got inf)"),
+    "ratio_huge_int": (modes.coax_ratio_for_impedance, (HUGE_INT, AIR), f"z0 must be {EXACT} (got {HUGE_INT})"),
+    "solve_zero": (modes.solve_inner_radius, (50.0, 0.0, AIR), "f_single_mode must be finite and > 0 (got 0.0)"),
+    "solve_huge_int": (
+        modes.solve_inner_radius, (50.0, HUGE_INT, AIR), f"f_single_mode must be {EXACT} (got {HUGE_INT})"
+    ),
+    "solve_nan_z0": (modes.solve_inner_radius, (math.nan, 10e9, AIR), "z0 must be finite and > 0 (got nan)"),
+}
 
 
 class TestModeChecks:
@@ -169,6 +194,26 @@ class TestModeChecks:
             Material(math.inf)
         with pytest.raises(DomainError, match=r"^aperture_fill\.eps_r must be finite and >= 1 "):
             build_part("aperture_fill", Material, {"eps_r": math.inf})
+
+    @pytest.mark.parametrize("name", sorted(BAD_MODE_NUMBERS))
+    def test_plain_numbers_are_refused_by_name(self, name):
+        function, args, message = BAD_MODE_NUMBERS[name]
+        with pytest.raises(DomainError) as err:
+            function(*args)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "f, message",
+        [
+            (0.0, "frequency must be finite and > 0 (got 0.0)"),
+            (math.nan, "frequency must be finite and > 0 (got nan)"),
+            (HUGE_INT, f"frequency must be {EXACT} (got {HUGE_INT})"),
+        ],
+    )
+    def test_sweep_reference_frequency_is_refused_by_name(self, proto, f, message):
+        with pytest.raises(DomainError) as err:
+            aperture_sweep(proto, "width_a", np.array([3e-3, 4e-3]), f)
+        assert str(err.value) == message
 
     def test_modes_names_the_coax_fill(self, capsys):
         argv = ["modes", "--z0", "50", "--single-mode", "10e9", "--coax-eps", "0.5"]

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,35 +13,44 @@ from herd import (
     DomainError,
     DominantModeAxis,
     Material,
-    ModeIndex,
     RectAperture,
     coax_char_impedance,
     coax_first_higher_mode_cutoff,
     coax_ratio_for_impedance,
     corner_frequency,
+    inband_transmission,
     mode_chart,
     prototype_design,
-    rect_cutoff,
-    rect_gamma,
     solve_inner_radius,
     with_aperture,
 )
+from herd.leakage import evanescent_gamma
 
 PTFE_LIKE = Material(eps_r=2.2)
 
 
 class TestModeIndex:
-    def test_te00_rejected(self):
-        with pytest.raises(DomainError):
-            ModeIndex(0, 0)
+    """The chart lists only TE(m,n) modes that exist: m, n >= 0, not both 0."""
 
-    def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            ModeIndex(-1, 0)
+    def test_te00_rejected(self, proto):
+        chart = mode_chart(proto.aperture, proto.aperture_fill, 200e9)
+        assert (0, 0) not in {(e.m, e.n) for e in chart}
 
-    def test_valid(self):
-        assert ModeIndex(1, 0).m == 1
-        assert ModeIndex(0, 3).n == 3
+    def test_negative_rejected(self, proto):
+        chart = mode_chart(proto.aperture, proto.aperture_fill, 200e9)
+        assert all(e.m >= 0 and e.n >= 0 for e in chart)
+
+    def test_valid(self, proto):
+        first, second = mode_chart(proto.aperture, proto.aperture_fill, 30e9)
+        assert (first.m, first.n, second.m, second.n) == (0, 1, 1, 0)
+
+
+def _cutoff(m, n, ap, fill):
+    """TE(m,n) cutoff as mode_chart lists it, charted just far enough:
+    hypot(m / a, n / b) <= (m + n) / min(a, b)."""
+    f_max = 1.5 * C0 * (m + n) / (2.0 * fill.refractive_index * min(ap.width_a, ap.height_b))
+    (cutoff,) = [e.cutoff_hz for e in mode_chart(ap, fill, f_max) if (e.m, e.n) == (m, n)]
+    return cutoff
 
 
 class TestCoaxImpedance:
@@ -189,16 +199,16 @@ class TestSolveInnerRadius:
 
 class TestRectCutoff:
     def test_width_mode(self, proto):
-        f = rect_cutoff(ModeIndex(1, 0), proto.aperture, PTFE_LIKE)
+        f = _cutoff(1, 0, proto.aperture, PTFE_LIKE)
         assert f == pytest.approx(25.26e9, abs=0.05e9)
 
     def test_height_mode(self, proto):
-        f = rect_cutoff(ModeIndex(0, 1), proto.aperture, PTFE_LIKE)
+        f = _cutoff(0, 1, proto.aperture, PTFE_LIKE)
         assert f == pytest.approx(20.21e9, abs=0.05e9)
 
     def test_dielectric_scaling(self, proto):
-        f_air = rect_cutoff(ModeIndex(1, 0), proto.aperture, AIR)
-        f_ptfe = rect_cutoff(ModeIndex(1, 0), proto.aperture, PTFE_LIKE)
+        f_air = _cutoff(1, 0, proto.aperture, AIR)
+        f_ptfe = _cutoff(1, 0, proto.aperture, PTFE_LIKE)
         assert f_air / f_ptfe == pytest.approx(math.sqrt(2.2), rel=1e-12)
 
     @given(
@@ -210,7 +220,7 @@ class TestRectCutoff:
     def test_strictly_decreasing_in_width(self, a1, shrink, m, n):
         wide = RectAperture(width_a=a1, height_b=5e-3, depth_d=5e-3)
         narrow = RectAperture(width_a=a1 * shrink, height_b=5e-3, depth_d=5e-3)
-        assert rect_cutoff(ModeIndex(m, n), narrow, AIR) > rect_cutoff(ModeIndex(m, n), wide, AIR)
+        assert _cutoff(m, n, narrow, AIR) > _cutoff(m, n, wide, AIR)
 
     @given(
         eps=st.floats(min_value=1.0, max_value=8.0),
@@ -218,50 +228,48 @@ class TestRectCutoff:
     )
     def test_strictly_decreasing_in_permittivity(self, eps, grow):
         ap = RectAperture(width_a=4e-3, height_b=5e-3, depth_d=5e-3)
-        f_low = rect_cutoff(ModeIndex(1, 0), ap, Material(eps_r=eps * grow))
-        f_high = rect_cutoff(ModeIndex(1, 0), ap, Material(eps_r=eps))
+        f_low = _cutoff(1, 0, ap, Material(eps_r=eps * grow))
+        f_high = _cutoff(1, 0, ap, Material(eps_r=eps))
         assert f_low < f_high
 
 
 class TestRectGamma:
+    """The dominant aperture mode's attenuation constant, evanescent_gamma."""
+
     def test_evanescent_value(self, proto):
-        gamma = rect_gamma(ModeIndex(1, 0), proto.aperture, PTFE_LIKE, 10e9)
-        assert gamma.imag == 0.0
-        assert gamma.real == pytest.approx(721.3, abs=0.5)
+        gamma = evanescent_gamma(proto, corner_frequency(proto), 10e9)
+        assert gamma == pytest.approx(721.3, abs=0.5)
 
     def test_zero_at_cutoff(self, proto):
-        fc = rect_cutoff(ModeIndex(1, 0), proto.aperture, PTFE_LIKE)
-        assert rect_gamma(ModeIndex(1, 0), proto.aperture, PTFE_LIKE, fc) == 0j
+        # and above it, where the in-band model does not apply
+        fc = corner_frequency(proto)
+        assert evanescent_gamma(proto, fc, np.array([fc, 40e9, 1.7e308])).tolist() == [0.0] * 3
 
     def test_static_limit(self, proto):
-        gamma = rect_gamma(ModeIndex(1, 0), proto.aperture, PTFE_LIKE, 1.0)
-        assert gamma.real == pytest.approx(math.pi / proto.aperture.width_a, rel=1e-9)
-        assert gamma.real == pytest.approx(785.4, abs=0.1)
-
-    def test_above_cutoff_imaginary(self, proto):
-        gamma = rect_gamma(ModeIndex(1, 0), proto.aperture, PTFE_LIKE, 40e9)
-        assert gamma.real == 0.0
-        assert gamma.imag > 0.0
+        gamma = evanescent_gamma(proto, corner_frequency(proto), 1.0)
+        assert gamma == pytest.approx(math.pi / proto.aperture.width_a, rel=1e-9)
+        assert gamma == pytest.approx(785.4, abs=0.1)
 
     def test_continuity_across_cutoff(self, proto):
-        fc = rect_cutoff(ModeIndex(1, 0), proto.aperture, PTFE_LIKE)
+        fc = corner_frequency(proto)
         previous = math.inf
         for delta in (1e-6, 1e-9, 1e-12):
-            below = abs(rect_gamma(ModeIndex(1, 0), proto.aperture, PTFE_LIKE, fc * (1 - delta)))
-            above = abs(rect_gamma(ModeIndex(1, 0), proto.aperture, PTFE_LIKE, fc * (1 + delta)))
-            assert max(below, above) < previous
-            previous = max(below, above)
+            below = evanescent_gamma(proto, fc, fc * (1 - delta))
+            assert below < previous
+            assert evanescent_gamma(proto, fc, fc * (1 + delta)) == 0.0
+            previous = below
         assert previous < 2e-3 * (math.pi / proto.aperture.width_a)
 
     def test_nonpositive_frequency(self, proto):
+        # the in-band model checks the frequencies it takes gamma at
         with pytest.raises(DomainError):
-            rect_gamma(ModeIndex(1, 0), proto.aperture, PTFE_LIKE, 0.0)
+            inband_transmission(proto, 0.0)
 
 
 class TestModeChart:
     def test_stock_aperture(self, proto):
         chart = mode_chart(proto.aperture, PTFE_LIKE, 30e9)
-        assert [(e.index.m, e.index.n) for e in chart] == [(0, 1), (1, 0)]
+        assert [(e.m, e.n) for e in chart] == [(0, 1), (1, 0)]
         assert chart[0].cutoff_hz == pytest.approx(20.21e9, abs=0.05e9)
         assert chart[1].cutoff_hz == pytest.approx(25.26e9, abs=0.05e9)
 
@@ -276,17 +284,16 @@ class TestModeChart:
             for n in range(0, 12):
                 if m == 0 and n == 0:
                     continue
-                fc = rect_cutoff(ModeIndex(m, n), proto.aperture, PTFE_LIKE)
+                ap = proto.aperture
+                fc = C0 / (2.0 * PTFE_LIKE.refractive_index) * math.hypot(m / ap.width_a, n / ap.height_b)
                 if fc <= f_max:
                     brute.append(((fc, m, n)))
         brute.sort()
-        assert [(e.cutoff_hz, e.index.m, e.index.n) for e in chart] == brute
+        assert [(e.cutoff_hz, e.m, e.n) for e in chart] == brute
 
     def test_entries_consistent_and_sorted(self, proto):
         chart = mode_chart(proto.aperture, PTFE_LIKE, 60e9)
-        assert len({(e.index.m, e.index.n) for e in chart}) == len(chart)
-        for entry in chart:
-            assert rect_cutoff(entry.index, proto.aperture, PTFE_LIKE) == entry.cutoff_hz
+        assert len({(e.m, e.n) for e in chart}) == len(chart)
         cutoffs = [e.cutoff_hz for e in chart]
         assert cutoffs == sorted(cutoffs)
 

@@ -6,7 +6,6 @@ import pytest
 from herd import (
     AIR,
     DesignSpec,
-    DomainError,
     InfeasibleDesignError,
     Material,
     ParseError,
@@ -15,7 +14,6 @@ from herd import (
     dumps_design_spec,
     loads_design_spec,
     octagon_face_width,
-    pair_breaking_frequency,
     per_section_attenuation_db,
     synthesize,
     verify,
@@ -35,25 +33,6 @@ def headline_spec() -> DesignSpec:
         coax_fill=AIR,
         apertures_per_section=8,
     )
-
-
-class TestPairBreaking:
-    def test_aluminium_gap(self):
-        assert pair_breaking_frequency(165e-6) == pytest.approx(79.8e9, abs=0.1e9)
-
-    def test_linear_in_gap(self):
-        assert pair_breaking_frequency(330e-6) == pytest.approx(
-            2 * pair_breaking_frequency(165e-6), rel=1e-12
-        )
-
-    def test_vanishing_gap(self):
-        assert pair_breaking_frequency(1e-30) < 1e-9
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(DomainError):
-            pair_breaking_frequency(0.0)
-        with pytest.raises(DomainError):
-            pair_breaking_frequency(-1e-4)
 
 
 class TestSynthesize:

@@ -89,7 +89,7 @@ def oracle_sections(design, freqs, max_sections, fmt):
 
 def oracle_modes(design, fmax, fmt):
     chart = mode_chart(design.aperture, design.aperture_fill, fmax)
-    rows = [{"m": e.index.m, "n": e.index.n, "cutoff_hz": e.cutoff_hz} for e in chart]
+    rows = [{"m": e.m, "n": e.n, "cutoff_hz": e.cutoff_hz} for e in chart]
     scalars = {
         "z0_ohm": coax_char_impedance(design.coax, design.coax_fill),
         "r_inner_m": design.coax.r_inner,

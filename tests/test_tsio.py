@@ -38,15 +38,15 @@ class TestParse:
         table = parse_touchstone(text)
         assert len(table.grid) == 1
         assert table.grid.points[0] == 1e10
-        port = table.entries[0]
+        (port,) = table.entries
         assert abs(port.s21) == pytest.approx(10 ** (-60.2 / 20), rel=1e-12)
         assert math.degrees(cmath.phase(port.s21)) == pytest.approx(120.0, rel=1e-9)
-        assert port.z0 == 50.0
+        assert table.z0 == 50.0
         assert table.provenance is Provenance.MEASURED
 
     def test_ri_format_row(self):
         text = "# HZ S RI R 50\n1e9 0.1 0 0.99 0 0.99 0 0.1 0\n"
-        port = parse_touchstone(text).entries[0]
+        (port,) = parse_touchstone(text).entries
         assert port.s21 == 0.99 + 0j
         assert port.s11 == 0.1 + 0j
 
@@ -54,9 +54,9 @@ class TestParse:
         text = "# MHZ S MA R 75\n100 0.5 90 0.8 0 0.8 0 0.5 90\n"
         table = parse_touchstone(text)
         assert table.grid.points[0] == 1e8
-        port = table.entries[0]
+        (port,) = table.entries
         assert port.s11 == pytest.approx(0.5j, rel=1e-12)
-        assert port.z0 == 75.0
+        assert table.z0 == 75.0
 
     def test_case_insensitive_option_line(self):
         text = "# ghz s ri r 50\n1 0 0 1 0 1 0 0 0\n"
@@ -70,8 +70,9 @@ class TestParse:
         text = "!MAGONLY\n# HZ S MA R 50\n1e9 0.5 45 0.8 30 0.8 30 0.5 45\n"
         table = parse_touchstone(text)
         assert table.mag_only
-        assert table.entries[0].s21 == 0.8 + 0j
-        assert table.entries[0].s11 == 0.5 + 0j
+        (port,) = table.entries
+        assert port.s21 == 0.8 + 0j
+        assert port.s11 == 0.5 + 0j
 
     @pytest.mark.parametrize(
         "text, bad_line",
