@@ -39,9 +39,10 @@ from .synthesis import loads_design_spec, synthesize
 from .tsio import (
     Claim,
     ClaimKind,
-    band_metrics,
     check_claims,
     insertion_loss_db,
+    judge_claims,
+    metrics_by_band,
     parse_touchstone,
     return_loss_db,
     row_blocks,
@@ -107,11 +108,11 @@ def _kv_lines(values: dict) -> list[str]:
 
 # A table is a list of (key, column, style) entries: row i holds value i of
 # each column, written in the entry's tsio.format_columns style ("%d" for
-# integers). Its rows are formatted and written a block at a time
+# integers). Its rows are laid out and written a block at a time
 # (tsio.row_blocks), so only the arrays and one block of text are held.
 
 # The string that stands in for the rows, and for each value of a row, until
-# they are spliced in.
+# they are laid out.
 _SLOT = "\0"
 
 
@@ -120,8 +121,7 @@ def _json_blocks(doc: dict, key: str, entries):
     list of row objects built from ``entries``, as json.dumps(indent=2)
     writes it: a "%d" column as integers, any other as floats, null where
     not finite. An entry whose column is a list of columns gives each row a
-    list. A row's fixed texts come from dumping one row of slots, and each
-    block of rows is laid out by one join of those texts and the strings."""
+    list. A row's fixed texts come from dumping one row of slots."""
     columns, styles, row = [], [], {}
     for name, values, style in entries:
         nested = isinstance(values, list)
@@ -132,22 +132,18 @@ def _json_blocks(doc: dict, key: str, entries):
     head, _, tail = _json_doc({**doc, key: _SLOT}).partition(json.dumps(_SLOT))
     # a row as an item of a list that is the value of a key of the document
     text = "    " + json.dumps(row, indent=2).replace("\n", "\n    ")
-    *before, end = text.split(json.dumps(_SLOT))
-    # the text before each value, in a row that follows another, and a slot
-    # for the value's string
-    parts_of_row = [part for piece in [end + ",\n" + before[0], *before[1:]] for part in (piece, None)]
-
+    first, *texts = text.split(json.dumps(_SLOT))
+    # Each row opens with the comma after the row before it; the first
+    # opens the list instead.
+    blocks = row_blocks(columns, styles, [",\n" + first, *texts])
+    opening = next(blocks, None)
     yield head
-    opening = "[\n"
-    for strings in row_blocks(columns, styles):
-        parts = parts_of_row * len(strings[0])
-        parts[0] = opening + before[0]
-        for i, column in enumerate(strings):
-            parts[2 * i + 1 :: len(parts_of_row)] = column
-        parts.append(end)
-        yield "".join(parts)
-        opening = ",\n"
-    yield ("[]" if opening == "[\n" else "\n  ]") + tail
+    if opening is None:
+        yield "[]" + tail
+        return
+    yield "[" + opening[1:]
+    yield from blocks
+    yield "\n  ]" + tail
 
 
 def _csv_blocks(entries, head=(), notes=()):
@@ -156,8 +152,7 @@ def _csv_blocks(entries, head=(), notes=()):
     ``notes`` as a ``# `` line."""
     keys, columns, styles = zip(*entries)
     yield "".join(f"# {line}\n" for line in head) + ",".join(keys) + "\n"
-    for strings in row_blocks(columns, styles):
-        yield "\n".join(map(",".join, zip(*strings))) + "\n"
+    yield from row_blocks(columns, styles, ["", *[","] * (len(keys) - 1), "\n"])
     yield "".join(f"# {line}\n" for line in notes)
 
 
@@ -273,14 +268,13 @@ _METRIC_LABELS = {
 }
 
 
-def _metric_rows(table, profile: list[Claim]) -> list[dict]:
-    """The metrics of each distinct claim band, or the error the band gives."""
+def _metric_rows(metrics: dict) -> list[dict]:
+    """The figures of each band of ``metrics`` (from tsio.metrics_by_band),
+    or the error the band gives."""
     rows = []
-    for band in dict.fromkeys(claim.band for claim in profile):
-        try:
-            metric = band_metrics(table, band)
-        except DomainError as exc:
-            rows.append({"band_hz": list(band), "error": str(exc)})
+    for band, metric in metrics.items():
+        if isinstance(metric, DomainError):
+            rows.append({"band_hz": list(band), "error": str(metric)})
             continue
         figures = {key: getattr(metric, key) for key in _METRIC_LABELS}
         rows.append({"band_hz": list(band), **figures})
@@ -304,7 +298,9 @@ def _cmd_analyze(args) -> int:
     grid = _analysis_grid(args)
     table = filter_response(design, grid)
     profile = CLAIM_PROFILES[args.claims or "default"]
-    report = check_claims(table, profile) if args.claims else None
+    # the metric rows and the claims read one evaluation of each band
+    metrics = metrics_by_band(table, [claim.band for claim in profile])
+    report = judge_claims(profile, metrics) if args.claims else None
     doc = {
         "command": "analyze",
         "grid": {
@@ -314,7 +310,7 @@ def _cmd_analyze(args) -> int:
             "spacing": "log" if args.log else "linear",
         },
         "response": None,
-        "band_metrics": _metric_rows(table, profile),
+        "band_metrics": _metric_rows(metrics),
         "claims_profile": args.claims,
         "claims": None if report is None else [_claim_doc(r) for r in report.results],
         "claims_passed": None if report is None else report.passed,

@@ -43,7 +43,10 @@ def evanescent_gamma(design: FilterDesign, fc, f):
     # corner whose product was finite keeps the bits of the path above.
     shrink = np.where(fc < 2.0**500, 1.0, 2.0**-513)
     fc, f = fc * shrink, f * shrink
-    return scale * (np.sqrt(np.maximum(fc - f, 0.0) * (fc + f)) / shrink)
+    # With a large refractive index the decay constant of such a corner can
+    # exceed the float range: gamma is inf, and the loss 0 dB, by design.
+    with np.errstate(over="ignore"):
+        return scale * (np.sqrt(np.maximum(fc - f, 0.0) * (fc + f)) / shrink)
 
 
 def _all(one: bool, values) -> bool:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numtext
 from .cascade import Provenance, SParamTable
 from .errors import DomainError, ParseError
 from .model import FrequencyGrid
@@ -291,67 +292,50 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return np.array_equal(*bits)
 
 
-# The styles that write a word for a value that is not finite: each one's
-# formatter of a finite float, and the word.
-_NON_FINITE = {"json": (float.__repr__, "null"), "text": ("%.12g".__mod__, "n/a")}
+def format_columns(columns, styles) -> list[np.ndarray]:
+    """The text of each float64 column in the style given for that column,
+    as a NUL-padded (rows, width) uint8 matrix (``numtext.column_text``).
 
-
-def _format_column(values: np.ndarray, style: str) -> list[str]:
-    if style in _NON_FINITE:
-        form, word = _NON_FINITE[style]
-        strings = list(map(form, values.tolist()))
-        for i in np.flatnonzero(~np.isfinite(values)).tolist():
-            strings[i] = word
-        return strings
-    return list(map(style.__mod__, values.tolist()))
-
-
-def format_columns(columns, styles) -> list[list[str]]:
-    """The strings of each float64 column, one per value, in the style given
-    for that column.
-
-    A style is a printf format such as ``"%.17g"``, ``"%.12g"`` or ``"%d"``
-    (for a column of integers); ``"json"``: the float's repr, as
-    ``json.dumps`` writes it, and ``null`` for a non-finite value; or
-    ``"text"``: ``"%.12g"``, and ``n/a`` for a non-finite value. Values are
-    told apart by their bits, so ``-0.0`` and ``0.0`` stay distinct and a
-    NaN equals itself. A column whose style and bits equal those of an
-    earlier column reuses its strings. Otherwise each distinct value of a
-    column is formatted once, and a value that repeats (a flat stopband, a
-    constant column) reuses its string; a strictly increasing column (a
-    frequency grid, a count) holds no repeat, so it is formatted whole
-    without being sorted.
+    A style is the printf format ``"%.17g"``, ``"%.12g"`` or ``"%d"`` (for
+    a column of integers); ``"json"``: the float's repr, as ``json.dumps``
+    writes it, and ``null`` for a non-finite value; or ``"text"``:
+    ``"%.12g"``, and ``n/a`` for a non-finite value. Values are told apart
+    by their bits, so ``-0.0`` and ``0.0`` stay distinct and a NaN equals
+    itself. A column whose style and bits equal those of an earlier column
+    reuses its matrix. Otherwise each distinct value of a column is
+    formatted once, in sorted order, and a value that repeats (a flat
+    stopband, a constant column) reuses its row; a strictly increasing
+    column (a frequency grid, a count) holds no repeat and is in order, so
+    it is formatted whole without being sorted.
     """
-    done: list[tuple[str, np.ndarray, list[str]]] = []
+    done: list[tuple[str, np.ndarray, np.ndarray]] = []
     out = []
     for column, style in zip(columns, styles):
         values = np.ascontiguousarray(column, dtype=np.float64)
         bits = values.view(np.int64)
-        for seen_style, seen, strings in done:
+        for seen_style, seen, text in done:
             if seen_style == style and np.array_equal(seen, bits):
                 break
         else:
             if (values[1:] > values[:-1]).all():
-                strings = _format_column(values, style)
+                text = numtext.column_text(values, style)
             else:
                 distinct, inverse = np.unique(bits, return_inverse=True)
-                if len(distinct) == len(bits):
-                    strings = _format_column(values, style)
-                else:
-                    once = _format_column(distinct.view(np.float64), style)
-                    strings = np.array(once, dtype=object)[inverse].tolist()
-            done.append((style, bits, strings))
-        out.append(strings)
+                text = numtext.column_text(distinct.view(np.float64), style)[inverse.reshape(-1)]
+            done.append((style, bits, text))
+        out.append(text)
     return out
 
 
-def row_blocks(columns, styles):
-    """The equal-length float64 ``columns`` in blocks of ``WRITE_BLOCK_ROWS``
-    rows: per block, the ``format_columns`` strings of its slice of each
-    column in that column's style, which the writer lays out as rows."""
+def row_blocks(columns, styles, texts):
+    """The rows of the equal-length float64 ``columns`` as text, in blocks
+    of ``WRITE_BLOCK_ROWS`` rows: each row is ``texts[0]``, the first
+    column's value, ``texts[1]``, ..., the last column's value,
+    ``texts[-1]``, with each value written in its column's
+    ``format_columns`` style."""
     for start in range(0, len(columns[0]), WRITE_BLOCK_ROWS):
         block = [column[start : start + WRITE_BLOCK_ROWS] for column in columns]
-        yield format_columns(block, styles)
+        yield numtext.block_text(format_columns(block, styles), texts)
 
 
 def touchstone_blocks(table: SParamTable, fmt: str = "RI", unit: str = "HZ"):
@@ -377,10 +361,9 @@ def touchstone_blocks(table: SParamTable, fmt: str = "RI", unit: str = "HZ"):
     lines.append(f"# {unit} S {fmt} R {table.z0:.17g}")
     yield "\n".join(lines) + "\n"
     # A model table's s12 equals its s21 and its s22 its s11: about three of
-    # the nine columns are formatted, each one string per distinct value (a
+    # the nine columns are formatted, each one row per distinct value (a
     # matched model's s11 is one value).
-    for strings in row_blocks(columns, ["%.17g"] * len(columns)):
-        yield "\n".join(map(" ".join, zip(*strings))) + "\n"
+    yield from row_blocks(columns, ["%.17g"] * len(columns), ["", *[" "] * 8, "\n"])
 
 
 def write_touchstone(table: SParamTable, fmt: str = "RI", unit: str = "HZ") -> str:
@@ -432,17 +415,34 @@ _CLAIM_FIGURES = {
 }
 
 
-def check_claims(table: SParamTable, claims: list[Claim]) -> ComplianceReport:
-    """Evaluate each claim against the table; a band without data yields an
-    error row rather than an exception."""
+def metrics_by_band(table: SParamTable, bands) -> dict:
+    """Each distinct band of ``bands``, in order, mapped to its
+    :func:`band_metrics`, or to the DomainError that the band raises."""
+    metrics = {}
+    for band in dict.fromkeys(bands):
+        try:
+            metrics[band] = band_metrics(table, band)
+        except DomainError as exc:
+            metrics[band] = exc
+    return metrics
+
+
+def judge_claims(claims: list[Claim], metrics: dict) -> ComplianceReport:
+    """Judge each claim on the figures of its band in ``metrics`` (from
+    :func:`metrics_by_band`); a band without data yields an error row."""
     results = []
     for claim in claims:
-        try:
-            metric = band_metrics(table, claim.band)
-        except DomainError as exc:
-            results.append(ClaimResult(claim, observed_db=None, passed=False, error=str(exc)))
+        metric = metrics[claim.band]
+        if isinstance(metric, DomainError):
+            results.append(ClaimResult(claim, observed_db=None, passed=False, error=str(metric)))
             continue
         figure, holds = _CLAIM_FIGURES[claim.kind]
         observed = getattr(metric, figure)
         results.append(ClaimResult(claim, observed, passed=holds(observed, claim.threshold_db)))
     return ComplianceReport(results=tuple(results))
+
+
+def check_claims(table: SParamTable, claims: list[Claim]) -> ComplianceReport:
+    """Evaluate each claim against the table; a band without data yields an
+    error row rather than an exception."""
+    return judge_claims(claims, metrics_by_band(table, [claim.band for claim in claims]))

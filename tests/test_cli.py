@@ -17,6 +17,7 @@ from herd import (
     with_aperture,
     write_touchstone,
 )
+from herd import cli, tsio
 from herd.cli import main
 from herd.synthesis import DesignSpec
 from herd.model import AIR, Material
@@ -179,6 +180,34 @@ class TestAnalyze:
         assert not [line for line in out.splitlines() if line.startswith("#") and "inf" in line]
         code, out, _ = run(capsys, [*argv, "--format", "json"])
         assert json.loads(out)["claims"][1]["observed_db"] is None
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "touchstone"])
+    def test_each_band_is_evaluated_once(self, capsys, monkeypatch, proto_file, fmt):
+        # strict12 holds three bands; the metric rows and the claims share
+        # one evaluation of each. Below 12 GHz the stopband has no points:
+        # its metric row and its claim carry the same error.
+        bands = []
+        band_metrics = tsio.band_metrics
+
+        def counting(table, band):
+            bands.append(band)
+            return band_metrics(table, band)
+
+        # wherever herd looks the function up
+        for module in (tsio, cli):
+            if hasattr(module, "band_metrics"):
+                monkeypatch.setattr(module, "band_metrics", counting)
+        argv = ["analyze", "--design", proto_file, "--fstop", "12e9", "--points", "40",
+                "--claims", "strict12", "--format", fmt]
+        code, out, _ = run(capsys, argv)
+        assert code == 1
+        assert bands == [(0.0, 12e9), (70e9, 145e9), (4e9, 8e9)]
+        if fmt == "json":
+            doc = json.loads(out)
+            error = "no grid points inside band [70000000000.0, 145000000000.0] Hz"
+            assert doc["band_metrics"][1] == {"band_hz": [70e9, 145e9], "error": error}
+            assert doc["claims"][1]["error"] == error
+            assert [claim["passed"] for claim in doc["claims"]] == [False, False, True]
 
 
 class TestSweep:

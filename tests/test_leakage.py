@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,8 +13,10 @@ from herd import (
     DomainError,
     FrequencyGrid,
     corner_frequency,
+    dumps_design,
     filter_response,
     inband_transmission,
+    loads_design,
     min_depth_for_budget,
     mismatch_loss_db,
     prototype_design,
@@ -250,6 +254,34 @@ class TestCornerNearTheFloatLimit:
         table = filter_response(tiny, FrequencyGrid((1e9, 10e9)))
         want = [_closed_form_loss(tiny, f) for f in (1e9, 10e9)]
         assert (-20.0 * np.log10(np.abs(table.s21))).tolist() == pytest.approx(want, rel=1e-12)
+
+
+class TestDecayPastTheFloatRange:
+    """A 1e-308 m wide hole filled with eps_r = 1e20: the corner is 1.5e306
+    Hz, and gamma = 2 pi n / c0 * sqrt(fc - f) sqrt(fc + f) exceeds the float
+    range. gamma is inf and the loss 0 dB, without a floating-point fault."""
+
+    @staticmethod
+    def _huge(proto):
+        text = dumps_design(proto)
+        text = re.sub("(?m)^a_m = .*$", "a_m = 1e-308", text)
+        return loads_design(re.sub("(?m)^aperture_eps_r = .*$", "aperture_eps_r = 1e20", text))
+
+    def test_inband_transmission(self, proto):
+        huge = self._huge(proto)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert evanescent_gamma(huge, corner_frequency(huge), 10e9) == math.inf
+            assert inband_transmission(huge, 10e9).insertion_loss_db == 0.0
+            losses = inband_transmission(huge, np.array([1e9, 10e9])).insertion_loss_db
+        assert losses.tolist() == [0.0, 0.0]
+
+    def test_filter_response(self, proto):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = filter_response(self._huge(proto), FrequencyGrid((1e9, 10e9)))
+        # no loss, up to the rounding of the phase factor
+        assert np.abs(table.s21).tolist() == pytest.approx([1.0, 1.0], abs=1e-15)
 
 
 @given(

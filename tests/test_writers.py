@@ -13,6 +13,7 @@ import json
 import math
 import tracemalloc
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from herd import (
     return_loss_db,
     write_touchstone,
 )
-from herd import tsio
+from herd import numtext, tsio
 from herd.cli import main
 from herd.tsio import FREQUENCY_UNITS, format_columns
 
@@ -129,11 +130,23 @@ def _signed_zero_table():
 
 
 def _reference(column, style):
-    if style == "json":
-        return [repr(x) if math.isfinite(x) else "null" for x in column.tolist()]
-    if style == "text":
-        return ["%.12g" % x if math.isfinite(x) else "n/a" for x in column.tolist()]
-    return [style % x for x in column.tolist()]
+    """CPython's text of each value: ``style % x``, or repr for ``json``;
+    ``null`` (``json``) and ``n/a`` (``text``) where not finite."""
+    form = float.__repr__ if style == "json" else ("%.12g" if style == "text" else style).__mod__
+    strings = list(map(form, column.tolist()))
+    if style in ("json", "text"):
+        for i in np.flatnonzero(~np.isfinite(column)).tolist():
+            strings[i] = "null" if style == "json" else "n/a"
+    return strings
+
+
+def _strings(matrix):
+    """The text of each row of a NUL-padded byte matrix."""
+    return [bytes(row).replace(b"\0", b"").decode("ascii") for row in matrix]
+
+
+def _formatted(columns, styles):
+    return [_strings(matrix) for matrix in format_columns(columns, styles)]
 
 
 _STYLES = ("%.17g", "%.12g", "json", "text")
@@ -175,7 +188,7 @@ def _column_sets(draw):
 @pytest.mark.parametrize("style", _STYLES)
 @given(columns=_column_sets())
 def test_format_columns_matches_per_value_formatting(style, columns):
-    assert format_columns(columns, [style] * len(columns)) == [_reference(c, style) for c in columns]
+    assert _formatted(columns, [style] * len(columns)) == [_reference(c, style) for c in columns]
 
 
 @pytest.mark.parametrize(
@@ -184,7 +197,7 @@ def test_format_columns_matches_per_value_formatting(style, columns):
 )
 def test_signed_zero_columns_stay_distinct(style, zero, negative_zero):
     zeros = np.zeros(4)
-    first, second, third = format_columns([zeros, -zeros, zeros.copy()], [style] * 3)
+    first, second, third = _formatted([zeros, -zeros, zeros.copy()], [style] * 3)
     assert first == [zero] * 4
     assert second == [negative_zero] * 4
     assert third == first
@@ -194,23 +207,25 @@ def test_equal_columns_share_their_strings():
     column = np.linspace(1.0, 2.0, 5)
     first, second = format_columns([column, column.copy()], ["%.17g"] * 2)
     assert second is first
+    assert _strings(first) == _reference(column, "%.17g")
 
 
 def test_json_style_writes_null_for_non_finite_values():
     column = np.array([1.5, math.inf, -math.inf, math.nan, -0.0])
-    assert format_columns([column], ["json"]) == [["1.5", "null", "null", "null", "-0.0"]]
+    assert _formatted([column], ["json"]) == [["1.5", "null", "null", "null", "-0.0"]]
 
 
 def _count_formatted(monkeypatch):
-    """Record the number of values each ``tsio._format_column`` call formats."""
+    """Record the number of values each ``numtext.column_text`` call
+    formats."""
     counts = []
-    format_column = tsio._format_column
+    column_text = numtext.column_text
 
     def counting(values, style):
         counts.append(len(values))
-        return format_column(values, style)
+        return column_text(values, style)
 
-    monkeypatch.setattr(tsio, "_format_column", counting)
+    monkeypatch.setattr(numtext, "column_text", counting)
     return counts
 
 
@@ -224,13 +239,13 @@ def test_each_block_formats_its_distinct_values_once(monkeypatch, style):
     s21 = np.full(rows, -123.25)
     s21[:96] = np.linspace(-0.5, -60.0, 96)
     counts = _count_formatted(monkeypatch)
-    blocks = list(tsio.row_blocks([f, s21, s21.copy()], [style] * 3))
+    blocks = list(tsio.row_blocks([f, s21, s21.copy()], [style] * 3, ["<", "|", "|", ">\n"]))
     assert counts == [BLOCK, 96 + 1, BLOCK, 1, 1, 1]
-    assert [len(block) for block in blocks] == [3, 3, 3]
-    for start, (f_strings, s21_strings, again) in zip(range(0, rows, BLOCK), blocks):
-        assert f_strings == _reference(f[start : start + BLOCK], style)
-        assert s21_strings == _reference(s21[start : start + BLOCK], style)
-        assert again is s21_strings
+    assert len(blocks) == 3
+    for start, text in zip(range(0, rows, BLOCK), blocks):
+        f_strings = _reference(f[start : start + BLOCK], style)
+        s21_strings = _reference(s21[start : start + BLOCK], style)
+        assert text == "".join(f"<{a}|{b}|{b}>\n" for a, b in zip(f_strings, s21_strings))
 
 
 @pytest.mark.parametrize("style", _STYLES)
@@ -249,24 +264,26 @@ def test_strictly_increasing_columns_are_not_sorted(monkeypatch, style):
         return unique(values, *args, **kwargs)
 
     monkeypatch.setattr(tsio.np, "unique", counting)
-    strings = format_columns([f, counts, falling], [style] * 3)
+    formatted = _count_formatted(monkeypatch)
+    strings = _formatted([f, counts, falling], [style] * 3)
     assert sorted_columns == [50]
+    assert formatted == [50, 50, 49]
     assert strings == [_reference(f, style), _reference(counts, style), _reference(falling, style)]
 
 
 def test_each_column_takes_its_own_style():
     column = np.array([1.0, math.inf, -0.0])
-    text, json_, printf = format_columns([column, column, column], ["text", "json", "%.12g"])
+    text, json_, printf = _formatted([column, column, column], ["text", "json", "%.12g"])
     assert text == ["1", "n/a", "-0"]
     assert json_ == ["1.0", "null", "-0.0"]
     assert printf == ["1", "inf", "-0"]
-    assert format_columns([np.array([3.0, 500000.0])], ["%d"]) == [["3", "500000"]]
+    assert _formatted([np.array([3.0, 500000.0])], ["%d"]) == [["3", "500000"]]
 
 
 def test_signed_zeros_and_nans_are_told_apart_by_their_bits(monkeypatch):
     column = np.array([0.0, -0.0, math.nan, -math.nan, 0.0, math.nan, -0.0, -math.nan])
     counts = _count_formatted(monkeypatch)
-    assert format_columns([column], ["json"]) == [
+    assert _formatted([column], ["json"]) == [
         ["0.0", "-0.0", "null", "null", "0.0", "null", "-0.0", "null"]
     ]
     assert counts == [4]
@@ -274,9 +291,127 @@ def test_signed_zeros_and_nans_are_told_apart_by_their_bits(monkeypatch):
 
 def test_non_contiguous_columns():
     values = np.array([complex(1.0, -0.0), complex(-0.0, 2.0), complex(3.5, 0.0)])
-    real, imag = format_columns([values.real, values.imag], ["%.17g"] * 2)
+    real, imag = _formatted([values.real, values.imag], ["%.17g"] * 2)
     assert real == ["1", "-0", "3.5"]
     assert imag == ["-0", "2", "0"]
+
+
+def test_empty_blocks():
+    assert format_columns([np.array([])], ["json"])[0].shape[0] == 0
+    assert list(tsio.row_blocks([np.array([])], ["%.17g"], ["", "\n"])) == []
+
+
+# --- the digit engine against CPython -----------------------------------------
+#
+# Every style's text of each value against CPython's own %, or repr, value by
+# value: on random bit patterns, most of them in and next to the exact fast
+# path (1e-6 <= |x| < 1e17), on short decimals, and on the edge sets, where
+# rounding and layout change.
+
+_ENGINE_STYLES = ("%.17g", "%.12g", "text", "json", "%d")
+
+
+def _written(values, style):
+    """The text of ``values`` in ``style``, one per line, through the
+    writers' block layout."""
+    return "".join(tsio.row_blocks([values], [style], ["", "\n"]))
+
+
+def _expected(values, style):
+    return "".join(text + "\n" for text in _reference(values, style))
+
+
+def _bit_patterns(seed, count, exponents=(0, 2048)):
+    """Random float64 bit patterns, the biased exponent field drawn from
+    ``exponents``: by default all of them, subnormal and non-finite too."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(-(2**63), 2**63, count, dtype=np.int64)
+    bits &= ~(0x7FF << 52)
+    bits |= rng.integers(*exponents, count) << 52
+    return bits.view(np.float64)
+
+
+# The biased exponent fields from 2**-21 < 1e-6 to 2**57 > 1e17: the exact
+# fast path and the binades on either side of its bounds.
+_FAST_WINDOW = (1023 - 21, 1023 + 58)
+
+
+def _neighbours(values):
+    """Each value, its negation, and their neighbours one ulp away."""
+    values = np.concatenate([values, -values])
+    return np.concatenate([values, np.nextafter(values, np.inf), np.nextafter(values, -np.inf)])
+
+
+def _ties(digits, seed, count=2000):
+    """Values that lie exactly halfway between two ``digits``-digit
+    decimals: q / 2**j with q odd, whose decimal expansion (q * 5**j,
+    shifted) has ``digits`` + 1 significant digits, the last a 5."""
+    rng = np.random.default_rng(seed)
+    values = []
+    while len(values) < count:
+        j = int(rng.integers(0, 40))
+        low, high = -(-(10**digits) // 5**j), min(10 ** (digits + 1) // 5**j, 2**53)
+        if low >= high:
+            continue
+        q = int(rng.integers(low, high)) | 1
+        if q >= high or (j == 0 and q % 10 != 5):
+            continue
+        values.append(q / 2**j)
+    return np.array(values)
+
+
+def _edges():
+    powers = np.array([2.0**k for k in range(-1074, 1024)] + [float(f"1e{k}") for k in range(-323, 309)])
+    bounds = np.array([1e-6, 1e17, 9.999999999999999e16, 99999999999999999.0, 9999999999995e4, 0.00001, 1e16])
+    subnormals = np.random.default_rng(3).integers(1, 2**52, 2000).view(np.float64)
+    words = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, 2.2250738585072014e-308])
+    return np.concatenate(
+        [_neighbours(powers), _neighbours(bounds), _neighbours(subnormals), words,
+         _ties(12, 1), _ties(17, 2), -_ties(12, 4), -_ties(17, 5)]
+    )
+
+
+def test_ties_lie_halfway():
+    for digits in (12, 17):
+        for x in _ties(digits, 0, count=200).tolist():
+            text = format(Decimal(x), "f").replace(".", "").strip("0")
+            assert len(text) == digits + 1 and text.endswith("5")
+
+
+@pytest.mark.parametrize("style", _ENGINE_STYLES)
+def test_engine_matches_cpython_on_random_bit_patterns(style):
+    # a million in and next to the fast path, and 200,000 anywhere
+    values = np.concatenate([_bit_patterns(1, 1_000_000, _FAST_WINDOW), _bit_patterns(2, 200_000)])
+    if style == "%d":
+        values = values[np.isfinite(values)]
+    assert _written(values, style) == _expected(values, style)
+
+
+@pytest.mark.parametrize("style", ["%.12g", "json"])
+def test_engine_matches_cpython_on_short_decimals(style):
+    # decimals of a few digits, which repr writes with fewer than 15
+    rng = np.random.default_rng(3)
+    values = (rng.uniform(-1e4, 1e4, 200_000).round(3) * 10.0 ** rng.integers(-6, 12, 200_000))
+    assert _written(values, style) == _expected(values, style)
+
+
+@pytest.mark.parametrize("style", _ENGINE_STYLES)
+def test_column_text_takes_values_in_any_order(style):
+    # The writers hand the engine sorted values, whose exponents form runs;
+    # shuffled, each exponent's rows are gathered by index.
+    values = np.random.default_rng(6).permutation(_edges())
+    if style == "%d":
+        values = np.trunc(values[np.isfinite(values)])
+    assert _strings(numtext.column_text(values, style)) == _reference(values, style)
+
+
+@pytest.mark.parametrize("style", _ENGINE_STYLES)
+def test_engine_matches_cpython_on_the_edges(style):
+    values = _edges()
+    if style == "%d":
+        values = np.trunc(values[np.isfinite(values)])
+    assert _written(values, style) == _expected(values, style)
+
 
 
 # --- write_touchstone --------------------------------------------------------
