@@ -219,23 +219,29 @@ def _float_text(values, style, fast):
         d, X = _rounded(D, e, floor, X, digits)
     # %g writes positional text for -4 <= X < digits, repr for -4 <= X < 16
     top = 16 if style == "json" else digits
+
+    # Rows of one exponent share a layout, written with slice copies over
+    # one run of rows. Where an exponent's rows form more than one run (a
+    # wrapped phase, a column of both signs), the rows are laid out in order
+    # of their exponent and put back in place at the end.
+    key = np.where(fast, X, 99)
+    edges = (np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()
+    keys = key[[0, *edges]].tolist()
+    order = None
+    if len(set(keys)) < len(keys):
+        order = np.argsort(key, kind="stable")
+        key, d, X, values = key[order], d[order], X[order], values[order]
+        edges = (np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()
+        keys = key[[0, *edges]].tolist()
+    groups = [
+        (x, slice(start, stop))
+        for x, start, stop in zip(keys, [0, *edges], [*edges, len(key)])
+        if x != 99
+    ]
     # Digits past the last nonzero one are blank, but positional text keeps
     # its integer digits, and repr a zero after the point.
     integer = np.where((X >= 0) & (X < top), X + 1 + (style == "json"), 1)
     dg = _digit_text(d, digits, integer)
-
-    # Rows of one exponent share a layout. In a sorted column (the writers
-    # sort theirs) each exponent is one run of rows, written with slice
-    # copies; otherwise its rows are gathered by index.
-    key = np.where(fast, X, 99)
-    edges = (np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()
-    starts, stops = [0, *edges], [*edges, len(key)]
-    keys = key[starts].tolist()
-    if len(set(keys)) == len(keys):
-        groups = [(x, slice(start, stop)) for x, start, stop in zip(keys, starts, stops)]
-    else:
-        groups = [(x, np.flatnonzero(key == x)) for x in set(keys)]
-    groups = [(x, rows) for x, rows in groups if x != 99]
     widths = [digits + 2 - min(x, 0) if -4 <= x < top else digits + 6 for x, _ in groups]
     out = np.zeros((len(values), max(widths, default=1)), np.uint8)
     out[:, 0] = np.where(values < 0, 45, 0)
@@ -253,6 +259,10 @@ def _float_text(values, style, fast):
             out[rows, 2 + ahead : 2 + digits] = row_digits[:, ahead:]
         if not 0 <= x < top:
             out[rows, 2 + digits : 6 + digits] = np.frombuffer(b"e%+03d" % x, np.uint8)
+    if order is not None:
+        placed = np.empty_like(out)
+        placed[order] = out
+        out = placed
     return out, fast
 
 

@@ -302,11 +302,13 @@ def format_columns(columns, styles) -> list[np.ndarray]:
     ``"%.12g"``, and ``n/a`` for a non-finite value. Values are told apart
     by their bits, so ``-0.0`` and ``0.0`` stay distinct and a NaN equals
     itself. A column whose style and bits equal those of an earlier column
-    reuses its matrix. Otherwise each distinct value of a column is
-    formatted once, in sorted order, and a value that repeats (a flat
-    stopband, a constant column) reuses its row; a strictly increasing
-    column (a frequency grid, a count) holds no repeat and is in order, so
-    it is formatted whole without being sorted.
+    reuses its matrix. Each distinct value of a column is formatted once: a
+    strictly increasing column (a frequency grid, a count) is formatted
+    whole without being sorted; any other is sorted to find its repeats. A
+    column without repeats (a wrapped phase) is then formatted whole, in
+    order, and a column of one value (a flat stopband) from that value.
+    Only a column with some repeats is reduced to its distinct values and
+    gathered back.
     """
     done: list[tuple[str, np.ndarray, np.ndarray]] = []
     out = []
@@ -317,14 +319,25 @@ def format_columns(columns, styles) -> list[np.ndarray]:
             if seen_style == style and np.array_equal(seen, bits):
                 break
         else:
-            if (values[1:] > values[:-1]).all():
-                text = numtext.column_text(values, style)
-            else:
-                distinct, inverse = np.unique(bits, return_inverse=True)
-                text = numtext.column_text(distinct.view(np.float64), style)[inverse.reshape(-1)]
+            text = _column_text(values, bits, style)
             done.append((style, bits, text))
         out.append(text)
     return out
+
+
+def _column_text(values: np.ndarray, bits: np.ndarray, style: str) -> np.ndarray:
+    """``numtext.column_text`` of ``values``, each distinct value (by its
+    ``bits``) formatted once."""
+    if (values[1:] > values[:-1]).all():
+        return numtext.column_text(values, style)
+    ordered = np.sort(bits)
+    if ordered[0] == ordered[-1]:
+        one = numtext.column_text(values[:1], style)
+        return np.broadcast_to(one, (len(values), one.shape[1]))
+    if (ordered[1:] != ordered[:-1]).all():
+        return numtext.column_text(values, style)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    return numtext.column_text(distinct.view(np.float64), style)[inverse.reshape(-1)]
 
 
 def row_blocks(columns, styles, texts):
@@ -332,10 +345,32 @@ def row_blocks(columns, styles, texts):
     of ``WRITE_BLOCK_ROWS`` rows: each row is ``texts[0]``, the first
     column's value, ``texts[1]``, ..., the last column's value,
     ``texts[-1]``, with each value written in its column's
-    ``format_columns`` style."""
-    for start in range(0, len(columns[0]), WRITE_BLOCK_ROWS):
-        block = [column[start : start + WRITE_BLOCK_ROWS] for column in columns]
-        yield numtext.block_text(format_columns(block, styles), texts)
+    ``format_columns`` style.
+
+    A column whose bits are equal in every row (a matched model's s11) is
+    formatted once per table and written as part of the fixed text between
+    its neighbours; each block formats only the other columns, and a table
+    of constant columns only repeats its one row.
+    """
+    rows = len(columns[0])
+    varying, varying_styles, fixed = [], [], [texts[0]]
+    for column, style, text in zip(columns, styles, texts[1:]):
+        values = np.asarray(column, dtype=np.float64)
+        bits = values.view(np.int64)
+        if rows and (bits == bits[0]).all():
+            value = numtext.block_text([numtext.column_text(values[:1], style)], ["", ""])
+            fixed[-1] += value + text
+        else:
+            varying.append(values)
+            varying_styles.append(style)
+            fixed.append(text)
+    for start in range(0, rows, WRITE_BLOCK_ROWS):
+        stop = min(start + WRITE_BLOCK_ROWS, rows)
+        if varying:
+            block = [values[start:stop] for values in varying]
+            yield numtext.block_text(format_columns(block, varying_styles), fixed)
+        else:
+            yield fixed[0] * (stop - start)
 
 
 def touchstone_blocks(table: SParamTable, fmt: str = "RI", unit: str = "HZ"):
@@ -360,9 +395,9 @@ def touchstone_blocks(table: SParamTable, fmt: str = "RI", unit: str = "HZ"):
         lines.append("!MAGONLY")
     lines.append(f"# {unit} S {fmt} R {table.z0:.17g}")
     yield "\n".join(lines) + "\n"
-    # A model table's s12 equals its s21 and its s22 its s11: about three of
-    # the nine columns are formatted, each one row per distinct value (a
-    # matched model's s11 is one value).
+    # A matched model's s11 and s22 pairs are constant, so row_blocks writes
+    # those four columns once per table; s12's pair reuses s21's matrices,
+    # which leaves three of the nine columns formatted in each block.
     yield from row_blocks(columns, ["%.17g"] * len(columns), ["", *[" "] * 8, "\n"])
 
 

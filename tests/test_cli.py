@@ -594,3 +594,68 @@ class TestExitCodes:
         bad = tmp_path / "bad.spec"
         bad.write_text(open(spec_file).read().replace("25300000000.0", "1000000000.0"))
         assert run(capsys, ["synthesize", "--spec", str(bad)])[0] == 3
+
+
+class TestOneParser:
+    """``main`` builds its parser on the first call and reuses it."""
+
+    def _lines(self, proto_file, spec_file, tmp_path):
+        out = str(tmp_path / "out.txt")
+        return [
+            ["analyze", "--design", proto_file, "--points", "4097", "--claims", "default"],
+            ["analyze", "--design", proto_file, "--points", "50", "--log", "--format", "json"],
+            ["analyze", "--design", proto_file, "--points", "11", "--format", "touchstone", "--out", out],
+            ["analyze", "--design", proto_file, "--format", "xml"],
+            ["sweep", "--design", proto_file, "--param", "a", "--from", "3e-3", "--to", "6e-3",
+             "--steps", "4", "--format", "json"],
+            ["analyze", "--points", "11"],
+            ["sections", "--design", proto_file, "--freqs", "40e9,130e9", "--max-sections", "3"],
+            ["modes", "--design", proto_file, "--format", "csv"],
+            ["modes", "--z0", "50", "--single-mode", "10e9"],
+            ["synthesize", "--spec", spec_file, "--format", "json"],
+            ["analyze", "--design", proto_file, "--points", "11", "--format", "csv", "--out", out],
+        ]
+
+    def _run(self, capsys, argv):
+        code, stdout, stderr = run(capsys, argv)
+        written = None
+        if "--out" in argv:
+            path = argv[argv.index("--out") + 1]
+            with open(path) as stream:
+                written = stream.read()
+        return code, stdout, stderr, written
+
+    def test_one_parser_writes_the_bytes_of_fresh_ones(
+        self, capsys, monkeypatch, proto_file, spec_file, tmp_path
+    ):
+        lines = self._lines(proto_file, spec_file, tmp_path)
+        fresh = []
+        for argv in lines:
+            cli._parser.cache_clear()
+            fresh.append(self._run(capsys, argv))
+
+        built = []
+        build_parser = cli.build_parser
+
+        def counting():
+            built.append(True)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        assert [self._run(capsys, argv) for argv in lines] == fresh
+        assert len(built) == 1
+
+    def test_argparse_errors_leave_the_parser_usable(self, capsys, proto_file):
+        cli._parser.cache_clear()
+        valid = ["analyze", "--design", proto_file, "--points", "11", "--format", "json"]
+        first = run(capsys, valid)
+        assert first[0] == 0
+        for bad, message in (
+            ([*valid[:-1], "xml"], "invalid choice: 'xml'"),
+            (["analyze", "--points", "11"], "the following arguments are required: --design"),
+        ):
+            code, out, err = run(capsys, bad)
+            assert code == 2 and out == ""
+            assert err.startswith("usage: herd analyze") and message in err
+        assert run(capsys, valid) == first

@@ -301,6 +301,148 @@ def test_empty_blocks():
     assert list(tsio.row_blocks([np.array([])], ["%.17g"], ["", "\n"])) == []
 
 
+def _wrapped_phase(rows):
+    """A wrapped phase in degrees: every value distinct, rising and falling."""
+    f = np.linspace(1e8, 145e9, rows)
+    return np.degrees(np.angle(np.exp(-1j * f / 3e9)))
+
+
+@pytest.mark.parametrize("style", _STYLES)
+def test_repeat_free_columns_are_formatted_whole(monkeypatch, style):
+    phase = _wrapped_phase(300)
+    assert len(np.unique(phase)) == len(phase) and not (np.diff(phase) > 0).all()
+    unique = np.unique
+    sorted_columns = []
+
+    def counting(values, *args, **kwargs):
+        sorted_columns.append(len(values))
+        return unique(values, *args, **kwargs)
+
+    monkeypatch.setattr(tsio.np, "unique", counting)
+    formatted = _count_formatted(monkeypatch)
+    assert _formatted([phase], [style]) == [_reference(phase, style)]
+    assert sorted_columns == []
+    assert formatted == [len(phase)]
+
+
+# --- constant columns ----------------------------------------------------------
+#
+# row_blocks writes a column whose bits are equal in every row of the table
+# once, as part of the fixed text between its neighbours.
+
+_CONSTANTS = [-math.inf, math.inf, math.nan, -0.0, 0.0, -400.0, 5e-324, 1e300]
+
+
+def _expected_rows(columns, style, texts):
+    """Each row's text, from CPython's text of each value. Rows are compared
+    as lists, so a failure names the first differing row."""
+    strings = [_reference(column, style) for column in columns]
+    return [
+        texts[0] + "".join(value + text for value, text in zip(row, texts[1:]))
+        for row in zip(*strings)
+    ]
+
+
+def _rows(text):
+    return text.splitlines(keepends=True)
+
+
+def _varying(style, rows):
+    """Two columns that vary over the table in ``style``."""
+    if style == "%d":
+        return np.arange(rows, dtype=float), np.arange(rows, 0, -1, dtype=float)
+    return np.linspace(1e8, 145e9, rows), _wrapped_phase(rows)
+
+
+@pytest.mark.parametrize("style", _STYLES)
+def test_a_table_constant_column_is_formatted_once_per_table(monkeypatch, style):
+    rows = 2 * BLOCK + 1
+    f, phase = _varying(style, rows)
+    constant = np.full(rows, -400.0)
+    texts = ["<", "|", "|", ">\n"]
+    counts = _count_formatted(monkeypatch)
+    blocks = list(tsio.row_blocks([f, constant, phase], [style] * 3, texts))
+    assert counts == [1, BLOCK, BLOCK, BLOCK, BLOCK, 1, 1]
+    assert _rows("".join(blocks)) == _expected_rows([f, constant, phase], style, texts)
+    assert [block.count("\n") for block in blocks] == [BLOCK, BLOCK, 1]
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+@pytest.mark.parametrize(
+    "style, value",
+    [(style, value) for style in _STYLES for value in _CONSTANTS]
+    + [("%d", value) for value in _CONSTANTS if math.isfinite(value) and value == int(value)],
+)
+def test_table_constant_columns_keep_their_bytes(style, value, position):
+    rows = BLOCK + 1
+    columns = list(_varying(style, rows))
+    columns.insert(position, np.full(rows, value))
+    texts = ['{"a": ', ", ", ", ", "}\n"]
+    written = "".join(tsio.row_blocks(columns, [style] * 3, texts))
+    assert _rows(written) == _expected_rows(columns, style, texts)
+
+
+@pytest.mark.parametrize("style", _STYLES)
+def test_a_column_constant_in_one_block_is_formatted_per_block(monkeypatch, style):
+    rows = 2 * BLOCK
+    f = np.linspace(1e8, 145e9, rows)
+    flat = np.full(rows, -123.25)
+    flat[BLOCK:] = _wrapped_phase(BLOCK)
+    counts = _count_formatted(monkeypatch)
+    written = "".join(tsio.row_blocks([f, flat], [style] * 2, ["", ",", "\n"]))
+    assert counts == [BLOCK, 1, BLOCK, BLOCK]
+    assert _rows(written) == _expected_rows([f, flat], style, ["", ",", "\n"])
+
+
+@pytest.mark.parametrize("full_blocks", [0, 2])
+@pytest.mark.parametrize("style", _STYLES)
+def test_all_constant_tables_repeat_their_row(monkeypatch, style, full_blocks):
+    rows = full_blocks * BLOCK + 1
+    columns = [np.full(rows, value) for value in (1e9, -0.0, math.nan)]
+    texts = ["[", ", ", ", ", "]\n"]
+    counts = _count_formatted(monkeypatch)
+    blocks = list(tsio.row_blocks(columns, [style] * 3, texts))
+    assert counts == [1, 1, 1]
+    assert _rows("".join(blocks)) == _expected_rows(columns, style, texts)
+    assert [block.count("\n") for block in blocks] == [BLOCK] * full_blocks + [1]
+
+
+def _csv_text(value):
+    """The CSV text of a value read back from a herd JSON document."""
+    if value is None:
+        return "n/a"
+    return "%d" % value if isinstance(value, int) else "%.12g" % value
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--param", "a", "--from", "4e-3", "--to", "4e-3", "--steps", "1"],
+        ["sweep", "--param", "a", "--from", "4e-3", "--to", "4e-3", "--steps", "1", "--fref", "1e12"],
+        ["sections", "--freqs", "40e9", "--max-sections", "1"],
+        ["sections", "--freqs", "40e9,130e9", "--max-sections", "1"],
+        ["modes", "--fmax", "22e9"],
+    ],
+)
+def test_one_row_tables_match_the_row_writer(tmp_path, capsys, proto, argv):
+    # One row: every column is constant, and the row is fixed text alone.
+    # The JSON document must be json.dumps' own text, and the CSV row the
+    # %.12g (or %d, or n/a) text of the JSON row's values.
+    path = tmp_path / "filter.design"
+    path.write_text(dumps_design(proto))
+    argv = [*argv, "--design", str(path)]
+    assert main([*argv, "--format", "json"]) == 0
+    text = capsys.readouterr().out
+    doc = json.loads(text)
+    assert text == json.dumps(doc, indent=2) + "\n"
+    (row,) = doc["mode_chart" if argv[0] == "modes" else "rows"]
+    values = [v for item in row.values() for v in (item if isinstance(item, list) else [item])]
+
+    assert main([*argv, "--format", "csv"]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+    assert lines[1:] == [",".join(map(_csv_text, values))]
+
+
 # --- the digit engine against CPython -----------------------------------------
 #
 # Every style's text of each value against CPython's own %, or repr, value by
