@@ -149,7 +149,11 @@ class _TwoPortView:
 
 def _section_power(design: FilterDesign, fc: float, f):
     """Power transmission |s21|^2 of one section at ``f`` (a float or an
-    array), with ``fc`` the design's :func:`corner_frequency`."""
+    array), with ``fc`` the design's :func:`corner_frequency`. For a float
+    ``f`` the clamp below is Python's ``min``, which returns what
+    ``np.minimum`` does: with fc > 0 the operands are never two zeros, and a
+    NaN f - fc comes first. The logistic argument it gives lies within about
+    +-92, so working it in Python floats loses no overflow warning."""
     n_ap = design.apertures_per_section
 
     # Evanescent decay of the dominant aperture mode. At and above the corner
@@ -167,7 +171,8 @@ def _section_power(design: FilterDesign, fc: float, f):
     # exp(-arg) cannot overflow. Clamping f - fc at fc keeps the product from
     # overflowing far above a tiny corner; from there up arg is at least
     # about 92, where exp(-arg) < 2**-53 and the weight rounds to 1 either way.
-    arg = np.minimum(f - fc, fc) * (LOGISTIC_SHARPNESS / (DEFAULT_TRANSITION_WIDTH * fc))
+    minimum = min if type(f) is float else np.minimum
+    arg = minimum(f - fc, fc) * (LOGISTIC_SHARPNESS / (DEFAULT_TRANSITION_WIDTH * fc))
     weight = 1.0 / (1.0 + np.exp(-arg))
     return (1.0 - weight) * t_below + weight * t_above
 

@@ -33,10 +33,20 @@ def evanescent_gamma(design: FilterDesign, fc, f):
     (a float, or an array of corners for one ``f``):
     gamma = 2 pi n / c0 * sqrt(max(fc - f, 0) (fc + f)), which is 0 at and
     above the corner. Clamping fc - f before the product keeps it from
-    overflowing at frequencies far above the corner."""
+    overflowing at frequencies far above the corner.
+
+    A float corner in (0, 2**500) Hz with one finite positive float
+    frequency is worked in Python floats, with ``max`` and ``math.sqrt``,
+    and gamma is returned as the ``np.float64`` that ``np.sqrt`` would give,
+    so the arithmetic that follows warns as it did. The bits are those of the
+    array path: ``-`` and ``*`` round as numpy's do, ``sqrt`` is correctly
+    rounded in both, and there the product is finite and the clamp meets
+    neither a NaN nor a signed zero."""
     scale = 2.0 * math.pi * design.aperture_fill.refractive_index / C0
     if type(fc) is float and fc < 2.0**500:
-        return scale * np.sqrt(np.maximum(fc - f, 0.0) * (fc + f))
+        one = 0.0 < fc and type(f) is float and 0.0 < f < math.inf
+        sqrt, maximum = (_float64_sqrt, max) if one else (np.sqrt, np.maximum)
+        return scale * sqrt(maximum(fc - f, 0.0) * (fc + f))
     # Past about 1e154 Hz the product overflows. From 2**500 Hz up, fc and f
     # are first scaled by 2**-513, which keeps the product of any float
     # corner finite and normal. Scaling by a power of two is exact, so a
@@ -49,6 +59,12 @@ def evanescent_gamma(design: FilterDesign, fc, f):
         return scale * (np.sqrt(np.maximum(fc - f, 0.0) * (fc + f)) / shrink)
 
 
+def _float64_sqrt(x: float) -> np.float64:
+    """``math.sqrt`` of a float as an ``np.float64``: ``np.sqrt``'s value
+    and type, without the cost of a ufunc call."""
+    return np.float64(math.sqrt(x))
+
+
 def _all(one: bool, values) -> bool:
     """Whether every value is true. One value is tested as it is: numpy's
     ``all()`` costs microseconds even on a scalar."""
@@ -59,12 +75,16 @@ def _inband(design: FilterDesign, f):
     """(one, gamma): whether ``f`` is one frequency, and
     :func:`evanescent_gamma` there, after checking that every frequency lies
     strictly between 0 and the corner; the first frequency outside is
-    named."""
+    named. One frequency of any type is taken as a Python float, which a
+    ``float`` already is, so it skips ``np.asarray``."""
     fc = corner_frequency(design)
-    freqs = np.asarray(f, dtype=float)
-    one = freqs.ndim == 0
-    if one:
-        freqs = freqs.item()
+    if type(f) is float:
+        one, freqs = True, f
+    else:
+        freqs = np.asarray(f, dtype=float)
+        one = freqs.ndim == 0
+        if one:
+            freqs = freqs.item()
     inside = (freqs > 0.0) & (freqs < fc)
     if not _all(one, inside):
         bad = np.reshape(freqs, -1)[int(np.argmin(inside))].item()

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,17 +48,19 @@ MAX_GRID_POINTS = 10_000_000
 
 @dataclass(frozen=True)
 class Material:
-    """Fill medium: a non-magnetic dielectric of relative permittivity eps_r."""
+    """Fill medium: a non-magnetic dielectric of relative permittivity eps_r.
+
+    ``refractive_index``, sqrt(eps_r), the slowing factor relative to vacuum,
+    is set once when the material is built: the model reads it on every
+    call. It is an attribute, not a field, so it takes no part in ``==``,
+    ``hash`` or ``repr``.
+    """
 
     eps_r: float
 
     def __post_init__(self):
         raise_violations(material_violations(self))
-
-    @property
-    def refractive_index(self) -> float:
-        """sqrt(eps_r), the slowing factor relative to vacuum."""
-        return math.sqrt(self.eps_r)
+        object.__setattr__(self, "refractive_index", math.sqrt(self.eps_r))
 
 
 @dataclass(frozen=True)
@@ -381,56 +383,80 @@ class Field:
     kind: type
     default: object = None
 
-    def read(self, text: str, lineno: int):
-        try:
-            return self.kind(text.upper()) if issubclass(self.kind, enum.Enum) else self.kind(text)
-        except ValueError:
-            expects = {float: "a number", int: "an integer"}.get(self.kind)
-            expects = expects or " or ".join(member.value for member in self.kind)
-            raise ParseError(f"key {self.key!r} expects {expects}, got {text!r}", line=lineno) from None
+    def reader(self):
+        """The function from a value's text to the value; it raises
+        ``ValueError`` for a text that :meth:`expects` does not name."""
+        kind = self.kind
+        return (lambda text: kind(text.upper())) if issubclass(kind, enum.Enum) else kind
+
+    def expects(self) -> str:
+        """What a value of this field is, in words."""
+        if issubclass(self.kind, enum.Enum):
+            return " or ".join(member.value for member in self.kind)
+        return {float: "a number", int: "an integer"}[self.kind]
+
+    def writer(self):
+        """(value, text): the functions from the attribute to the value
+        :meth:`KeyValueFormat.values` lists (an enum member's value, or a
+        Python ``float`` or ``int``) and from that value to its text."""
+        if issubclass(self.kind, enum.Enum):
+            return operator.attrgetter("value"), str
+        return self.kind, repr
 
 
 class KeyValueFormat:
     """The file format of ``cls``. ``parts`` maps each attribute of ``cls``
     that is itself a value object to its type. :meth:`loads` raises the
     :class:`DomainError` of building a part (named by its role) or ``cls``
-    as a :class:`ParseError`; the first faulty part is the one reported."""
+    as a :class:`ParseError`; the first faulty part is the one reported.
+
+    Each field's reader and writer are chosen once, when the format is
+    built, so a value read or written costs no test of its field's type."""
 
     def __init__(self, name: str, cls: type, parts: dict[str, type], fields: tuple[Field, ...]):
         self.name = name
         self.cls = cls
         self.parts = parts
         self.fields = fields
-        self._by_key = {field.key: field for field in fields}
-        self._getters = [operator.attrgetter(field.attr) for field in fields]
-        # (part or "", attribute name) that each field fills
-        self._targets = [field.attr.rpartition(".")[::2] for field in fields]
+        self._readers = {field.key: field.reader() for field in fields}
+        self._expects = {field.key: field.expects() for field in fields}
+        # (key, attribute getter, value of the attribute, text of the value)
+        self._writers = [(field.key, operator.attrgetter(field.attr), *field.writer()) for field in fields]
+        # (key, default, part or "", attribute name) that each field fills
+        self._targets = [(field.key, field.default, *field.attr.rpartition(".")[::2]) for field in fields]
 
     def loads(self, text: str):
         """Parse and validate. Errors name the first bad line; a missing
         required key is reported after every line has been read."""
         read: dict[str, object] = {}
+        readers = self._readers
         for lineno, line in enumerate(text.splitlines(), start=1):
-            body = line.split("#", 1)[0].strip()
+            body = line.partition("#")[0].strip()
             if not body:
                 continue
             key, equals, value = body.partition("=")
             if not equals:
                 raise ParseError(f"expected 'key = value', got {line.strip()!r}", line=lineno)
             key, value = key.strip(), value.strip()
-            field = self._by_key.get(key)
-            if field is None:
+            reader = readers.get(key)
+            if reader is None:
                 raise ParseError(f"unknown key {key!r}", line=lineno)
             if key in read:
                 raise ParseError(f"duplicate key {key!r}", line=lineno)
             if not value:
                 raise ParseError(f"missing value for key {key!r}", line=lineno)
-            read[key] = field.read(value, lineno)
+            try:
+                read[key] = reader(value)
+            except ValueError:
+                expects = self._expects[key]
+                raise ParseError(f"key {key!r} expects {expects}, got {value!r}", line=lineno) from None
         kwargs, parts = {}, {part: {} for part in self.parts}
-        for field, (part, attr) in zip(self.fields, self._targets):
-            if field.default is None and field.key not in read:
-                raise ParseError(f"missing required key {field.key!r}")
-            (parts[part] if part else kwargs)[attr] = read.get(field.key, field.default)
+        # No reader returns None, so None is a required key that is missing.
+        for key, default, part, attr in self._targets:
+            value = read.get(key, default)
+            if value is None:
+                raise ParseError(f"missing required key {key!r}")
+            (parts[part] if part else kwargs)[attr] = value
         try:
             for part, part_cls in self.parts.items():
                 kwargs[part] = build_part(part, part_cls, parts[part])
@@ -442,17 +468,12 @@ class KeyValueFormat:
         """Key -> value in table order: enum members as their value, numbers
         as Python ``float`` or ``int`` (so a numpy scalar is written as a
         number). ``int`` loses nothing: a count is an integer when built."""
-        out = {}
-        for field, get in zip(self.fields, self._getters):
-            value = get(obj)
-            out[field.key] = value.value if isinstance(value, enum.Enum) else field.kind(value)
-        return out
+        return {key: value(get(obj)) for key, get, value, _ in self._writers}
 
     def dumps(self, obj, header: str = "") -> str:
         """Serialize ``obj`` with exact floats."""
         lines = [f"# {line}" for line in header.splitlines()]
-        for key, value in self.values(obj).items():
-            lines.append(f"{key} = {value if isinstance(value, str) else repr(value)}")
+        lines += [f"{key} = {text(value(get(obj)))}" for key, get, value, text in self._writers]
         return "\n".join(lines) + "\n"
 
 
@@ -490,6 +511,19 @@ def dumps_design(design: FilterDesign, header: str = "") -> str:
 
 
 def with_aperture(design: FilterDesign, **dims: float) -> FilterDesign:
-    """Copy a design with one or more aperture dimensions replaced; the copy is checked."""
+    """Copy a design with one or more aperture dimensions replaced; the copy is checked.
+
+    The copy is built field by field, as ``dataclasses.replace`` would build
+    it, without ``replace``'s walk over the fields."""
     aperture = build_part("aperture", RectAperture, {**vars(design.aperture), **dims})
-    return replace(design, aperture=aperture)
+    return FilterDesign(
+        design.coax,
+        design.coax_fill,
+        aperture,
+        design.aperture_fill,
+        design.sections,
+        design.apertures_per_section,
+        design.section_pitch,
+        design.stopband_kappa,
+        design.dominant_mode_axis,
+    )

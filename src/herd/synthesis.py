@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .cascade import filter_response
 from .constants import C0
-from .errors import InfeasibleDesignError
+from .errors import DomainError, InfeasibleDesignError
 from .leakage import inband_transmission, min_depth_for_budget
 from .model import DEFAULT_APERTURES_PER_SECTION, DEFAULT_STOPBAND_KAPPA, FilterDesign, FrequencyGrid
 from .model import Field, KeyValueFormat, Material, RectAperture, count_violations
@@ -124,6 +124,14 @@ def synthesize(spec: DesignSpec) -> SynthesisReport:
         apertures_per_section=spec.apertures_per_section,
     )
     depth = min_depth_for_budget(draft, spec.f_passband_top, spec.passband_il_budget_db)
+    # A budget so large that the field it lets through rounds to 1 gives a
+    # depth of 0, which no aperture has.
+    if depth == 0.0:
+        raise DomainError(
+            f"passband_il_budget_db = {spec.passband_il_budget_db!r} dB is too large: the aperture "
+            f"depth that meets it at f_passband_top = {spec.f_passband_top!r} Hz rounds to 0 m, "
+            "so no depth follows from it"
+        )
     design = with_aperture(draft, depth_d=depth * (1.0 + _DEPTH_SAFETY))
     return verify(design, spec)
 

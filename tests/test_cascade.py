@@ -29,6 +29,7 @@ from herd import (
     synthesize,
 )
 from herd import cascade, model
+from herd.cascade import section_attenuation_db
 from herd.leakage import evanescent_gamma
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -322,6 +323,27 @@ class TestSectionPower:
         grid_power = cascade._section_power(proto, fc, f)
         one_power = [cascade._section_power(proto, fc, x) for x in f.tolist()]
         assert np.array_equal(np.array(one_power), grid_power)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("width", [4.0e-3, 3.1e-143, 3e-143, 1e-300, 1e306])
+    def test_one_frequency_of_any_type_has_the_bits_of_the_array_path(self, proto, width):
+        # Corners from 1.5e-305 Hz (a = 1e306 m in eps_r = 1e14) through the
+        # stock 25 GHz to either side of 2**500 Hz and near 1e308 Hz. A
+        # frequency is a float, an int, a numpy float or a 0-d array, far
+        # below, next to and above the corner.
+        fill = Material(1e14) if width > 1.0 else proto.aperture_fill
+        design = replace(proto, aperture=model.RectAperture(width, 5e-3, min(width, 4.85e-3)),
+                         aperture_fill=fill)
+        fc = corner_frequency(design)
+        shares = [1e-9, 0.5, 0.95, 1.0 - 2.0**-52, 1.0, 1.0 + 2.0**-52, 1.05, 2.0, 1e3, 1e300]
+        freqs = [f for f in [fc * share for share in shares] + [1.0, 10e9, 1e30] if f < math.inf]
+        for f in freqs:
+            power = cascade._section_power(design, fc, np.array([f]))
+            att = float(-10.0 * np.log10(power[0])) + 0.0
+            kinds = [f, np.float64(f), np.array(f)] + ([int(f)] if f.is_integer() else [])
+            for one in kinds:
+                got = (cascade._section_power(design, fc, one), section_attenuation_db(design, one))
+                assert [np.float64(x).tobytes() for x in got] == [power[0].tobytes(), np.float64(att).tobytes()]
 
     @pytest.mark.filterwarnings("error")
     def test_far_above_a_tiny_corner_the_blend_does_not_overflow(self, proto):

@@ -1,6 +1,8 @@
 """Design and spec files: exact round trips over every field, and input that
 always ends in a value or a ParseError."""
 
+import enum
+import operator
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -253,3 +255,107 @@ def test_a_bad_part_key_names_the_part_by_its_role(name, key):
     with pytest.raises(ParseError) as err:
         kv_format.loads("\n".join([*lines, f"{key} = {value}"]) + "\n")
     assert str(err.value) == f"invalid {name}: {message}"
+
+
+# --- the text of a file, and the line and message of each fault ----------------
+
+STOCK_DESIGN_TEXT = (
+    "a_m = 0.004\nb_m = 0.005\nd_m = 0.00485\nr_inner_m = 0.00159\nr_outer_m = 0.00365\n"
+    "coax_eps_r = 1.0\naperture_eps_r = 2.2\napertures_per_section = 8\nsections = 4\n"
+    "section_pitch_m = 0.01\nstopband_kappa = 0.35062\ndominant_mode_axis = WIDTH\n"
+)
+REFERENCE_SPEC_TEXT = (
+    "z0_ohm = 50.0\nf_passband_top_hz = 10000000000.0\npassband_il_budget_db = 0.15\n"
+    "f_stopband_start_hz = 25300000000.0\nstopband_min_attenuation_db = 60.0\n"
+    "aperture_eps_r = 2.2\ncoax_eps_r = 1.0\napertures_per_section = 8\n"
+)
+
+
+def _reference_text(kv_format, obj, header: str) -> str:
+    """The text of ``obj`` written one field at a time, testing each value's
+    type: an enum member as its value, a number as the repr of its field's
+    kind of it."""
+    lines = [f"# {line}" for line in header.splitlines()]
+    for field in kv_format.fields:
+        value = operator.attrgetter(field.attr)(obj)
+        text = value.value if isinstance(value, enum.Enum) else repr(field.kind(value))
+        lines.append(f"{field.key} = {text}")
+    return "\n".join(lines) + "\n"
+
+
+def _field_types(kv_format, obj) -> list[type]:
+    return [type(operator.attrgetter(field.attr)(obj)) for field in kv_format.fields]
+
+
+def test_stock_texts_are_pinned():
+    assert dumps_design(prototype_design()) == STOCK_DESIGN_TEXT
+    assert dumps_design(prototype_design(), header="stock\ndesign") == "# stock\n# design\n" + STOCK_DESIGN_TEXT
+    spec = loads_design_spec(_FILES["spec"][1])
+    assert dumps_design_spec(spec) == REFERENCE_SPEC_TEXT
+    assert loads_design(STOCK_DESIGN_TEXT) == prototype_design()
+    assert loads_design_spec(REFERENCE_SPEC_TEXT) == spec
+
+
+_headers = st.text(st.characters(blacklist_categories=("Cs",)), max_size=30)
+
+
+@given(valid_designs(), _headers)
+def test_design_text_is_written_field_by_field(design, header):
+    text = dumps_design(design, header)
+    assert text == _reference_text(DESIGN_FILE, design, header)
+    again = loads_design(text)
+    assert again == design
+    # each value is read as its field's kind: float, int or the enum
+    assert _field_types(DESIGN_FILE, again) == [field.kind for field in DESIGN_FILE.fields]
+
+
+@given(valid_specs(), _headers)
+def test_spec_text_is_written_field_by_field(spec, header):
+    text = dumps_design_spec(spec, header)
+    assert text == _reference_text(SPEC_FILE, spec, header)
+    again = loads_design_spec(text)
+    assert again == spec
+    assert _field_types(SPEC_FILE, again) == [field.kind for field in SPEC_FILE.fields]
+
+
+# A line put in the stock design file as its fifth line (after a comment and
+# three keys), and the error it gives. The duplicate is found at the file's
+# own `sections` line.
+MALFORMED_LINES = {
+    "no equals sign": ("a_m 0.004", 5, "expected 'key = value', got 'a_m 0.004'"),
+    "unknown key": ("bogus_key = 1", 5, "unknown key 'bogus_key'"),
+    "duplicate key": ("sections = 4", 11, "duplicate key 'sections'"),
+    "empty value": ("section_pitch_m =", 5, "missing value for key 'section_pitch_m'"),
+    "value that is a comment": ("section_pitch_m = # none", 5, "missing value for key 'section_pitch_m'"),
+    "bad float": ("section_pitch_m = wide", 5, "key 'section_pitch_m' expects a number, got 'wide'"),
+    "bad int": ("apertures_per_section = 8.0", 5, "key 'apertures_per_section' expects an integer, got '8.0'"),
+    "bad enum": ("dominant_mode_axis = SIDEWAYS", 5, "key 'dominant_mode_axis' expects WIDTH or HEIGHT, got 'SIDEWAYS'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_LINES))
+def test_a_malformed_line_is_named_by_its_number(name):
+    line, lineno, message = MALFORMED_LINES[name]
+    stock = STOCK_DESIGN_TEXT.splitlines()
+    with pytest.raises(ParseError) as err:
+        loads_design("\n".join(["# header", *stock[:3], line, *stock[3:]]) + "\n")
+    assert err.value.line == lineno
+    assert str(err.value) == f"line {lineno}: {message}"
+
+
+@pytest.mark.parametrize("kv_format, text", [(DESIGN_FILE, STOCK_DESIGN_TEXT), (SPEC_FILE, REFERENCE_SPEC_TEXT)])
+def test_a_missing_required_key_has_no_line(kv_format, text):
+    for field in kv_format.fields:
+        if field.default is not None:
+            continue
+        kept = [line for line in text.splitlines() if line.partition(" = ")[0] != field.key]
+        with pytest.raises(ParseError) as err:
+            kv_format.loads("\n".join(kept) + "\n")
+        assert err.value.line == 0
+        assert str(err.value) == f"missing required key {field.key!r}"
+
+
+def test_a_bad_spec_value_is_named_by_its_number():
+    with pytest.raises(ParseError) as err:
+        loads_design_spec("z0_ohm = 50\napertures_per_section = 1e3\n")
+    assert (err.value.line, str(err.value)) == (2, "line 2: key 'apertures_per_section' expects an integer, got '1e3'")

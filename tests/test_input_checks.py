@@ -108,6 +108,23 @@ class TestSpecCheck:
     def test_other_invalid_targets(self, change):
         _assert_refused(change)
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_a_budget_whose_depth_rounds_to_zero_is_named(self, capsys, tmp_path, fmt):
+        # 6000 dB over 32 apertures asks each to pass a field of 1 - 9e-20,
+        # which rounds to 1: min_depth_for_budget gives a depth of 0
+        path = tmp_path / "budget.spec"
+        path.write_text(_bad_spec_text("passband_il_budget_db = 6000.0"))
+        assert main(["synthesize", "--spec", str(path), "--format", fmt]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "herd: input error: passband_il_budget_db = 6000.0 dB is too large: the aperture "
+            "depth that meets it at f_passband_top = 10000000000.0 Hz rounds to 0 m, so no depth "
+            "follows from it\n"
+        )
+        with pytest.raises(DomainError, match="passband_il_budget_db"):
+            synthesize(replace(headline_spec(), passband_il_budget_db=6000.0))
+
     def test_finite_stopband_below_passband_stays_infeasible(self):
         with pytest.raises(InfeasibleDesignError, match="f_stopband_start"):
             synthesize(replace(headline_spec(), f_stopband_start=10e9))

@@ -319,3 +319,71 @@ def test_a_loss_of_exactly_zero_is_positive_zero(proto):
     ]
     assert losses == [0.0] * 6
     assert [math.copysign(1.0, loss) for loss in losses] == [1.0] * 6
+
+
+# --- one frequency has the bits of the array path -----------------------------
+#
+# One frequency may be a float, an int, a numpy float or a 0-d array; each
+# gives the figure of the same frequency in a one-point array, bit for bit.
+
+
+def _kinds(f: float) -> list:
+    """``f`` as each type one frequency may take; the int only where it
+    holds ``f`` exactly."""
+    kinds = [f, np.float64(f), np.array(f)]
+    return kinds + [int(f)] if f.is_integer() else kinds
+
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+# Corners of the stock aperture, just below and just above 2**500 Hz (a =
+# 3.1e-143 and 3e-143 m in PTFE) and near 1e308 Hz (a = 1e-300 m), and
+# frequencies as fractions of the corner, from far below it to next to it.
+_WIDTHS = [4.0e-3, 3.1e-143, 3e-143, 1e-300]
+_BELOW = [1e-12, 1e-3, 0.5, 0.999, 1.0 - 2.0**-52]
+
+
+def _below_corner(design) -> list[float]:
+    """Fixed frequencies below the design's corner, then 400 drawn ones: numpy's
+    power loop and the C library's pow differ in about 5 % of values."""
+    fc = corner_frequency(design)
+    fixed = [fc * share for share in _BELOW] + [float(math.floor(fc * 0.5)) or 1.0, 1.0, 10e9]
+    return fixed + (fc * np.random.default_rng(20).uniform(1e-3, 1.0, 400)).tolist()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("width", _WIDTHS)
+def test_one_frequency_has_the_bits_of_the_array_path(proto, width):
+    design = with_aperture(proto, width_a=width, depth_d=min(width, proto.aperture.depth_d))
+    fc = corner_frequency(design)
+    assert (fc < 2.0**500) == (width > 3e-143)
+    for f in _below_corner(design):
+        if not f < fc:
+            continue
+        gamma = evanescent_gamma(design, fc, np.array([f]))[0]
+        loss = inband_transmission(design, np.array([f])).insertion_loss_db[0]
+        depth = min_depth_for_budget(design, np.array([f]), 0.1)[0]
+        for one in _kinds(f):
+            assert _bits(evanescent_gamma(design, fc, one)) == _bits(gamma), (f, type(one))
+            assert _bits(inband_transmission(design, one).insertion_loss_db) == _bits(loss), (f, type(one))
+            assert _bits(min_depth_for_budget(design, one, 0.1)) == _bits(depth), (f, type(one))
+
+
+@given(share=st.floats(5e-324, 1.0, exclude_max=True), width=st.sampled_from(_WIDTHS))
+def test_any_one_frequency_below_the_corner_has_the_bits_of_the_array_path(share, width):
+    design = with_aperture(prototype_design(), width_a=width)
+    fc = corner_frequency(design)
+    f = share * fc
+    if not 0.0 < f < fc:
+        return
+    loss = inband_transmission(design, np.array([f])).insertion_loss_db[0]
+    assert _bits(inband_transmission(design, f).insertion_loss_db) == _bits(loss)
+    gamma = evanescent_gamma(design, fc, np.array([f]))[0]
+    assert _bits(evanescent_gamma(design, fc, f)) == _bits(gamma)
+
+
+def test_one_frequency_gamma_is_a_numpy_float(proto):
+    # the arithmetic that follows warns as numpy's does
+    assert type(evanescent_gamma(proto, corner_frequency(proto), 10e9)) is np.float64

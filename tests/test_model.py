@@ -27,7 +27,7 @@ from herd import (
 )
 from herd import model
 from herd.model import DEFAULT_TRANSITION_WIDTH, LOGISTIC_SHARPNESS, build_part
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -448,3 +448,98 @@ class TestDesignFile:
     def test_comments_and_blank_lines_ignored(self, proto):
         text = "# heading\n\n" + dumps_design(proto) + "\n# trailing\n"
         assert loads_design(text).sections == proto.sections
+
+
+# --- copies and derived figures ------------------------------------------------
+
+
+@given(
+    dims=st.dictionaries(
+        st.sampled_from(["width_a", "height_b", "depth_d"]),
+        st.one_of(_maybe_bad_length, st.floats(1e-300, 1e3), st.sampled_from([5e-324, 1e306, math.inf])),
+        min_size=1,
+    ),
+    axis=st.sampled_from(DominantModeAxis),
+)
+def test_with_aperture_is_replace_of_the_built_aperture(dims, axis):
+    """with_aperture builds what ``replace`` builds from the same aperture,
+    or refuses it with the same message. The counts, pitch and kappa are
+    away from their defaults and the axis is drawn, so a copy that dropped
+    a field would show."""
+    proto = replace(
+        prototype_design(),
+        apertures_per_section=6,
+        section_pitch=0.02,
+        stopband_kappa=0.3,
+        dominant_mode_axis=axis,
+    )
+
+    def via_replace():
+        aperture = build_part("aperture", RectAperture, {**vars(proto.aperture), **dims})
+        return replace(proto, aperture=aperture)
+
+    try:
+        want = via_replace()
+    except DomainError as exc:
+        with pytest.raises(DomainError) as err:
+            with_aperture(proto, **dims)
+        assert str(err.value) == str(exc)
+    else:
+        got = with_aperture(proto, **dims)
+        assert got == want
+        assert vars(got) == vars(want)
+
+
+@pytest.mark.parametrize(
+    "dims, message",
+    [
+        ({"width_a": 0.0}, "aperture.width_a must be finite and > 0 (got 0.0)"),
+        ({"depth_d": math.nan}, "aperture.depth_d must be finite and > 0 (got nan)"),
+        (
+            {"height_b": 0.0, "depth_d": -1.0},
+            "aperture.height_b must be finite and > 0 (got 0.0); "
+            "aperture.depth_d must be finite and > 0 (got -1.0)",
+        ),
+        (
+            {"width_a": 1e-310},
+            "dominant-mode corner frequency must be finite and > 0 "
+            "(got inf Hz from aperture.width_a = 1e-310 m)",
+        ),
+        (
+            {"width_a": 1e308},
+            "dominant-mode corner frequency is too small for the stopband blend "
+            "(got 1.49896229e-307 Hz from aperture.width_a = 1e+308 m)",
+        ),
+    ],
+)
+def test_with_aperture_refusals_are_pinned(proto, dims, message):
+    # a fill of eps_r = 1e14 lets a 1e308 m wide hole reach the blend limit
+    design = replace(proto, aperture_fill=Material(1e14))
+    with pytest.raises(DomainError) as err:
+        with_aperture(design, **dims)
+    assert str(err.value) == message
+
+
+@given(eps_r=st.one_of(st.floats(1.0, 1e300), st.integers(1, 2**53), st.sampled_from([1.0, 2.2, 1e308])))
+def test_material_refractive_index_is_set_once(eps_r):
+    mat = Material(eps_r)
+    assert mat.refractive_index == math.sqrt(eps_r)
+    # an attribute, not a field: equality, hash and repr see eps_r alone
+    assert mat == Material(eps_r) and hash(mat) == hash(Material(eps_r)) == hash((eps_r,))
+    assert repr(mat) == f"Material(eps_r={eps_r!r})"
+    assert [f.name for f in fields(mat)] == ["eps_r"]
+    with pytest.raises(FrozenInstanceError):
+        mat.refractive_index = 1.0
+
+
+def test_material_equality_is_by_eps_r_alone():
+    assert Material(2.2) != Material(2.3)
+    assert Material(2) == Material(2.0) and hash(Material(2)) == hash(Material(2.0))
+    assert replace(Material(2.2), eps_r=4.0).refractive_index == 2.0
+
+
+def test_a_design_holds_exactly_its_fields(proto):
+    names = [f.name for f in fields(FilterDesign)]
+    assert list(vars(proto)) == names
+    assert list(vars(with_aperture(proto, width_a=3e-3))) == names
+    assert list(vars(loads_design(dumps_design(proto)))) == names
