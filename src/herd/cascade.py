@@ -21,15 +21,14 @@ import numpy as np
 
 from .constants import C0
 from .errors import DomainError
-from .leakage import evanescent_gamma
+from .leakage import decay_amplitude, evanescent_gamma
 from .model import DEFAULT_TRANSITION_WIDTH, LOGISTIC_SHARPNESS, FilterDesign, FrequencyGrid
 from .modes import corner_frequency
 
-# Most rows attenuation_vs_sections lists, and most attenuation figures
-# (sections x frequencies) `herd sections` writes. The command streams its
-# table in row blocks and holds about 20 resident bytes per figure at its
-# peak, so a table at the bound adds about 10 MB to the interpreter; the list
-# of tuples attenuation_vs_sections returns holds about 120 bytes per row.
+# Most rows attenuation_vs_sections lists. Its list of (count, dB) tuples
+# holds about 120 bytes per row, so a list at the bound adds about 60 MB to
+# the interpreter. `herd sections` builds its table as arrays instead, and
+# is bounded by model.MAX_GRID_POINTS.
 MAX_SECTIONS = 500_000
 
 
@@ -155,13 +154,14 @@ def _section_power(design: FilterDesign, fc: float, f):
     NaN f - fc comes first. The logistic argument it gives lies within about
     +-92, so working it in Python floats loses no overflow warning."""
     n_ap = design.apertures_per_section
+    one = type(f) is float
 
     # Evanescent decay of the dominant aperture mode. At and above the corner
     # gamma is 0, so amp = 1 and the below-cutoff transmission is exactly 0.
     # np.power runs the same loop for one frequency as for an array, so a
     # figure has the same bits either way (a numpy scalar's ** calls the C
     # library's pow instead).
-    amp = np.exp(evanescent_gamma(design, fc, f) * -design.aperture.depth_d)
+    amp = decay_amplitude(evanescent_gamma(design, fc, f), design.aperture.depth_d, one)
     t_below = np.power(1.0 - amp * amp, n_ap)
     t_above = (1.0 - design.stopband_kappa) ** n_ap
 
@@ -171,7 +171,7 @@ def _section_power(design: FilterDesign, fc: float, f):
     # exp(-arg) cannot overflow. Clamping f - fc at fc keeps the product from
     # overflowing far above a tiny corner; from there up arg is at least
     # about 92, where exp(-arg) < 2**-53 and the weight rounds to 1 either way.
-    minimum = min if type(f) is float else np.minimum
+    minimum = min if one else np.minimum
     arg = minimum(f - fc, fc) * (LOGISTIC_SHARPNESS / (DEFAULT_TRANSITION_WIDTH * fc))
     weight = 1.0 / (1.0 + np.exp(-arg))
     return (1.0 - weight) * t_below + weight * t_above

@@ -16,12 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .cascade import MAX_SECTIONS, filter_response, max_singular_value, section_attenuation_db
+from .cascade import filter_response, max_singular_value, section_attenuation_db
 from .errors import DomainError, InfeasibleDesignError, ParseError
 from .leakage import aperture_sweep
 from .model import (
     AIR,
     DESIGN_FILE,
+    MAX_GRID_POINTS,
     FilterDesign,
     FrequencyGrid,
     Material,
@@ -69,11 +70,6 @@ CLAIM_PROFILES: dict[str, list[Claim]] = {
 
 _SWEEP_FIELDS = {"a": "width_a", "b": "height_b", "d": "depth_d"}
 
-# Most rows `herd sweep` writes. A sweep is streamed in row blocks and holds
-# about 60 resident bytes per row at its peak (its arrays and their
-# temporaries), so one at the bound adds about 30 MB to the interpreter.
-MAX_SWEEP_STEPS = 500_000
-
 # `compare` takes a measured point for gain when the largest singular value of
 # its S matrix exceeds 1 by more than this many dB. A passband measurement
 # carries noise of a few thousandths of a dB, which must not read as gain.
@@ -82,7 +78,7 @@ GAIN_TOL_DB = 0.05
 
 def _fmt(x) -> str:
     """12 significant digits; ``n/a`` for a value the model does not give
-    or that is not finite, as the ``"text"`` style of ``tsio.format_columns``
+    or that is not finite, as the ``"text"`` style of ``tsio.row_blocks``
     writes it."""
     return "n/a" if x is None or not math.isfinite(x) else format(float(x), ".12g")
 
@@ -108,9 +104,9 @@ def _kv_lines(values: dict) -> list[str]:
 
 
 # A table is a list of (key, column, style) entries: row i holds value i of
-# each column, written in the entry's tsio.format_columns style ("%d" for
-# integers). Its rows are laid out and written a block at a time
-# (tsio.row_blocks), so only the arrays and one block of text are held.
+# each column, written in the entry's tsio.row_blocks style ("%d" for
+# integers). Its rows are laid out and written a block at a time, so only the
+# arrays and one block of text are held.
 
 # The string that stands in for the rows, and for each value of a row, until
 # they are laid out.
@@ -344,8 +340,8 @@ def _cmd_sweep(args) -> int:
     design = _load_design(args.design)
     if args.steps < 1:
         raise DomainError(f"steps must be >= 1 (got {args.steps!r})")
-    if args.steps > MAX_SWEEP_STEPS:
-        raise DomainError(f"steps must be <= {MAX_SWEEP_STEPS} (got {args.steps!r})")
+    if args.steps > MAX_GRID_POINTS:
+        raise DomainError(f"steps must be <= {MAX_GRID_POINTS} (got {args.steps!r})")
     # An infinite or overflowing span gives nan values, which aperture_sweep
     # refuses with with_aperture's message, like any other non-positive value.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -376,9 +372,9 @@ def _cmd_sections(args) -> int:
         raise DomainError(f"unparsable frequency list {args.freqs!r}") from None
     if not freqs:
         raise DomainError("need at least one frequency")
-    if args.max_sections * len(freqs) > MAX_SECTIONS:
+    if args.max_sections * len(freqs) > MAX_GRID_POINTS:
         raise DomainError(
-            f"sections writes at most {MAX_SECTIONS} attenuation figures "
+            f"sections writes at most {MAX_GRID_POINTS} attenuation figures "
             f"(got {args.max_sections} sections x {len(freqs)} frequencies)"
         )
     if args.max_sections < 1:

@@ -65,6 +65,16 @@ def _float64_sqrt(x: float) -> np.float64:
     return np.float64(math.sqrt(x))
 
 
+def decay_amplitude(gamma, depth, one: bool):
+    """exp(-gamma depth), for one value (``one``) or an array: 0 where the
+    product overflows. One value is multiplied in Python floats, which round
+    as numpy's do and do not warn; an array with numpy's warning off."""
+    if one:
+        return np.exp(float(gamma) * -depth)
+    with np.errstate(over="ignore"):
+        return np.exp(gamma * -depth)
+
+
 def _all(one: bool, values) -> bool:
     """Whether every value is true. One value is tested as it is: numpy's
     ``all()`` costs microseconds even on a scalar."""
@@ -103,7 +113,7 @@ def _transmission(design: FilterDesign, gamma, depth, one: bool):
     np.power runs the same loop for one value as for an array, so a figure
     has the same bits either way (a numpy scalar's ** calls the C library's
     pow instead)."""
-    amp = np.exp(gamma * -depth)
+    amp = decay_amplitude(gamma, depth, one)
     total = np.power(1.0 - amp * amp, design.total_apertures)
     if _all(one, total):
         loss = -10.0 * np.log10(total)
@@ -160,7 +170,9 @@ def mismatch_loss_db(return_loss_db: float) -> float:
 
 def min_depth_for_budget(design: FilterDesign, f, budget_db: float):
     """Smallest aperture depth whose in-band loss at ``f`` stays within
-    ``budget_db``; closed-form inverse of :func:`inband_transmission`."""
+    ``budget_db``; closed-form inverse of :func:`inband_transmission`.
+    Infinite where the decay constant underflows to 0 (near a corner of
+    1e-162 Hz and below), since no depth then meets the budget."""
     if not (math.isfinite(budget_db) and budget_db > 0.0):
         raise DomainError(f"budget must be finite and > 0 dB (got {budget_db!r})")
     one, gamma = _inband(design, f)
@@ -169,5 +181,10 @@ def min_depth_for_budget(design: FilterDesign, f, budget_db: float):
         raise InfeasibleDesignError(
             f"no aperture depth satisfies the {budget_db!r} dB budget at {f!r} Hz"
         )
-    depth = np.maximum(-math.log(amp_required) / gamma, 0.0)
+    decay = -math.log(amp_required)
+    if _all(one, gamma > 0.0):
+        depth = np.maximum(decay / gamma, 0.0)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            depth = np.where(gamma > 0.0, np.maximum(decay / gamma, 0.0), math.inf)
     return float(depth) if one else depth

@@ -39,10 +39,11 @@ DEFAULT_APERTURES_PER_SECTION = 8
 DEFAULT_TRANSITION_WIDTH = 0.10
 LOGISTIC_SHARPNESS = 2.0 * math.log(99.0)
 
-# Most points a FrequencyGrid.linear or .logarithmic grid may have. A streamed
-# `herd analyze` holds about 64 (CSV, JSON) to 88 (Touchstone) resident bytes
-# per point, so a grid of this size stays under 1 GiB; a larger one is refused
-# before its array is allocated.
+# Most points a FrequencyGrid.linear or .logarithmic grid may have, and most
+# rows `herd sweep` and `herd sections` write. Streamed, a table holds about
+# 64-88 resident bytes per `analyze` point, 60 per sweep row and 20 per
+# `sections` figure, so one of this size stays under 1 GiB; a larger one is
+# refused before its arrays are allocated.
 MAX_GRID_POINTS = 10_000_000
 
 

@@ -16,7 +16,8 @@ is exact as a float, times or divided by an exact power of ten. Every other
 value (zero, -0, non-finite, subnormal, outside the range; under ``repr`` a
 power of two, whose rounding interval is lopsided, and a value whose
 16-digit integer is not exact as a float) is formatted by CPython, one value
-at a time.
+at a time. ``"%d"`` is written as ``"%.17g"`` of each value's integer
+part, which has the same text below 1e17.
 """
 
 from __future__ import annotations
@@ -43,8 +44,9 @@ _POW10_HIGH, _POW10_LOW = _halves(_POW10)
 # CPython formatter of a finite float, and the word.
 _NON_FINITE = {"json": (float.__repr__, "null"), "text": ("%.12g".__mod__, "n/a")}
 
-# Significant digits of each %g-like style. ``json`` takes 15, 16 or 17.
-_DIGITS = {"%.17g": 17, "%.12g": 12, "text": 12, "json": 17}
+# Significant digits of each %g-like style: ``json`` takes 15, 16 or 17, and
+# ``"%d"`` is written as ``"%.17g"``.
+_DIGITS = {"%.17g": 17, "%d": 17, "%.12g": 12, "text": 12, "json": 17}
 
 
 def _scaled(a, s):
@@ -190,21 +192,6 @@ def _digit_text(d, digits, least):
     return rows.view(np.uint8).reshape(len(d), 8 * words)[:, pad:]
 
 
-def _integer_text(values, fast):
-    """``"%d"`` text of the fast lanes: the sign in the first column, then
-    the digits right-aligned, with NUL for leading zeros."""
-    t = np.trunc(np.where(fast, values, 0.0)).astype(np.int64)
-    magnitude = np.abs(t)
-    digits = len(str(int(magnitude.max())))
-    dg = _digit_text(magnitude, digits, digits)
-    # the number of digits of each magnitude, 0 having one
-    length = np.searchsorted(_POW10[1:digits], magnitude, side="right") + 1
-    out = np.zeros((len(t), digits + 1), np.uint8)
-    out[:, 0] = np.where(t < 0, 45, 0)
-    out[:, 1:] = dg * (np.arange(digits) >= digits - length[:, None])
-    return out
-
-
 def _float_text(values, style, fast):
     """The text of the fast lanes of a %g-like or ``json`` column, as a
     NUL-padded (rows, width) uint8 matrix, and the lanes worked out: a lane
@@ -278,19 +265,19 @@ def column_text(values: np.ndarray, style: str) -> np.ndarray:
     values = np.ascontiguousarray(values, dtype=np.float64)
     if not len(values):
         return np.zeros((0, 1), np.uint8)
-    magnitude = np.abs(values)
     if style == "%d":
-        fast = magnitude < 1e17
-        out = _integer_text(values, fast)
+        # "%d" writes the integer part, whose "%.17g" text below 1e17 is the
+        # same. Zero, -0.0 included, is written by CPython's "%d" below.
+        values = np.trunc(values)
+    magnitude = np.abs(values)
+    fast = (magnitude >= 1e-6) & (magnitude < 1e17)
+    if style == "json":
+        # a power of two: its mantissa bits are 0
+        fast &= (values.view(np.int64) & (2**52 - 1)) != 0
+    if fast.any():
+        out, fast = _float_text(values, style, fast)
     else:
-        fast = (magnitude >= 1e-6) & (magnitude < 1e17)
-        if style == "json":
-            # a power of two: its mantissa bits are 0
-            fast &= (values.view(np.int64) & (2**52 - 1)) != 0
-        if fast.any():
-            out, fast = _float_text(values, style, fast)
-        else:
-            out = np.zeros((len(values), 1), np.uint8)
+        out = np.zeros((len(values), 1), np.uint8)
     slow = np.flatnonzero(~fast)
     if not len(slow):
         return out

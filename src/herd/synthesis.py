@@ -132,6 +132,12 @@ def synthesize(spec: DesignSpec) -> SynthesisReport:
             f"depth that meets it at f_passband_top = {spec.f_passband_top!r} Hz rounds to 0 m, "
             "so no depth follows from it"
         )
+    if depth == math.inf:
+        raise DomainError(
+            f"f_passband_top = {spec.f_passband_top!r} Hz and f_stopband_start = "
+            f"{spec.f_stopband_start!r} Hz are too small: the aperture mode's decay constant "
+            "between them underflows to 0, so no aperture depth meets passband_il_budget_db"
+        )
     design = with_aperture(draft, depth_d=depth * (1.0 + _DEPTH_SAFETY))
     return verify(design, spec)
 

@@ -292,42 +292,14 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return np.array_equal(*bits)
 
 
-def format_columns(columns, styles) -> list[np.ndarray]:
-    """The text of each float64 column in the style given for that column,
-    as a NUL-padded (rows, width) uint8 matrix (``numtext.column_text``).
-
-    A style is the printf format ``"%.17g"``, ``"%.12g"`` or ``"%d"`` (for
-    a column of integers); ``"json"``: the float's repr, as ``json.dumps``
-    writes it, and ``null`` for a non-finite value; or ``"text"``:
-    ``"%.12g"``, and ``n/a`` for a non-finite value. Values are told apart
-    by their bits, so ``-0.0`` and ``0.0`` stay distinct and a NaN equals
-    itself. A column whose style and bits equal those of an earlier column
-    reuses its matrix. Each distinct value of a column is formatted once: a
-    strictly increasing column (a frequency grid, a count) is formatted
-    whole without being sorted; any other is sorted to find its repeats. A
-    column without repeats (a wrapped phase) is then formatted whole, in
-    order, and a column of one value (a flat stopband) from that value.
-    Only a column with some repeats is reduced to its distinct values and
-    gathered back.
-    """
-    done: list[tuple[str, np.ndarray, np.ndarray]] = []
-    out = []
-    for column, style in zip(columns, styles):
-        values = np.ascontiguousarray(column, dtype=np.float64)
-        bits = values.view(np.int64)
-        for seen_style, seen, text in done:
-            if seen_style == style and np.array_equal(seen, bits):
-                break
-        else:
-            text = _column_text(values, bits, style)
-            done.append((style, bits, text))
-        out.append(text)
-    return out
-
-
 def _column_text(values: np.ndarray, bits: np.ndarray, style: str) -> np.ndarray:
     """``numtext.column_text`` of ``values``, each distinct value (by its
-    ``bits``) formatted once."""
+    ``bits``) formatted once. A strictly increasing column (a frequency
+    grid, a count) is formatted whole without being sorted; any other is
+    sorted to find its repeats. A column without repeats (a wrapped phase)
+    is then formatted whole, in order, and a column of one value (a flat
+    stopband) from that value. Only a column with some repeats is reduced
+    to its distinct values and gathered back."""
     if (values[1:] > values[:-1]).all():
         return numtext.column_text(values, style)
     ordered = np.sort(bits)
@@ -344,31 +316,47 @@ def row_blocks(columns, styles, texts):
     """The rows of the equal-length float64 ``columns`` as text, in blocks
     of ``WRITE_BLOCK_ROWS`` rows: each row is ``texts[0]``, the first
     column's value, ``texts[1]``, ..., the last column's value,
-    ``texts[-1]``, with each value written in its column's
-    ``format_columns`` style.
+    ``texts[-1]``, with each value written in its column's style.
 
-    A column whose bits are equal in every row (a matched model's s11) is
-    formatted once per table and written as part of the fixed text between
-    its neighbours; each block formats only the other columns, and a table
-    of constant columns only repeats its one row.
+    A style is the printf format ``"%.17g"``, ``"%.12g"`` or ``"%d"`` (for
+    a column of integers); ``"json"``: the float's repr, as ``json.dumps``
+    writes it, and ``null`` for a non-finite value; or ``"text"``:
+    ``"%.12g"``, and ``n/a`` for a non-finite value. Values are told apart
+    by their bits, so ``-0.0`` and ``0.0`` stay distinct and a NaN equals
+    itself.
+
+    The table is planned once. A column whose bits are equal in every row
+    (a matched model's s11) is formatted once and written as part of the
+    fixed text between its neighbours. A column with the style and bits of
+    an earlier one (a model's s12 beside its s21) reuses that column's text.
+    Each block formats only the remaining columns (``_column_text``), and a
+    table of constant columns only repeats its one row.
     """
     rows = len(columns[0])
-    varying, varying_styles, fixed = [], [], [texts[0]]
+    if not rows:
+        return
+    # the columns each block formats, and the one each varying column writes
+    formatted, sources, fixed = [], [], [texts[0]]
     for column, style, text in zip(columns, styles, texts[1:]):
         values = np.asarray(column, dtype=np.float64)
         bits = values.view(np.int64)
-        if rows and (bits == bits[0]).all():
+        if (bits == bits[0]).all():
             value = numtext.block_text([numtext.column_text(values[:1], style)], ["", ""])
             fixed[-1] += value + text
+            continue
+        for source, (_, seen, seen_style) in enumerate(formatted):
+            if seen_style == style and np.array_equal(seen, bits):
+                break
         else:
-            varying.append(values)
-            varying_styles.append(style)
-            fixed.append(text)
+            source = len(formatted)
+            formatted.append((values, bits, style))
+        sources.append(source)
+        fixed.append(text)
     for start in range(0, rows, WRITE_BLOCK_ROWS):
         stop = min(start + WRITE_BLOCK_ROWS, rows)
-        if varying:
-            block = [values[start:stop] for values in varying]
-            yield numtext.block_text(format_columns(block, varying_styles), fixed)
+        if formatted:
+            block = [_column_text(v[start:stop], b[start:stop], style) for v, b, style in formatted]
+            yield numtext.block_text([block[source] for source in sources], fixed)
         else:
             yield fixed[0] * (stop - start)
 

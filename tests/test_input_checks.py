@@ -30,7 +30,7 @@ from herd import (
 from herd import cascade, cli, model, modes
 from herd.cli import main
 from herd.leakage import aperture_sweep
-from herd.model import build_part
+from herd.model import build_part, with_aperture
 from herd.synthesis import SPEC_FILE, validate_spec
 
 
@@ -124,6 +124,25 @@ class TestSpecCheck:
         )
         with pytest.raises(DomainError, match="passband_il_budget_db"):
             synthesize(replace(headline_spec(), passband_il_budget_db=6000.0))
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_bands_whose_decay_constant_underflows_are_named(self, capsys, tmp_path, fmt):
+        # a 2.53e-163 Hz corner: the decay constant at 1e-163 Hz underflows
+        # to 0, and min_depth_for_budget gives an infinite depth
+        path = tmp_path / "tiny.spec"
+        kept = SPEC_FILE.values(headline_spec())
+        kept.update(f_passband_top_hz=1e-163, f_stopband_start_hz=2.53e-163)
+        path.write_text("".join(f"{key} = {value!r}\n" for key, value in kept.items()))
+        assert main(["synthesize", "--spec", str(path), "--format", fmt]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "herd: input error: f_passband_top = 1e-163 Hz and f_stopband_start = 2.53e-163 Hz "
+            "are too small: the aperture mode's decay constant between them underflows to 0, so "
+            "no aperture depth meets passband_il_budget_db\n"
+        )
+        with pytest.raises(DomainError, match="f_passband_top"):
+            synthesize(replace(headline_spec(), f_passband_top=1e-163, f_stopband_start=2.53e-163))
 
     def test_finite_stopband_below_passband_stays_infeasible(self):
         with pytest.raises(InfeasibleDesignError, match="f_stopband_start"):
@@ -318,7 +337,7 @@ BAD_SWEEPS = {
     "infinite_end": (["--from", "3e-3", "--to", "inf"], "(got nan)"),
     "no_steps": (["--from", "3e-3", "--to", "6e-3", "--steps", "0"], "steps must be >= 1"),
     "too_large_for_memory": (
-        ["--from", "3e-3", "--to", "6e-3", "--steps", HUGE], f"steps must be <= 500000 (got {HUGE})"
+        ["--from", "3e-3", "--to", "6e-3", "--steps", HUGE], f"steps must be <= 10000000 (got {HUGE})"
     ),
     "subnormal_widths": (
         ["--from", "1e-320", "--to", "1e-310", "--steps", "2"],
@@ -394,10 +413,18 @@ def test_modes_refuses_radii_out_of_float_range(capsys, z0, f, named):
 
 
 def test_sections_refuses_more_figures_than_the_bound(capsys, tmp_path, proto, monkeypatch):
-    monkeypatch.setattr(cli, "MAX_SECTIONS", 6)
     path = tmp_path / "stock.design"
     path.write_text(dumps_design(proto))
     argv = ["sections", "--design", str(path), "--freqs", "40e9,60e9"]
+    # the grid bound, refused before any array is allocated
+    assert cli.MAX_GRID_POINTS is model.MAX_GRID_POINTS == 10_000_000
+    assert main([*argv, "--max-sections", "5000001"]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "herd: input error: sections writes at most 10000000 attenuation figures "
+        "(got 5000001 sections x 2 frequencies)\n",
+    )
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 6)
     assert main([*argv, "--max-sections", "3"]) == 0
     capsys.readouterr()
     # refused before any attenuation is computed
@@ -411,6 +438,27 @@ def test_sections_refuses_more_figures_than_the_bound(capsys, tmp_path, proto, m
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sections", "--freqs", "1e9"],
+        ["analyze", "--points", "5"],
+        ["sweep", "--param", "a", "--from", "3e-3", "--to", "6e-3", "--steps", "3"],
+    ],
+)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_depth_past_the_float_range_writes_nothing_on_stderr(capsys, tmp_path, proto, argv, fmt):
+    # gamma * depth overflows: no field passes, and the in-band loss is 0 dB
+    path = tmp_path / "deep.design"
+    path.write_text(dumps_design(with_aperture(proto, depth_d=1e307)))
+    assert main([*argv, "--design", str(path), "--format", fmt]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if fmt == "csv" and argv[0] != "analyze":
+        # the in-band loss of each swept width, and of each section count
+        assert all(line.endswith(",0") for line in out.splitlines() if line[0].isdigit())
+
+
 def test_attenuation_vs_sections_refuses_more_rows_than_the_bound(proto, monkeypatch):
     assert cascade.MAX_SECTIONS == 500_000
     with pytest.raises(DomainError, match=r"^max_sections must be <= 500000 \(got 1000000000000000\)$"):
@@ -422,7 +470,7 @@ def test_attenuation_vs_sections_refuses_more_rows_than_the_bound(proto, monkeyp
 
 
 def test_sweep_refuses_more_steps_than_the_bound(capsys, tmp_path, proto, monkeypatch):
-    monkeypatch.setattr(cli, "MAX_SWEEP_STEPS", 3)
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 3)
     path = tmp_path / "stock.design"
     path.write_text(dumps_design(proto))
     argv = ["sweep", "--design", str(path), "--param", "a", "--from", "3e-3", "--to", "6e-3"]

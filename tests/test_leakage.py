@@ -284,6 +284,38 @@ class TestDecayPastTheFloatRange:
         assert np.abs(table.s21).tolist() == pytest.approx([1.0, 1.0], abs=1e-15)
 
 
+class TestDecayPastTheDepth:
+    """A 1e307 m deep hole on the stock aperture: gamma * depth exceeds the
+    float range, so no field passes it and the loss is 0 dB, without a
+    floating-point fault."""
+
+    def test_losses(self, proto):
+        deep = with_aperture(proto, depth_d=1e307)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert inband_transmission(deep, 10e9).insertion_loss_db == 0.0
+            losses = inband_transmission(deep, np.array([1e9, 10e9])).insertion_loss_db
+            _, swept = aperture_sweep(proto, "depth_d", np.array([1e306, 1e307]), 10e9)
+            assert section_attenuation_db(deep, 1e9) == 0.0
+            table = filter_response(deep, FrequencyGrid((1e9, 10e9)))
+        assert losses.tolist() == [0.0, 0.0]
+        assert swept.tolist() == [0.0, 0.0]
+        assert np.abs(table.s21).tolist() == pytest.approx([1.0, 1.0], abs=1e-15)
+
+
+def test_a_decay_constant_that_underflows_needs_an_infinite_depth(proto):
+    # a 5e-162 Hz corner: the product (fc - f)(fc + f) is subnormal far below
+    # the corner and underflows to 0 next to it
+    design = with_aperture(proto, width_a=2e169)
+    f = corner_frequency(design) * np.array([1e-3, 0.99])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert evanescent_gamma(design, corner_frequency(design), f)[1] == 0.0
+        depths = min_depth_for_budget(design, f, 0.1)
+        assert [min_depth_for_budget(design, one, 0.1) for one in f.tolist()] == depths.tolist()
+    assert math.isfinite(depths[0]) and depths[1] == math.inf
+
+
 @given(
     fc=st.one_of(st.floats(5e-307, MAX), st.floats(2.0**490, 2.0**520)),
     f=st.floats(5e-324, MAX),

@@ -33,7 +33,7 @@ from herd import (
 )
 from herd import numtext, tsio
 from herd.cli import main
-from herd.tsio import FREQUENCY_UNITS, format_columns
+from herd.tsio import FREQUENCY_UNITS
 
 _ORACLE_ROW_FORMAT = " ".join(["%.17g"] * 9)
 _ORACLE_CSV_ROW = "%.12g,%.12g,%.12g"
@@ -126,7 +126,7 @@ def _signed_zero_table():
     )
 
 
-# --- format_columns ----------------------------------------------------------
+# --- row_blocks: one plan per table ------------------------------------------
 
 
 def _reference(column, style):
@@ -146,7 +146,11 @@ def _strings(matrix):
 
 
 def _formatted(columns, styles):
-    return [_strings(matrix) for matrix in format_columns(columns, styles)]
+    """The text of each column's values, from the rows ``row_blocks``
+    writes with a ``|`` between values."""
+    texts = ["", *["|"] * (len(columns) - 1), "\n"]
+    rows = "".join(tsio.row_blocks(columns, styles, texts)).splitlines()
+    return [list(column) for column in zip(*(row.split("|") for row in rows))] or [[]] * len(columns)
 
 
 _STYLES = ("%.17g", "%.12g", "json", "text")
@@ -187,7 +191,7 @@ def _column_sets(draw):
 
 @pytest.mark.parametrize("style", _STYLES)
 @given(columns=_column_sets())
-def test_format_columns_matches_per_value_formatting(style, columns):
+def test_row_blocks_match_per_value_formatting(style, columns):
     assert _formatted(columns, [style] * len(columns)) == [_reference(c, style) for c in columns]
 
 
@@ -196,18 +200,19 @@ def test_format_columns_matches_per_value_formatting(style, columns):
     [("%.17g", "0", "-0"), ("%.12g", "0", "-0"), ("json", "0.0", "-0.0")],
 )
 def test_signed_zero_columns_stay_distinct(style, zero, negative_zero):
-    zeros = np.zeros(4)
+    # equal by value, not by bits: the second column is not the first's repeat
+    zeros = np.array([0.0, -0.0, 0.0, -0.0])
     first, second, third = _formatted([zeros, -zeros, zeros.copy()], [style] * 3)
-    assert first == [zero] * 4
-    assert second == [negative_zero] * 4
+    assert first == [zero, negative_zero] * 2
+    assert second == [negative_zero, zero] * 2
     assert third == first
 
 
-def test_equal_columns_share_their_strings():
+def test_equal_columns_share_their_strings(monkeypatch):
     column = np.linspace(1.0, 2.0, 5)
-    first, second = format_columns([column, column.copy()], ["%.17g"] * 2)
-    assert second is first
-    assert _strings(first) == _reference(column, "%.17g")
+    counts = _count_formatted(monkeypatch)
+    assert _formatted([column, column.copy()], ["%.17g"] * 2) == [_reference(column, "%.17g")] * 2
+    assert counts == [5]
 
 
 def test_json_style_writes_null_for_non_finite_values():
@@ -271,6 +276,18 @@ def test_strictly_increasing_columns_are_not_sorted(monkeypatch, style):
     assert strings == [_reference(f, style), _reference(counts, style), _reference(falling, style)]
 
 
+def test_a_repeated_column_in_another_style_takes_its_own_style(monkeypatch):
+    # the bits of the first column four times, in three styles: the third
+    # repeats the first, the others are formatted in their own style
+    column = np.array([0.1, math.inf, -0.0, 2.5])
+    styles = ["%.17g", "json", "%.17g", "text"]
+    counts = _count_formatted(monkeypatch)
+    strings = _formatted([column, column.copy(), column.copy(), column.copy()], styles)
+    assert strings == [_reference(column, style) for style in styles]
+    assert strings[0] != strings[3]
+    assert counts == [4, 4, 4]
+
+
 def test_each_column_takes_its_own_style():
     column = np.array([1.0, math.inf, -0.0])
     text, json_, printf = _formatted([column, column, column], ["text", "json", "%.12g"])
@@ -297,8 +314,10 @@ def test_non_contiguous_columns():
 
 
 def test_empty_blocks():
-    assert format_columns([np.array([])], ["json"])[0].shape[0] == 0
-    assert list(tsio.row_blocks([np.array([])], ["%.17g"], ["", "\n"])) == []
+    empty = np.array([])
+    assert tsio._column_text(empty, empty.view(np.int64), "json").shape[0] == 0
+    assert list(tsio.row_blocks([empty], ["%.17g"], ["", "\n"])) == []
+    assert list(tsio.row_blocks([empty, empty.copy()], ["json", "%d"], ["", ",", "\n"])) == []
 
 
 def _wrapped_phase(rows):
@@ -565,6 +584,20 @@ def test_engine_matches_cpython_on_the_edges(style):
 def test_model_tables_match_the_oracle(proto, kind, fmt, unit):
     table = _model_tables(proto)[kind]
     assert write_touchstone(table, fmt=fmt, unit=unit) == _oracle_write_touchstone(table, fmt, unit)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_model_table_formats_three_columns_per_block(monkeypatch, proto, fmt):
+    # s11 and s22 are matched, so their four columns are constant and
+    # formatted once per table; s12's pair repeats s21's. Each block formats
+    # the frequency and s21's pair.
+    table = filter_response(proto, FrequencyGrid.linear(1e8, 145e9, 2 * BLOCK + 1))
+    counts = _count_formatted(monkeypatch)
+    blocks = list(tsio.touchstone_blocks(table, fmt=fmt))
+    assert len(blocks) == 1 + 3
+    assert counts[:4] == [1] * 4
+    assert len(counts) == 4 + 3 * 3
+    assert "".join(blocks) == _oracle_write_touchstone(table, fmt, "HZ")
 
 
 def test_underflowing_s21_is_written_at_the_db_floor(proto):
