@@ -21,7 +21,7 @@ import numpy as np
 
 from .constants import C0
 from .errors import DomainError
-from .leakage import decay_amplitude, evanescent_gamma
+from .leakage import all_true, decay_amplitude, evanescent_gamma, frequencies
 from .model import DEFAULT_TRANSITION_WIDTH, LOGISTIC_SHARPNESS, FilterDesign, FrequencyGrid
 from .modes import corner_frequency
 
@@ -202,16 +202,27 @@ def filter_response(design: FilterDesign, grid: FrequencyGrid) -> SParamTable:
     )
 
 
-def section_attenuation_db(design: FilterDesign, f: float) -> float:
-    """Attenuation of one section at the frequency ``f`` [dB],
-    -10 log10 |s21|^2, and +0 rather than -0 where |s21| is exactly 1."""
-    f = float(f)
-    if not 0.0 < f < math.inf:
-        raise DomainError(f"frequency grid points must be finite and > 0 (got {f!r})")
-    power = _section_power(design, corner_frequency(design), f)
-    if power == 0.0:
+def section_attenuation_db(design: FilterDesign, f):
+    """Attenuation of one section [dB], -10 log10 |s21|^2, and +0 rather
+    than -0 where |s21| is exactly 1: a float at one frequency ``f``, an
+    array at an array of them, with the same bits either way.
+
+    Each frequency must be finite and > 0, and the section must pass some
+    power there. The first frequency that fails raises, in order, as one
+    call per frequency would."""
+    one, freqs = frequencies(f)
+    inside = (freqs > 0.0) & (freqs < math.inf)
+    bad = None if all_true(one, inside) else int(np.argmin(inside))
+    # A zero transmission before the first bad frequency is the first fault.
+    head = freqs if bad is None else np.reshape(freqs, -1)[:bad]
+    power = _section_power(design, corner_frequency(design), head)
+    if not all_true(type(head) is float, power):
         raise DomainError("cannot cascade a two-port with zero transmission (s21 = 0)")
-    return float(-10.0 * np.log10(power)) + 0.0
+    if bad is not None:
+        got = np.reshape(freqs, -1)[bad].item()
+        raise DomainError(f"frequency grid points must be finite and > 0 (got {got!r})")
+    att = -10.0 * np.log10(power) + 0.0
+    return float(att) if one else att
 
 
 def attenuation_vs_sections(

@@ -1,8 +1,8 @@
 """Command-line front end: analysis, synthesis, sweeps, compliance checking.
 
 Exit codes: 0 success, 1 compliance failure, 2 input/parse error,
-3 infeasible synthesis. Output formatting uses fixed significant digits so
-identical runs are byte-identical.
+3 infeasible synthesis, 141 stdout closed by its reader. Output formatting
+uses fixed significant digits so identical runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -55,6 +56,9 @@ EXIT_OK = 0
 EXIT_CLAIMS_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_INFEASIBLE = 3
+# A reader that stops early (`herd ... | head`) closes stdout. 128 + SIGPIPE
+# is the status a shell shows for a program that a closed pipe ends.
+EXIT_CLOSED_PIPE = 141
 
 CLAIM_PROFILES: dict[str, list[Claim]] = {
     "default": [
@@ -383,7 +387,7 @@ def _cmd_sections(args) -> int:
     # Matched sections: n of them attenuate n times as much as one, which
     # is cascade.attenuation_vs_sections' count * att, bit for bit.
     counts = np.arange(1, args.max_sections + 1)
-    columns = [counts * section_attenuation_db(design, f) for f in freqs]
+    columns = [counts * att for att in section_attenuation_db(design, np.array(freqs)).tolist()]
 
     if args.format == "json":
         doc = {"command": "sections", "frequencies_hz": freqs, "rows": None}
@@ -572,6 +576,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
+    # Not a fault of the input, and a reader that has gone needs no message.
+    except BrokenPipeError:
+        return EXIT_CLOSED_PIPE
     except ParseError as exc:
         print(f"herd: parse error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -585,4 +592,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = EXIT_CLOSED_PIPE
+    if code == EXIT_CLOSED_PIPE:
+        # stdout still holds text the pipe refused, which the interpreter's
+        # own flush at exit would try again and report.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)

@@ -75,28 +75,34 @@ def decay_amplitude(gamma, depth, one: bool):
         return np.exp(gamma * -depth)
 
 
-def _all(one: bool, values) -> bool:
+def all_true(one: bool, values) -> bool:
     """Whether every value is true. One value is tested as it is: numpy's
     ``all()`` costs microseconds even on a scalar."""
     return bool(values) if one else bool(values.all())
+
+
+def frequencies(f) -> tuple[bool, float | np.ndarray]:
+    """(one, freqs): whether ``f`` is one frequency, and ``f`` as a Python
+    float if it is, a float64 array if not. One frequency of any type (an
+    int, a numpy scalar, a 0-d array) is taken as a Python float, which a
+    ``float`` already is, so it skips ``np.asarray``."""
+    if type(f) is float:
+        return True, f
+    freqs = np.asarray(f, dtype=float)
+    if freqs.ndim == 0:
+        return True, freqs.item()
+    return False, freqs
 
 
 def _inband(design: FilterDesign, f):
     """(one, gamma): whether ``f`` is one frequency, and
     :func:`evanescent_gamma` there, after checking that every frequency lies
     strictly between 0 and the corner; the first frequency outside is
-    named. One frequency of any type is taken as a Python float, which a
-    ``float`` already is, so it skips ``np.asarray``."""
+    named."""
     fc = corner_frequency(design)
-    if type(f) is float:
-        one, freqs = True, f
-    else:
-        freqs = np.asarray(f, dtype=float)
-        one = freqs.ndim == 0
-        if one:
-            freqs = freqs.item()
+    one, freqs = frequencies(f)
     inside = (freqs > 0.0) & (freqs < fc)
-    if not _all(one, inside):
+    if not all_true(one, inside):
         bad = np.reshape(freqs, -1)[int(np.argmin(inside))].item()
         raise_violations(positive_violations("frequency", bad))
         raise DomainError(
@@ -115,7 +121,7 @@ def _transmission(design: FilterDesign, gamma, depth, one: bool):
     pow instead)."""
     amp = decay_amplitude(gamma, depth, one)
     total = np.power(1.0 - amp * amp, design.total_apertures)
-    if _all(one, total):
+    if all_true(one, total):
         loss = -10.0 * np.log10(total)
     else:
         with np.errstate(divide="ignore"):
@@ -182,7 +188,7 @@ def min_depth_for_budget(design: FilterDesign, f, budget_db: float):
             f"no aperture depth satisfies the {budget_db!r} dB budget at {f!r} Hz"
         )
     decay = -math.log(amp_required)
-    if _all(one, gamma > 0.0):
+    if all_true(one, gamma > 0.0):
         depth = np.maximum(decay / gamma, 0.0)
     else:
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from herd import (
     with_aperture,
     write_touchstone,
 )
+import herd
 from herd import cli, tsio
 from herd.cli import main
 from herd.synthesis import DesignSpec
@@ -441,6 +446,18 @@ class TestSynthesize:
         code, _, _ = run(capsys, ["synthesize", "--spec", str(bad)])
         assert code == 2
 
+    def test_a_target_past_the_table_range_has_a_stopband_margin(self, capsys, tmp_path, spec_file):
+        # 42505397 sections, whose cascaded s21 underflowed: the margin read n/a
+        huge = tmp_path / "huge_target.spec"
+        huge.write_text(open(spec_file).read().replace("= 60.0", "= 637584653.0"))
+        code, out, err = run(capsys, ["synthesize", "--spec", str(huge)])
+        assert (code, err) == (0, "")
+        assert "sections = 42505397\n" in out
+        assert "margin_stopband_db = 12.4474509954\n" in out
+        code, out, err = run(capsys, ["synthesize", "--spec", str(huge), "--format", "json"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["margin_stopband_db"] == 12.447450995445251
+
 
 class TestCompare:
     def test_model_export_matches_itself(self, capsys, proto_file, tmp_path):
@@ -594,6 +611,53 @@ class TestExitCodes:
         bad = tmp_path / "bad.spec"
         bad.write_text(open(spec_file).read().replace("25300000000.0", "1000000000.0"))
         assert run(capsys, ["synthesize", "--spec", str(bad)])[0] == 3
+
+
+class TestClosedStdout:
+    """A reader that stops early closes stdout: no error message, exit 141."""
+
+    class _Closed:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def writelines(self, lines):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    def test_main_returns_the_closed_pipe_code(self, capsys, monkeypatch, proto_file):
+        monkeypatch.setattr(sys, "stdout", self._Closed())
+        code = main(["modes", "--design", proto_file, "--fmax", "3e12", "--format", "json"])
+        assert code == cli.EXIT_CLOSED_PIPE == 141
+        assert capsys.readouterr().err == ""
+
+    def _herd(self, *argv):
+        # stdout buffered, as a shell gives it, so text can wait in the
+        # buffer for the interpreter's flush at exit
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(herd.__file__).parents[1])
+        return [sys.executable, "-m", "herd", *argv], env
+
+    def test_a_reader_that_reads_one_line(self, proto_file):
+        # 200000 rows, far more than a pipe holds, so herd is still writing
+        # when the reader closes its end
+        argv, env = self._herd("analyze", "--design", proto_file, "--points", "200000")
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert proc.stdout.readline() == b"frequency_hz,s21_db,s11_db\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 141
+        assert err == b""
+
+    def test_a_reader_that_has_gone_before_a_short_output(self, proto_file):
+        # the whole report fits the buffer, so the pipe refuses it only when
+        # herd flushes at the end
+        argv, env = self._herd("modes", "--design", proto_file)
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(argv, stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (141, b"")
 
 
 class TestOneParser:
