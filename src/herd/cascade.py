@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import C0
 from .errors import DomainError
 from .leakage import all_true, decay_amplitude, evanescent_gamma, frequencies
-from .model import DEFAULT_TRANSITION_WIDTH, LOGISTIC_SHARPNESS, FilterDesign, FrequencyGrid
+from .model import DEFAULT_TRANSITION_WIDTH, LOGISTIC_SHARPNESS, FilterDesign, FrequencyGrid, value_class
 from .modes import corner_frequency
 
 # Most rows attenuation_vs_sections lists. Its list of (count, dB) tuples
@@ -58,7 +57,7 @@ def max_singular_value(s11, s12, s21, s22):
     return scale * np.sqrt(0.5 * (p + r) + np.hypot(0.5 * (p - r), np.abs(q)))
 
 
-@dataclass(frozen=True)
+@value_class
 class TwoPort:
     """2x2 scattering matrix at a single frequency."""
 
@@ -186,6 +185,15 @@ def filter_response(design: FilterDesign, grid: FrequencyGrid) -> SParamTable:
     """
     f = grid.f
     delay = 2.0 * math.pi * design.section_pitch * design.coax_fill.refractive_index / C0
+    # The phase delay * f is largest at the grid's last point. Past the
+    # float range it has no value, and numpy would warn and give NaN.
+    top = f[-1].item()
+    if not delay * top < math.inf:
+        raise DomainError(
+            "the phase across one section, 2 pi section_pitch sqrt(coax_fill.eps_r) f / c0, "
+            f"overflows at {top!r} Hz (section_pitch = {design.section_pitch!r} m, "
+            f"coax_fill.eps_r = {design.coax_fill.eps_r!r})"
+        )
     s21 = np.sqrt(_section_power(design, corner_frequency(design), f)) * np.exp(-1j * delay * f)
     if not s21.all():
         raise DomainError("cannot cascade a two-port with zero transmission (s21 = 0)")

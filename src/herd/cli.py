@@ -388,12 +388,19 @@ def _cmd_sections(args) -> int:
     # is cascade.attenuation_vs_sections' count * att, bit for bit.
     counts = np.arange(1, args.max_sections + 1)
     columns = [counts * att for att in section_attenuation_db(design, np.array(freqs)).tolist()]
+    # A CSV column is named by its frequency to 12 digits, so two frequencies
+    # that agree to 12 digits would share a name. Either format refuses them.
+    names = [f"att_db_{_fmt(f)}hz" for f in freqs]
+    first = {}
+    for f, name in zip(freqs, names):
+        if name in first:
+            raise DomainError(f"frequencies {first[name]!r} and {f!r} repeat the column {name}")
+        first[name] = f
 
     if args.format == "json":
         doc = {"command": "sections", "frequencies_hz": freqs, "rows": None}
         blocks = _json_blocks(doc, "rows", [("sections", counts, "%d"), ("attenuation_db", columns, "text")])
     else:
-        names = [f"att_db_{_fmt(f)}hz" for f in freqs]
         blocks = _csv_blocks([("sections", counts, "%d"), *zip(names, columns, ["text"] * len(freqs))])
     _emit(blocks, args.out)
     return EXIT_OK

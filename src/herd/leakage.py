@@ -9,17 +9,17 @@ floats back) or an array of frequencies (giving arrays back).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import C0
 from .errors import DomainError, InfeasibleDesignError
-from .model import FilterDesign, positive_violations, raise_violations, swept_corners, with_aperture
+from .model import FilterDesign, positive_violations, raise_violations, swept_corners
+from .model import value_class, with_aperture
 from .modes import corner_frequency
 
 
-@dataclass(frozen=True)
+@value_class
 class InbandLossBreakdown:
     """In-band loss over all apertures [dB]: a float for one frequency and an
     array for an array of them."""

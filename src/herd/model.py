@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -47,7 +47,36 @@ LOGISTIC_SHARPNESS = 2.0 * math.log(99.0)
 MAX_GRID_POINTS = 10_000_000
 
 
-@dataclass(frozen=True)
+def value_class(cls=None, /, *, eq=True):
+    """``dataclass(frozen=True, eq=eq)``, with an ``__init__`` of the same
+    signature that stores every field with one ``self.__dict__.update``,
+    not one ``object.__setattr__`` each, then calls ``__post_init__`` where
+    the class defines one. ``fields``, ``replace``, ``==``, ``hash``,
+    ``repr`` and ``FrozenInstanceError`` are the dataclass's own. Fields
+    are positional, with plain defaults."""
+    if cls is None:
+        return lambda cls: value_class(cls, eq=eq)
+    cls = dataclass(cls, frozen=True, eq=eq)
+    generated = cls.__init__
+    args = fields(cls)
+    # An InitVar is an argument of the generated __init__ but not a field.
+    plain = generated.__code__.co_argcount == len(args) + 1
+    if not plain or any(f.default_factory is not MISSING or not f.init or f.kw_only for f in args):
+        raise TypeError(f"{cls.__qualname__}: a value class takes positional fields with plain defaults")
+    params = ", ".join(f.name if f.default is MISSING else f"{f.name}=__default_{f.name}" for f in args)
+    stores = ", ".join(f"{f.name!r}: {f.name}" for f in args)
+    post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+    namespace = {f"__default_{f.name}": f.default for f in args if f.default is not MISSING}
+    exec(f"def __init__(self, {params}):\n    self.__dict__.update({{{stores}}}){post}\n", namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    init.__annotations__ = generated.__annotations__
+    cls.__init__ = init
+    return cls
+
+
+@value_class
 class Material:
     """Fill medium: a non-magnetic dielectric of relative permittivity eps_r.
 
@@ -61,10 +90,10 @@ class Material:
 
     def __post_init__(self):
         raise_violations(material_violations(self))
-        object.__setattr__(self, "refractive_index", math.sqrt(self.eps_r))
+        self.__dict__["refractive_index"] = math.sqrt(self.eps_r)
 
 
-@dataclass(frozen=True)
+@value_class
 class CoaxGeometry:
     """Cylindrical coaxial line cross-section, radii in meters."""
 
@@ -79,7 +108,7 @@ class CoaxGeometry:
         return self.r_outer / self.r_inner
 
 
-@dataclass(frozen=True)
+@value_class
 class RectAperture:
     """Rectangular leaking hole: width a, height b, depth d, in meters."""
 
@@ -98,7 +127,7 @@ class DominantModeAxis(enum.Enum):
     HEIGHT = "HEIGHT"
 
 
-@dataclass(frozen=True)
+@value_class
 class FilterDesign:
     """Complete description of a leaky-coax filter.
 
@@ -125,7 +154,7 @@ class FilterDesign:
         return self.sections * self.apertures_per_section
 
 
-@dataclass(frozen=True, eq=False)
+@value_class(eq=False)
 class FrequencyGrid:
     """Strictly increasing, non-empty, one-dimensional list of frequencies in Hz.
 
@@ -144,7 +173,12 @@ class FrequencyGrid:
         if not (len(f) and f[0] > 0.0 and f[-1] < math.inf and (f[1:] > f[:-1]).all()):
             _refuse_grid(f)
         f.flags.writeable = False
-        object.__setattr__(self, "points", f)
+        self.__dict__["points"] = f
+
+    def __reduce__(self):
+        # A copy or an unpickled grid is built by the constructor, so its
+        # points are read-only like the original's.
+        return type(self), (self.points,)
 
     @property
     def f(self) -> np.ndarray:
@@ -373,7 +407,7 @@ def swept_corners(design: FilterDesign, field: str, values: np.ndarray):
 # table of fields, which drives reading, writing and listing its values.
 
 
-@dataclass(frozen=True)
+@value_class
 class Field:
     """One key: the attribute it fills (dotted for a part, ``coax.r_inner``),
     its type (``float``, ``int`` or an enum of accepted words) and its

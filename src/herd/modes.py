@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from .constants import C0, ETA0
 from .errors import DomainError
 from .model import CoaxGeometry, FilterDesign, Material, RectAperture
-from .model import dominant_corner, dominant_side, positive_violations, raise_violations
+from .model import dominant_corner, dominant_side, positive_violations, raise_violations, value_class
 
 # Largest number of (m, n) candidates mode_chart examines, (m_max+1)(n_max+1);
 # on the stock design this charts up to about 2.3e13 Hz.
@@ -29,7 +28,7 @@ _MAX_EXP = math.log(sys.float_info.max)
 SOLVE_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
+@value_class
 class ModeEntry:
     """TE(m,n) mode (m along the width, n along the height) and its cutoff."""
 

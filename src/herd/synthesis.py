@@ -8,7 +8,6 @@ the attenuation target, aperture depth from the passband loss budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .cascade import section_attenuation_db
 from .constants import C0
@@ -16,7 +15,7 @@ from .errors import DomainError, InfeasibleDesignError
 from .leakage import inband_transmission, min_depth_for_budget
 from .model import DEFAULT_APERTURES_PER_SECTION, DEFAULT_STOPBAND_KAPPA, FilterDesign, FrequencyGrid
 from .model import Field, KeyValueFormat, Material, RectAperture, count_violations
-from .model import build_part, positive_violations, raise_violations, with_aperture
+from .model import build_part, positive_violations, raise_violations, value_class, with_aperture
 from .modes import corner_frequency, solve_inner_radius
 
 # The aperture rings sit on the flats of an octagonal outer body.
@@ -33,7 +32,7 @@ _DEPTH_SAFETY = 1e-9
 _VERIFY_POINTS = 101
 
 
-@dataclass(frozen=True)
+@value_class
 class DesignSpec:
     """Performance targets driving a synthesis run. Building one raises
     :class:`DomainError` with every violation :func:`validate_spec` finds."""
@@ -51,7 +50,7 @@ class DesignSpec:
         raise_violations(validate_spec(self))
 
 
-@dataclass(frozen=True)
+@value_class
 class SynthesisReport:
     design: FilterDesign
     margin_passband_db: float

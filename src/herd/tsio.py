@@ -14,14 +14,13 @@ import enum
 import math
 import operator
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import numtext
 from .cascade import Provenance, SParamTable
 from .errors import DomainError, ParseError
-from .model import FrequencyGrid
+from .model import FrequencyGrid, value_class
 
 FREQUENCY_UNITS = {"HZ": 1.0, "KHZ": 1e3, "MHZ": 1e6, "GHZ": 1e9}
 FORMATS = ("RI", "MA", "DB")
@@ -39,7 +38,7 @@ _BLOCK_ROWS = 1024
 WRITE_BLOCK_ROWS = 4096
 
 
-@dataclass(frozen=True)
+@value_class
 class BandMetric:
     """Scalar figures of a table inside one closed frequency band."""
 
@@ -56,7 +55,7 @@ class ClaimKind(enum.Enum):
     MAX_RIPPLE = "MAX_RIPPLE"
 
 
-@dataclass(frozen=True)
+@value_class
 class Claim:
     band: tuple[float, float]
     kind: ClaimKind
@@ -70,7 +69,7 @@ class Claim:
         return f"{self.kind.value} {self.threshold_db:g} dB over [{lo:g}, {hi:g}] Hz"
 
 
-@dataclass(frozen=True)
+@value_class
 class ClaimResult:
     claim: Claim
     observed_db: float | None
@@ -78,7 +77,7 @@ class ClaimResult:
     error: str | None = None
 
 
-@dataclass(frozen=True)
+@value_class
 class ComplianceReport:
     results: tuple[ClaimResult, ...]
 

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -7,7 +9,9 @@ settings.register_profile(
     max_examples=100,
     suppress_health_check=[HealthCheck.too_slow],
 )
-settings.load_profile("default")
+# CI runs the input harness once more under this profile.
+settings.register_profile("ci", settings.get_profile("default"), max_examples=2000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

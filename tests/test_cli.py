@@ -414,6 +414,27 @@ class TestSections:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "freqs, repeat",
+        [("1e9,1e9", "1000000000.0"), ("1e9,1.0000000000001e9", "1000000000.0001"),
+         ("5e9,1e9,2e9,1e9", "1000000000.0")],
+    )
+    def test_frequencies_that_share_a_column_name_are_refused(self, capsys, proto_file, freqs, repeat, fmt):
+        argv = ["sections", "--design", proto_file, "--freqs", freqs, "--max-sections", "2"]
+        code, out, err = run(capsys, [*argv, "--format", fmt])
+        assert (code, out) == (2, "")
+        assert err == (
+            f"herd: input error: frequencies 1000000000.0 and {repeat} "
+            "repeat the column att_db_1000000000hz\n"
+        )
+
+    def test_frequencies_that_differ_in_12_digits_are_kept(self, capsys, proto_file):
+        argv = ["sections", "--design", proto_file, "--freqs", "1e9,1.00000000001e9", "--max-sections", "1"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert out.splitlines()[0] == "sections,att_db_1000000000hz,att_db_1000000000.01hz"
+
 
 class TestSynthesize:
     def test_writes_reloadable_design(self, capsys, spec_file, tmp_path):

@@ -497,3 +497,25 @@ def test_synthesize_names_an_underflowing_aperture_by_its_role(capsys, tmp_path)
         "herd: input error: aperture.width_a must be finite and > 0 (got 0.0); "
         "aperture.height_b must be finite and > 0 (got 0.0)\n"
     )
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "touchstone"])
+def test_analyze_refuses_a_section_phase_past_the_float_range(capsys, tmp_path, proto, fmt):
+    # A pitch of 1e203 m in a fill of eps_r = 1e204: 2 pi pitch n f / c0
+    # overflows at 145 GHz, where numpy would warn and write NaN phases.
+    path = tmp_path / "long.design"
+    path.write_text(dumps_design(replace(proto, section_pitch=1e203, coax_fill=Material(eps_r=1e204))))
+    assert main(["analyze", "--design", str(path), "--points", "3", "--format", fmt]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "herd: input error: the phase across one section, 2 pi section_pitch sqrt(coax_fill.eps_r) "
+        "f / c0, overflows at 145000000000.0 Hz (section_pitch = 1e+203 m, coax_fill.eps_r = 1e+204)\n"
+    )
+
+
+def test_a_section_phase_at_the_edge_of_the_float_range_is_kept(proto):
+    # The same design up to 1e8 Hz: the phase stays finite, and so does s21.
+    design = replace(proto, section_pitch=1e203, coax_fill=Material(eps_r=1e204))
+    table = cascade.filter_response(design, FrequencyGrid.linear(1e7, 1e8, 3))
+    assert np.isfinite(table.s21).all()
