@@ -317,10 +317,13 @@ def _cmd_analyze(args) -> int:
         "claims_passed": None if report is None else report.passed,
     }
 
+    # the band metrics and claim verdicts that CSV and Touchstone's --out
+    # write as text lines
+    notes = _metric_lines(doc["band_metrics"]) + _claim_lines(doc["claims"] or [])
     if args.format == "touchstone":
         _emit(touchstone_blocks(table, fmt="DB", unit="GHZ"), args.out)
         if args.out:
-            _emit(["\n".join(_metric_lines(doc["band_metrics"])) + "\n"], None)
+            _emit(["\n".join(notes) + "\n"], None)
     else:
         # CSV keeps the -inf s11_db of a matched filter
         columns = (table.f, -insertion_loss_db(table.s21), return_loss_db(table.s11))
@@ -328,7 +331,6 @@ def _cmd_analyze(args) -> int:
         if args.format == "json":
             blocks = _json_blocks(doc, "response", entries)
         else:
-            notes = _metric_lines(doc["band_metrics"]) + _claim_lines(doc["claims"] or [])
             blocks = _csv_blocks(entries, notes=notes)
         _emit(blocks, args.out)
 

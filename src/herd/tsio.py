@@ -14,6 +14,7 @@ import enum
 import math
 import operator
 import warnings
+from array import array
 
 import numpy as np
 
@@ -28,10 +29,6 @@ FORMATS = ("RI", "MA", "DB")
 # Zero magnitude cannot be written in DB format; clamp at -400 dB (1e-20),
 # indistinguishable from zero at any metric tolerance used here.
 _DB_FLOOR = -400.0
-
-# Parsed rows are moved from Python floats into an array this many at a time,
-# so a long file never holds one float object per value.
-_BLOCK_ROWS = 1024
 
 # Written rows are formatted this many at a time (``row_blocks``), so the
 # text of a long table is never held whole, only its arrays.
@@ -96,23 +93,17 @@ def _pairs_to_complex(fmt: str, first: np.ndarray, second: np.ndarray) -> np.nda
     return mag * np.exp(1j * np.radians(second))
 
 
-def _content(raw: str) -> tuple[str, bool]:
-    """A line's text before its ``!`` comment, stripped, and whether that
-    comment is the ``!MAGONLY`` directive."""
+def _content(raw: str) -> str:
+    """A line's text before its ``!`` comment, stripped."""
     bang = raw.find("!")
-    if bang < 0:
-        return raw.strip(), False
-    return raw[:bang].strip(), raw[bang + 1 :].strip().upper() == "MAGONLY"
+    return (raw if bang < 0 else raw[:bang]).strip()
 
 
-def _option_line(lines: list[str]) -> tuple[int, float, str, float, bool]:
-    """Walk the lines up to the option line: its line number, the unit
-    scale, format and reference impedance it sets, and whether a
-    ``!MAGONLY`` directive came before it."""
-    mag_only = False
+def _option_line(lines: list[str]) -> tuple[int, float, str, float]:
+    """Walk the lines up to the option line: its line number, and the unit
+    scale, format and reference impedance it sets."""
     for lineno, raw in enumerate(lines, start=1):
-        line, directive = _content(raw)
-        mag_only |= directive
+        line = _content(raw)
         if not line:
             continue
         if line.startswith("["):
@@ -141,32 +132,27 @@ def _option_line(lines: list[str]) -> tuple[int, float, str, float, bool]:
                 f"reference impedance must be finite and > 0 ohm (got {tokens[4]!r})",
                 line=lineno,
             )
-        return lineno, FREQUENCY_UNITS[tokens[0].upper()], tokens[2].upper(), z0, mag_only
+        return lineno, FREQUENCY_UNITS[tokens[0].upper()], tokens[2].upper(), z0
     raise ParseError("missing option line", line=len(lines))
 
 
-def _walk_rows(
-    lines: list[str], start: int, stop: int | None = None
-) -> tuple[np.ndarray, list[int], bool]:
+def _walk_rows(lines: list[str], start: int, stop: int | None = None) -> tuple[np.ndarray, list[int]]:
     """Read the lines after the option line (``lines[start:]``) one at a
-    time: the data rows as an (n, 9) array, the line number of each row, and
-    whether a ``!MAGONLY`` directive appears. Raises the first structural
-    fault (a second option line, a v2 block, a wrong column count, a token
-    ``float`` refuses, no rows at all) as it is met. With ``stop``, the
-    walk ends once it has read that many rows.
+    time: the data rows as an (n, 9) array and the line number of each row.
+    Raises the first structural fault (a second option line, a v2 block, a
+    wrong column count, a token ``float`` refuses, no rows at all) as it is
+    met. With ``stop``, the walk ends once it has read that many rows.
 
     This is the reference reading of the data rows and the only place that
     knows their line numbers; ``parse_touchstone`` reads rows with numpy's
     text reader and comes here only where numpy refuses them or a faulty
-    line must be named.
+    line must be named. The values go straight into one buffer of C
+    doubles, so a long file never holds one float object per value.
     """
-    mag_only = False
-    blocks: list[np.ndarray] = []
-    rows: list[list[float]] = []
+    values = array("d")
     row_lines: list[int] = []
     for lineno, raw in enumerate(lines[start:], start=start + 1):
-        line, directive = _content(raw)
-        mag_only |= directive
+        line = _content(raw)
         if not line:
             continue
         if line.startswith("["):
@@ -177,19 +163,15 @@ def _walk_rows(
         if len(tokens) != 9:
             raise ParseError(f"expected 9 columns, got {len(tokens)}", line=lineno)
         try:
-            rows.append(list(map(float, tokens)))
+            values.extend(map(float, tokens))
         except ValueError:
             raise ParseError(f"non-numeric data in row {raw.strip()!r}", line=lineno) from None
         row_lines.append(lineno)
         if len(row_lines) == stop:
             break
-        if len(rows) == _BLOCK_ROWS:
-            blocks.append(np.array(rows, dtype=float))
-            rows.clear()
     if not row_lines:
         raise ParseError("no data rows", line=len(lines))
-    blocks.append(np.array(rows, dtype=float).reshape(-1, 9))
-    return np.concatenate(blocks), row_lines, mag_only
+    return np.frombuffer(values).reshape(-1, 9), row_lines
 
 
 def _load_rows(lines: list[str]) -> np.ndarray | None:
@@ -222,15 +204,11 @@ def parse_touchstone(text: str) -> SParamTable:
     row is reported.
     """
     lines = text.splitlines()
-    start, unit_scale, fmt, z0, mag_only = _option_line(lines)
-    tail = lines[start:]
-    data = _load_rows(tail)
+    start, unit_scale, fmt, z0 = _option_line(lines)
+    data = _load_rows(lines[start:])
     row_lines = None
     if data is None:
-        data, row_lines, directive = _walk_rows(lines, start)
-    else:
-        directive = any(_content(line)[1] for line in tail if "!" in line)
-    mag_only |= directive
+        data, row_lines = _walk_rows(lines, start)
 
     # A frequency may overflow its unit, and a DB magnitude above about
     # 6000 dB overflows 10**(dB/20); both are value faults reported below.
@@ -259,6 +237,8 @@ def parse_touchstone(text: str) -> SParamTable:
             row_lines = _walk_rows(lines, start, stop=i + 1)[1]
         raise ParseError(message, line=row_lines[i])
 
+    # a ``!MAGONLY`` comment on any line marks the whole file
+    mag_only = any(line.partition("!")[2].strip().upper() == "MAGONLY" for line in lines if "!" in line)
     if mag_only:
         s11, s21, s12, s22 = (np.abs(s).astype(complex) for s in (s11, s21, s12, s22))
     return SParamTable(

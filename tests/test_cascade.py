@@ -78,6 +78,7 @@ INVALID = [
     ({"stopband_kappa": 0.0}, "stopband_kappa"),
     ({"apertures_per_section": 0}, "apertures_per_section"),
     ({"section_pitch": math.nan}, "section_pitch"),
+    ({"dominant_mode_axis": "WIDTH"}, "dominant_mode_axis must be a DominantModeAxis"),
 ]
 
 ENTRY_POINTS = {

@@ -414,6 +414,18 @@ class TestSections:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--freqs", ","], "need at least one frequency"),
+            (["--freqs", "40e9", "--max-sections", "0"], "max_sections must be >= 1 (got 0)"),
+        ],
+    )
+    def test_no_frequency_or_no_section_is_refused(self, capsys, proto_file, args, message):
+        code, out, err = run(capsys, ["sections", "--design", proto_file, *args])
+        assert (code, out) == (2, "")
+        assert err == f"herd: input error: {message}\n"
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize(
         "freqs, repeat",

@@ -5,12 +5,14 @@ scaled by 10**u with u in [-8, 8] or in [-300, 300]; counts are clipped to
 1..10**6. Every command must end in a result or a refusal: an exit code of
 0-3, no exception or warning, nothing on stderr unless the input was
 refused or the design is infeasible, and no NaN or infinity in JSON's
-spelling on stdout.
+spelling on stdout. Each `analyze` table that is written holds all of its
+rows, and each of its numbers is the canonical text of its own value.
 
 The `ci` hypothesis profile (HYPOTHESIS_PROFILE=ci) runs more examples."""
 
 import contextlib
 import io
+import json
 import re
 import tempfile
 import warnings
@@ -67,6 +69,28 @@ def command_lines(design: str, spec: str, dims: dict) -> list[list[str]]:
     return lines
 
 
+def assert_canonical(form: str, token: str):
+    assert form % float(token) == token, f"{token!r} is not the {form} text of its value"
+
+
+def analyze_rows(fmt: str, out: str) -> list[list]:
+    """The rows of the table `analyze` writes on stdout, each number checked
+    to be the canonical text of its value: %.12g in CSV, %.17g in Touchstone
+    rows and the repr of every float in JSON."""
+    if fmt == "json":
+        def number(token):
+            assert_canonical("%r", token)
+            return float(token)
+
+        return [list(row.values()) for row in json.loads(out, parse_float=number)["response"]]
+    lines = [line for line in out.splitlines() if line and line[0] not in "#!"]
+    rows = [line.split(",") for line in lines[1:]] if fmt == "csv" else [line.split() for line in lines]
+    for row in rows:
+        for token in row:
+            assert_canonical("%.12g" if fmt == "csv" else "%.17g", token)
+    return rows
+
+
 def run(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -87,3 +111,7 @@ def test_every_command_ends_in_a_result_or_a_refusal(design_values, spec_values)
             if code in (0, 1):
                 assert err == "", (argv, code, err)
             assert not NOT_FINITE.search(out), (argv, NOT_FINITE.search(out).group())
+            if code in (0, 1) and argv[0] == "analyze":
+                fmt = argv[argv.index("--format") + 1]
+                width = 9 if fmt == "touchstone" else 3
+                assert [len(row) for row in analyze_rows(fmt, out)] == [width] * 50, argv

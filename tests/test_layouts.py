@@ -358,13 +358,34 @@ def test_layout(case, files, capsys):
 
 
 def test_analyze_out_touchstone(files, capsys, tmp_path):
-    """With ``--out``, the table goes to the file and the band metrics to
-    stdout, without the ``#`` they carry in CSV."""
+    """With ``--out``, the table goes to the file and the band metrics and
+    claim verdicts to stdout, without the ``#`` they carry in CSV."""
     capsys.readouterr()
     out_path = tmp_path / "response.s2p"
     argv = [files.get(arg, arg) for arg in ANALYZE]
     code = main([*argv, "--points", "3", "--format", "touchstone", "--out", str(out_path)])
     out, err = capsys.readouterr()
     assert (code, err) == (0, "")
-    assert masked(out) == f"{METRIC_LINE}\n{METRIC_LINE}\n"
+    assert masked(out) == (
+        f"{METRIC_LINE}\n{METRIC_LINE}\n"
+        "PASS  passband insertion loss up to <n> GHz: observed <n> dB (threshold <n> dB)\n"
+        "PASS  stopband attenuation <n>-<n> GHz: observed <n> dB (threshold <n> dB)\n"
+    )
     assert masked(out_path.read_text()) == ANALYZE_TOUCHSTONE
+
+
+def test_analyze_out_touchstone_names_a_failed_claim(files, capsys, tmp_path):
+    """``--claims strict12`` on the stock design: the 0-12 GHz insertion
+    loss claim fails, its line says so, and the exit code is 1."""
+    capsys.readouterr()
+    out_path = tmp_path / "response.s2p"
+    argv = ["analyze", "--design", files["DESIGN"], "--claims", "strict12"]
+    code = main([*argv, "--format", "touchstone", "--out", str(out_path)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    claims = [line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
+    assert [line.split(":")[0] for line in claims] == [
+        "FAIL  passband insertion loss up to 12 GHz",
+        "PASS  stopband attenuation 70-145 GHz",
+        "PASS  passband ripple in the 4-8 GHz band",
+    ]

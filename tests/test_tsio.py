@@ -249,6 +249,10 @@ class TestCheckClaims:
         bad = check_claims(table, [Claim((0.5e9, 2.5e9), ClaimKind.MAX_RIPPLE, 0.04)])
         assert not bad.passed
 
+    def test_a_claim_without_description_describes_itself(self):
+        claim = Claim((70e9, 145e9), ClaimKind.MIN_ATT, 60.0)
+        assert claim.describe() == "MIN_ATT 60 dB over [7e+10, 1.45e+11] Hz"
+
     def test_band_without_data_gives_error_row(self):
         table = flat_table([0.9] * 3)
         report = check_claims(table, [Claim((50e9, 60e9), ClaimKind.MIN_ATT, 60.0)])
