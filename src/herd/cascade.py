@@ -146,24 +146,25 @@ class _TwoPortView:
 
 
 def _section_power(design: FilterDesign, fc: float, f):
-    """Power transmission |s21|^2 of one section at ``f`` (a float or an
-    array), with ``fc`` the design's :func:`corner_frequency`. For a float
-    ``f`` the clamp below is Python's ``min``, which returns what
+    """Power transmission |s21|^2 of one section at ``f``, with ``fc`` the
+    design's :func:`corner_frequency`: an ``np.float64`` for one frequency
+    (a float, an int, a numpy scalar or a 0-d array) and an array for an
+    array of them.
+
+    The power is the blend (1 - weight) * t_below + weight * t_above of the
+    below-cutoff transmission and the per-section drain. At and above the
+    corner the evanescent decay constant is 0, so amp = 1 and t_below is
+    exactly 0; (1 - weight) * 0 is +0, and the blend is weight * t_above bit
+    for bit. The below-cutoff branch is therefore evaluated only at the
+    frequencies strictly below the corner. A NaN frequency gives NaN.
+    Callers pass finite frequencies; at +inf, where the full blend is NaN,
+    this gives the drain.
+
+    For a float ``f`` the clamp below is Python's ``min``, which returns what
     ``np.minimum`` does: with fc > 0 the operands are never two zeros, and a
     NaN f - fc comes first. The logistic argument it gives lies within about
     +-92, so working it in Python floats loses no overflow warning."""
-    n_ap = design.apertures_per_section
     one = type(f) is float
-
-    # Evanescent decay of the dominant aperture mode. At and above the corner
-    # gamma is 0, so amp = 1 and the below-cutoff transmission is exactly 0.
-    # np.power runs the same loop for one frequency as for an array, so a
-    # figure has the same bits either way (a numpy scalar's ** calls the C
-    # library's pow instead).
-    amp = decay_amplitude(evanescent_gamma(design, fc, f), design.aperture.depth_d, one)
-    t_below = np.power(1.0 - amp * amp, n_ap)
-    t_above = (1.0 - design.stopband_kappa) ** n_ap
-
     # Logistic stopband weight: 0 deep in band, 1/2 at the corner, 1 above.
     # A valid design keeps the scale finite (model.validate). For f > 0,
     # arg > -LOGISTIC_SHARPNESS / DEFAULT_TRANSITION_WIDTH (about -92), so
@@ -173,7 +174,24 @@ def _section_power(design: FilterDesign, fc: float, f):
     minimum = min if one else np.minimum
     arg = minimum(f - fc, fc) * (LOGISTIC_SHARPNESS / (DEFAULT_TRANSITION_WIDTH * fc))
     weight = 1.0 / (1.0 + np.exp(-arg))
-    return (1.0 - weight) * t_below + weight * t_above
+    power = weight * (1.0 - design.stopband_kappa) ** design.apertures_per_section
+    below = f < fc
+    if type(below) is not np.ndarray:  # one frequency
+        return _blend_below(design, fc, f, one, weight, power) if below else power
+    if np.count_nonzero(below):
+        power[below] = _blend_below(design, fc, f[below], False, weight[below], power[below])
+    return power
+
+
+def _blend_below(design: FilterDesign, fc: float, f, one: bool, weight, power):
+    """(1 - weight) * t_below + power at frequencies ``f`` below the corner,
+    with t_below the evanescent transmission past the section's apertures
+    and ``power`` the drain term weight * t_above. np.power runs the same
+    loop for one frequency as for an array, so a figure has the same bits
+    either way (a numpy scalar's ** calls the C library's pow instead)."""
+    amp = decay_amplitude(evanescent_gamma(design, fc, f), design.aperture.depth_d, one)
+    t_below = np.power(1.0 - amp * amp, design.apertures_per_section)
+    return (1.0 - weight) * t_below + power
 
 
 def filter_response(design: FilterDesign, grid: FrequencyGrid) -> SParamTable:

@@ -210,6 +210,17 @@ def _cmd_modes(args) -> int:
     chart = None
     corner = None
     if args.design:
+        mode, unread = "--design", {"--z0": args.z0, "--single-mode": args.single_mode,
+                                    "--coax-eps": args.coax_eps}
+    elif args.z0 is not None and args.single_mode is not None:
+        mode, unread = "--z0 and --single-mode", {"--fmax": args.fmax}
+    else:
+        raise DomainError("modes needs --design, or both --z0 and --single-mode")
+    # An option the mode does not read is refused, not dropped.
+    for option, value in unread.items():
+        if value is not None:
+            raise DomainError(f"modes with {mode} does not read {option}")
+    if args.design:
         design = _load_design(args.design)
         geometry = design.coax
         fill = design.coax_fill
@@ -217,14 +228,12 @@ def _cmd_modes(args) -> int:
         corner = corner_frequency(design)
         fmax = args.fmax if args.fmax is not None else 2.0 * corner
         chart = mode_chart(design.aperture, design.aperture_fill, fmax)
-    elif args.z0 is not None and args.single_mode is not None:
+    else:
         fill = AIR
         if args.coax_eps is not None:
             fill = build_part("coax_fill", Material, {"eps_r": args.coax_eps})
         geometry = solve_inner_radius(args.z0, args.single_mode, fill)
         z0 = args.z0
-    else:
-        raise DomainError("modes needs --design, or both --z0 and --single-mode")
     scalars = {
         "z0_ohm": z0,
         "r_inner_m": geometry.r_inner,

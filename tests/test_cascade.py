@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from herd import (
     AIR,
@@ -30,7 +32,9 @@ from herd import (
 )
 from herd import cascade, model
 from herd.cascade import section_attenuation_db
-from herd.leakage import evanescent_gamma
+from herd.leakage import decay_amplitude, evanescent_gamma
+from herd.model import DEFAULT_TRANSITION_WIDTH, DESIGN_FILE, LOGISTIC_SHARPNESS
+from herd.synthesis import verify
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -314,6 +318,79 @@ class TestAttenuationVsSections:
         assert built == ["FrequencyGrid", "filter_response", "SParamTable"]
 
 
+def reference_power(design, fc, f):
+    """The section power as the full blend (1 - w) * t_below + w * t_above,
+    with the below-cutoff branch evaluated at every frequency, above the
+    corner too."""
+    n_ap = design.apertures_per_section
+    one = type(f) is float
+    amp = decay_amplitude(evanescent_gamma(design, fc, f), design.aperture.depth_d, one)
+    t_below = np.power(1.0 - amp * amp, n_ap)
+    t_above = (1.0 - design.stopband_kappa) ** n_ap
+    minimum = min if one else np.minimum
+    arg = minimum(f - fc, fc) * (LOGISTIC_SHARPNESS / (DEFAULT_TRANSITION_WIDTH * fc))
+    weight = 1.0 / (1.0 + np.exp(-arg))
+    return (1.0 - weight) * t_below + weight * t_above
+
+
+# The fields the section power reads, each kept or scaled by 10**u with u in
+# [-8, 8] or [-300, 300], as tests/test_input_harness.py scales them; the
+# count is clipped to 1..10**6.
+_STOCK = DESIGN_FILE.values(prototype_design())
+_EXPONENTS = st.one_of(st.floats(-8.0, 8.0), st.floats(-300.0, 300.0))
+
+
+def _scaled(value):
+    if isinstance(value, int):
+        grown = _EXPONENTS.map(lambda u: round(min(max(value * 10.0**u, 1.0), 1e6)))
+        return st.one_of(st.just(value), grown)
+    return st.one_of(st.just(value), _EXPONENTS.map(lambda u: value * 10.0**u))
+
+
+_SCALED_DESIGNS = st.fixed_dictionaries(
+    {
+        **{key: st.just(value) for key, value in _STOCK.items()},
+        **{key: _scaled(_STOCK[key]) for key in
+           ("a_m", "b_m", "d_m", "aperture_eps_r", "apertures_per_section", "stopband_kappa")},
+        "dominant_mode_axis": st.sampled_from([axis.value for axis in DominantModeAxis]),
+    }
+)
+# Corners on either side of 2**500 Hz (widths of 3.1e-143 and 3e-143 m), and
+# a 1e307 m deep hole that passes its field whole.
+_EDGE_DESIGNS = st.sampled_from(
+    [{**_STOCK, "a_m": 3.1e-143, "d_m": 3.1e-143}, {**_STOCK, "a_m": 3e-143, "d_m": 3e-143},
+     {**_STOCK, "d_m": 1e307}]
+)
+
+
+def _design(values: dict):
+    try:
+        return model.loads_design("".join(f"{key} = {value}\n" for key, value in values.items()))
+    except (DomainError, model.ParseError):
+        assume(False)
+
+
+# A frequency as a share of the corner: the corner itself, the floats next to
+# it, a point of the blend band or a share from 1e-12 to 1e12.
+_POINTS = st.one_of(
+    st.sampled_from(["corner", "below", "above"]),
+    st.floats(0.5, 2.0),
+    st.floats(-12.0, 12.0).map(lambda u: 10.0**u),
+)
+
+
+def _frequency(fc: float, point) -> float:
+    if point == "corner":
+        return fc
+    if point in ("below", "above"):
+        return float(np.nextafter(fc, 0.0 if point == "below" else math.inf))
+    return fc * point
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
 class TestSectionPower:
     def test_one_frequency_has_the_bits_of_the_same_frequency_in_a_grid(self, proto):
         # Below the corner t_below = (1 - amp**2)**8 is raised by np.power,
@@ -357,6 +434,85 @@ class TestSectionPower:
         t_above = (1.0 - design.stopband_kappa) ** design.apertures_per_section
         assert np.abs(table.s21[1]) ** 2 == pytest.approx(t_above**design.sections, rel=1e-12)
         assert cascade._section_power(design, fc, 1e30) == t_above
+
+
+    # Only frequencies strictly below the corner evaluate the below-cutoff
+    # branch; every figure keeps the bits of the full blend.
+    @given(
+        values=st.one_of(_SCALED_DESIGNS, _EDGE_DESIGNS),
+        points=st.lists(_POINTS, max_size=24),
+        order=st.sampled_from(["drawn", "sorted", "repeated"]),
+    )
+    def test_power_and_attenuation_have_the_bits_of_the_full_blend(self, values, points, order):
+        design = _design(values)
+        fc = corner_frequency(design)
+        freqs = [f for f in (_frequency(fc, point) for point in points) if 0.0 < f < math.inf]
+        if order == "sorted":
+            freqs.sort()
+        elif order == "repeated":
+            freqs = freqs + freqs[::-1]
+        f = np.array(freqs, dtype=float)
+        want = reference_power(design, fc, f)
+        got = cascade._section_power(design, fc, f)
+        assert type(got) is np.ndarray and _bits(got) == _bits(want)
+        if want.all():
+            assert _bits(section_attenuation_db(design, f)) == _bits(-10.0 * np.log10(want) + 0.0)
+        else:
+            with pytest.raises(DomainError, match="zero transmission"):
+                section_attenuation_db(design, f)
+        for x in freqs[:4]:
+            one = reference_power(design, fc, x)
+            kinds = [x, np.float64(x), np.array(x)] + ([int(x)] if x.is_integer() else [])
+            for kind in kinds:
+                power = cascade._section_power(design, fc, kind)
+                assert type(power) is np.float64 and _bits(power) == _bits(reference_power(design, fc, kind))
+                if one:
+                    att = section_attenuation_db(design, kind)
+                    assert type(att) is float and _bits(att) == _bits(float(-10.0 * np.log10(one)) + 0.0)
+
+    def test_a_nan_frequency_gives_nan(self, proto):
+        fc = corner_frequency(proto)
+        power = cascade._section_power(proto, fc, np.array([0.5 * fc, math.nan, 2.0 * fc]))
+        assert np.isnan(power[1]) and not np.isnan(power[[0, 2]]).any()
+        assert math.isnan(cascade._section_power(proto, fc, math.nan))
+
+
+class TestBelowCutoffBranchOnlyBelowTheCorner:
+    """Counts the frequencies that reach cascade's evanescent_gamma."""
+
+    @pytest.fixture
+    def reached(self, monkeypatch):
+        seen = []
+
+        def counted(design, fc, f):
+            seen.extend(np.reshape(np.asarray(f, dtype=float), -1).tolist())
+            return evanescent_gamma(design, fc, f)
+
+        monkeypatch.setattr(cascade, "evanescent_gamma", counted)
+        return seen
+
+    def test_none_above_the_corner_of_a_ladder(self, proto, reached):
+        fc = corner_frequency(proto)
+        ladder = attenuation_vs_sections(proto, 2.0 * fc, 4)
+        assert reached == []
+        t_above = (1.0 - proto.stopband_kappa) ** proto.apertures_per_section
+        assert ladder[0][1] == float(-10.0 * np.log10(t_above)) + 0.0
+
+    def test_at_most_one_in_verify_of_the_reference_design(self, reached):
+        spec = loads_design_spec((CONFIGS / "reference_targets.spec").read_text())
+        design = synthesize(spec).design
+        reached.clear()
+        verify(design, spec)
+        assert len(reached) <= 1
+        assert all(f < corner_frequency(design) for f in reached)
+
+    def test_only_points_below_the_corner_in_a_linear_grid(self, proto, reached):
+        grid = FrequencyGrid.linear(1e8, 145e9, 1000)
+        fc = corner_frequency(proto)
+        assert 25.26e9 < fc < 25.27e9
+        filter_response(proto, grid)
+        assert reached == grid.f[grid.f < fc].tolist()
+        assert 150 < len(reached) < 200
 
 
 class TestCalibrateKappa:

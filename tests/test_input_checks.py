@@ -259,6 +259,34 @@ class TestModeChecks:
         assert err == "herd: input error: coax_fill.eps_r must be finite and >= 1 (got 0.5)\n"
 
 
+@pytest.mark.parametrize(
+    "extra, option",
+    [
+        (["--z0", "50"], "--z0"),
+        (["--single-mode", "18e9"], "--single-mode"),
+        (["--coax-eps", "2.1"], "--coax-eps"),
+        (["--z0", "50", "--single-mode", "18e9", "--coax-eps", "2.1"], "--z0"),
+    ],
+)
+def test_modes_with_a_design_refuses_the_radius_solve_options(capsys, tmp_path, proto, extra, option):
+    # the design holds the coax, so a radius solve option is not read
+    path = tmp_path / "stock.design"
+    path.write_text(dumps_design(proto))
+    assert main(["modes", "--design", str(path), *extra]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"herd: input error: modes with --design does not read {option}\n"
+
+
+@pytest.mark.parametrize("extra", [[], ["--coax-eps", "2.1"]])
+def test_modes_radius_solve_refuses_fmax(capsys, extra):
+    # only a design's aperture gives a mode chart for --fmax to bound
+    assert main(["modes", "--z0", "50", "--single-mode", "18e9", "--fmax", "1e11", *extra]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "herd: input error: modes with --z0 and --single-mode does not read --fmax\n"
+
+
 class TestGridArray:
     def test_points_is_the_read_only_array(self):
         source = np.array([1e9, 2e9, 3e9])
