@@ -3,12 +3,16 @@
 Per section, the power transmission is the in-band evanescent value below the
 aperture corner frequency and a calibrated per-aperture drain above it, with
 a logistic blend of fixed width across the corner so the curve stays smooth.
-Sections are matched (no reflection), so N of them chain as s21**N in closed
-form.
+Sections are matched (no reflection), so N of them attenuate N times as much
+as one, and their phases add.
 
-The model is evaluated as array expressions over a whole frequency grid, and
-tables hold one complex array per S-parameter (the scikit-rf ``Network``
-layout), so no Python object is built per frequency point.
+The model is worked in dB: one kernel gives a section's loss from the logs
+of its transmissions (:func:`_section_loss_db`), so a loss near 0 dB keeps
+its digits, and the cascade is ``sections`` times it
+(:func:`cascade_loss_db`). :func:`filter_response` builds the complex table,
+which holds one complex array per S-parameter (the scikit-rf ``Network``
+layout), from that figure and the wrapped phase; no Python object is built
+per frequency point.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 
 from .constants import C0
 from .errors import DomainError
-from .leakage import all_true, decay_amplitude, evanescent_gamma, frequencies
+from .leakage import DB_PER_LN, all_true, evanescent_gamma, frequencies, log_pass
 from .model import DEFAULT_TRANSITION_WIDTH, LOGISTIC_SHARPNESS, FilterDesign, FrequencyGrid, value_class
 from .modes import corner_frequency
 
@@ -145,66 +149,108 @@ class _TwoPortView:
             yield TwoPort(s11=s11, s12=s12, s21=s21, s22=s22)
 
 
-def _section_power(design: FilterDesign, fc: float, f):
-    """Power transmission |s21|^2 of one section at ``f``, with ``fc`` the
-    design's :func:`corner_frequency`: an ``np.float64`` for one frequency
-    (a float, an int, a numpy scalar or a 0-d array) and an array for an
-    array of them.
+# A section whose loss exceeds this passes less power than the smallest
+# positive float, 5e-324: it passes none that a float can hold.
+_NO_POWER_DB = -10.0 * math.log10(5e-324)
 
-    The power is the blend (1 - weight) * t_below + weight * t_above of the
-    below-cutoff transmission and the per-section drain. At and above the
-    corner the evanescent decay constant is 0, so amp = 1 and t_below is
-    exactly 0; (1 - weight) * 0 is +0, and the blend is weight * t_above bit
-    for bit. The below-cutoff branch is therefore evaluated only at the
-    frequencies strictly below the corner. A NaN frequency gives NaN.
-    Callers pass finite frequencies; at +inf, where the full blend is NaN,
-    this gives the drain.
 
-    For a float ``f`` the clamp below is Python's ``min``, which returns what
+def _section_loss_db(design: FilterDesign, fc: float, f):
+    """Loss of one section [dB], -10 log10 of its power transmission, at
+    ``f``, with ``fc`` the design's :func:`corner_frequency`: an
+    ``np.float64`` for one frequency (a float, an int, a numpy scalar or a
+    0-d array) and an array for an array of them; +0, never -0, where the
+    section is lossless.
+
+    The power is the blend (1 - w) t_below + w t_above of the below-cutoff
+    transmission t_below = (1 - amp**2)**A past the section's A apertures
+    and the drain t_above = (1 - kappa)**A, with w the logistic weight
+    1 / (1 + e**-arg). It is worked in logs, so a small loss keeps its
+    digits and a large one does not underflow:
+
+    - at and above the corner amp = 1, t_below is 0 and the loss is
+      -10/ln 10 (A log1p(-kappa) - log1p(e**-arg)) exactly;
+    - below it, the loss is -10/ln 10 log1p(s), with
+      s = (1 - w) expm1(A ln(1 - amp**2)) + w expm1(A log1p(-kappa)), the
+      power less 1. Where the power is at most 1/2, s would cancel in
+      log1p, and the log of the power is the log-sum of the two terms.
+
+    So the below-cutoff branch runs only at frequencies strictly below the
+    corner. A NaN frequency gives NaN. Callers pass finite frequencies.
+
+    Logistic stopband weight: 0 deep in band, 1/2 at the corner, 1 above.
+    A valid design keeps its scale finite (model.validate). For f > 0,
+    arg > -LOGISTIC_SHARPNESS / DEFAULT_TRANSITION_WIDTH (about -92), so
+    e**-arg cannot overflow. Clamping f - fc at fc keeps the product from
+    overflowing far above a tiny corner; from there up arg is at least
+    about 92, where e**-arg < 2**-132 and log1p of it is e**-arg.
+
+    For a float ``f`` the clamp is Python's ``min``, which returns what
     ``np.minimum`` does: with fc > 0 the operands are never two zeros, and a
     NaN f - fc comes first. The logistic argument it gives lies within about
-    +-92, so working it in Python floats loses no overflow warning."""
-    one = type(f) is float
-    # Logistic stopband weight: 0 deep in band, 1/2 at the corner, 1 above.
-    # A valid design keeps the scale finite (model.validate). For f > 0,
-    # arg > -LOGISTIC_SHARPNESS / DEFAULT_TRANSITION_WIDTH (about -92), so
-    # exp(-arg) cannot overflow. Clamping f - fc at fc keeps the product from
-    # overflowing far above a tiny corner; from there up arg is at least
-    # about 92, where exp(-arg) < 2**-53 and the weight rounds to 1 either way.
-    minimum = min if one else np.minimum
-    arg = minimum(f - fc, fc) * (LOGISTIC_SHARPNESS / (DEFAULT_TRANSITION_WIDTH * fc))
-    weight = 1.0 / (1.0 + np.exp(-arg))
-    power = weight * (1.0 - design.stopband_kappa) ** design.apertures_per_section
+    +-92, so working it in Python floats loses no overflow warning. An array
+    is worked in place, step by step, since each fresh array of a long grid
+    costs its page faults; the steps, and so the bits, are those of one
+    frequency."""
+    scale = LOGISTIC_SHARPNESS / (DEFAULT_TRANSITION_WIDTH * fc)
+    # ln t_above; a valid kappa lies strictly between 0 and 1
+    drain = design.apertures_per_section * math.log1p(-design.stopband_kappa)
+    if type(f) is not np.ndarray or not f.ndim:
+        arg = (min if type(f) is float else np.minimum)(f - fc, fc) * scale
+        tail = np.exp(-arg)
+        if f < fc:
+            return -DB_PER_LN * _log_power_below(design, fc, f, True, tail, drain)
+        return -DB_PER_LN * (drain - np.log1p(tail))
+    tail = np.subtract(f, fc)
+    np.minimum(tail, fc, out=tail)
+    tail *= -scale
+    np.exp(tail, out=tail)
+    log_power = np.log1p(tail)
+    np.subtract(drain, log_power, out=log_power)
     below = f < fc
-    if type(below) is not np.ndarray:  # one frequency
-        return _blend_below(design, fc, f, one, weight, power) if below else power
-    if np.count_nonzero(below):
-        power[below] = _blend_below(design, fc, f[below], False, weight[below], power[below])
-    return power
+    count = np.count_nonzero(below)
+    if count:
+        # on a sorted grid the points below the corner come first: a view
+        part = slice(0, count) if below[:count].all() else below
+        log_power[part] = _log_power_below(design, fc, f[part], False, tail[part], drain)
+    log_power *= -DB_PER_LN
+    return log_power
 
 
-def _blend_below(design: FilterDesign, fc: float, f, one: bool, weight, power):
-    """(1 - weight) * t_below + power at frequencies ``f`` below the corner,
-    with t_below the evanescent transmission past the section's apertures
-    and ``power`` the drain term weight * t_above. np.power runs the same
-    loop for one frequency as for an array, so a figure has the same bits
-    either way (a numpy scalar's ** calls the C library's pow instead)."""
-    amp = decay_amplitude(evanescent_gamma(design, fc, f), design.aperture.depth_d, one)
-    t_below = np.power(1.0 - amp * amp, design.apertures_per_section)
-    return (1.0 - weight) * t_below + power
+def _log_power_below(design: FilterDesign, fc: float, f, one: bool, tail, drain):
+    """ln of the blended power at frequencies ``f`` below the corner (one
+    frequency if ``one``), from ``tail`` = e**-arg and ln t_above
+    (``drain``); see :func:`_section_loss_db`. An array is worked in place
+    where a step allows it."""
+    log_below = log_pass(evanescent_gamma(design, fc, f), design.aperture.depth_d, one)
+    log_below *= design.apertures_per_section
+    weight = 1.0 + tail
+    weight = 1.0 / weight if one else np.divide(1.0, weight, out=weight)
+    rest = 1.0 - weight
+    # the power less 1, a sum of two terms of one sign
+    s = np.expm1(log_below)
+    s *= rest
+    s += weight * math.expm1(drain)
+    small = s <= -0.5
+    if one:
+        return _log_sum(log_below, rest, weight, drain) if small else np.log1p(s)
+    np.log1p(s, out=s, where=~small)
+    if small.any():
+        s[small] = _log_sum(log_below[small], rest[small], weight[small], drain)
+    return s
 
 
-def filter_response(design: FilterDesign, grid: FrequencyGrid) -> SParamTable:
-    """Cascaded response of all sections over a frequency grid.
+def _log_sum(log_below, rest, weight, drain):
+    """ln((1 - w) t_below + w t_above) as the log-sum of its two terms, from
+    ln t_below, 1 - w, w and ln t_above."""
+    return np.logaddexp(log_below + np.log(rest), np.log(weight) + drain)
 
-    The sections are matched (s11 = 0), so N identical sections chain as
-    s21**N. Every point is computed independently, so the result does not
-    depend on how the grid is split or ordered.
-    """
-    f = grid.f
+
+def _phase_delay(design: FilterDesign, f) -> float:
+    """Phase across one section per hertz [rad/Hz], after checking that the
+    phase at the grid's last (largest) frequency of ``f`` is finite."""
     delay = 2.0 * math.pi * design.section_pitch * design.coax_fill.refractive_index / C0
-    # The phase delay * f is largest at the grid's last point. Past the
-    # float range it has no value, and numpy would warn and give NaN.
+    # Past the float range the phase has no value, and numpy would warn and
+    # give NaN.
     top = f[-1].item()
     if not delay * top < math.inf:
         raise DomainError(
@@ -212,10 +258,71 @@ def filter_response(design: FilterDesign, grid: FrequencyGrid) -> SParamTable:
             f"overflows at {top!r} Hz (section_pitch = {design.section_pitch!r} m, "
             f"coax_fill.eps_r = {design.coax_fill.eps_r!r})"
         )
-    s21 = np.sqrt(_section_power(design, corner_frequency(design), f)) * np.exp(-1j * delay * f)
-    if not s21.all():
+    return delay
+
+
+def cascade_loss_db(design: FilterDesign, grid: FrequencyGrid) -> np.ndarray:
+    """Loss of the cascade over a frequency grid [dB]: ``sections`` times
+    the loss of one section, so -s21 in dB, >= +0 everywhere (and inf
+    where it exceeds the float range).
+
+    Raises where the phase across one section overflows (as
+    :func:`filter_response` must build it) and where a section passes no
+    power. Every point is computed independently, so the result does not
+    depend on how the grid is split or ordered.
+    """
+    f = grid.f
+    _phase_delay(design, f)
+    loss = _section_loss_db(design, corner_frequency(design), f)
+    if not (loss <= _NO_POWER_DB).all():
         raise DomainError("cannot cascade a two-port with zero transmission (s21 = 0)")
-    s21 = s21**design.sections
+    # Enough sections attenuate past the float range: the loss is then inf.
+    with np.errstate(over="ignore"):
+        loss *= design.sections
+    return loss
+
+
+# Up to this cascade phase [rad], subtracting the nearest whole number of
+# turns wraps it to within 2e-13 rad of its exact reduction.
+_WRAP_LIMIT = 1024.0
+
+# Past about 2**53 rad no float resolves a phase to within a turn, so the
+# section count is capped here for the phase, which keeps it finite.
+_PHASE_COUNT_CAP = 2**1000
+
+
+def transmission_phase(design: FilterDesign, f: np.ndarray) -> np.ndarray:
+    """Phase of the cascade's s21 [rad] at the grid frequencies ``f``:
+    -sections * delay * f wrapped into (-pi, pi], as np.angle wraps it,
+    with no complex exponential: the nearest whole number of turns is
+    taken off, and a value that rounding leaves outside the interval is
+    moved by one turn. Where the cascade's phase exceeds ``_WRAP_LIMIT`` (or
+    the float range), one section's phase is first reduced exactly, through
+    sin and cos. Each point is wrapped on its own, in place."""
+    count = min(design.sections, _PHASE_COUNT_CAP)
+    total = _phase_delay(design, f) * f
+    far = total > _WRAP_LIMIT / count
+    if far.any():
+        total[far] = np.arctan2(np.sin(total[far]), np.cos(total[far]))
+    total *= count
+    phase = total * (0.5 / math.pi)
+    np.rint(phase, out=phase)
+    phase *= 2.0 * math.pi
+    phase -= total
+    outside = (phase <= -math.pi) | (phase > math.pi)
+    if outside.any():
+        phase[outside] -= np.copysign(2.0 * math.pi, phase[outside])
+    return phase
+
+
+def filter_response(design: FilterDesign, grid: FrequencyGrid) -> SParamTable:
+    """Cascaded response of all sections over a frequency grid.
+
+    The sections are matched (s11 = 0), so |s21| is 10**(-loss / 20) of
+    the :func:`cascade_loss_db`, and its phase :func:`transmission_phase`.
+    """
+    loss = cascade_loss_db(design, grid)
+    s21 = 10.0 ** (loss / -20.0) * np.exp(1j * transmission_phase(design, grid.f))
     s11 = np.zeros_like(s21)
     return SParamTable(
         grid,
@@ -241,13 +348,12 @@ def section_attenuation_db(design: FilterDesign, f):
     bad = None if all_true(one, inside) else int(np.argmin(inside))
     # A zero transmission before the first bad frequency is the first fault.
     head = freqs if bad is None else np.reshape(freqs, -1)[:bad]
-    power = _section_power(design, corner_frequency(design), head)
-    if not all_true(type(head) is float, power):
+    att = _section_loss_db(design, corner_frequency(design), head)
+    if not all_true(type(head) is float, att <= _NO_POWER_DB):
         raise DomainError("cannot cascade a two-port with zero transmission (s21 = 0)")
     if bad is not None:
         got = np.reshape(freqs, -1)[bad].item()
         raise DomainError(f"frequency grid points must be finite and > 0 (got {got!r})")
-    att = -10.0 * np.log10(power) + 0.0
     return float(att) if one else att
 
 

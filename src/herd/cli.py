@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cascade import filter_response, max_singular_value, section_attenuation_db
+from .cascade import cascade_loss_db, max_singular_value, section_attenuation_db, transmission_phase
 from .errors import DomainError, InfeasibleDesignError, ParseError
 from .leakage import aperture_sweep
 from .model import (
@@ -40,16 +40,18 @@ from .modes import (
 )
 from .synthesis import loads_design_spec, synthesize
 from .tsio import (
+    DB_FLOOR,
     Claim,
     ClaimKind,
+    band_figures,
+    band_points,
     check_claims,
     insertion_loss_db,
     judge_claims,
     metrics_by_band,
     parse_touchstone,
-    return_loss_db,
     row_blocks,
-    touchstone_blocks,
+    touchstone_text,
 )
 
 EXIT_OK = 0
@@ -244,11 +246,15 @@ def _cmd_modes(args) -> int:
     lines = _kv_lines({key: value for key, value in scalars.items() if value is not None})
     doc = {"command": "modes", **scalars, "mode_chart": None}
 
-    if chart is None or args.format == "text":
+    if args.format == "text":
         if chart is not None:
             lines.append("mode chart (m, n, cutoff_hz):")
             lines += [f"  TE{e.m}{e.n}  {_fmt(e.cutoff_hz)}" for e in chart]
-        blocks = [_json_doc(doc) if args.format == "json" else "\n".join(lines) + "\n"]
+        blocks = ["\n".join(lines) + "\n"]
+    elif chart is None:
+        # No chart: JSON's is null, and CSV writes its scalars as the
+        # comment lines that head a chart.
+        blocks = [_json_doc(doc) if args.format == "json" else "".join(f"# {line}\n" for line in lines)]
     else:
         # (3, rows), also for an empty chart
         m, n, cutoff = np.array([(e.m, e.n, e.cutoff_hz) for e in chart]).reshape(-1, 3).T
@@ -306,10 +312,17 @@ def _metric_lines(rows: list[dict]) -> list[str]:
 def _cmd_analyze(args) -> int:
     design = _load_design(args.design)
     grid = _analysis_grid(args)
-    table = filter_response(design, grid)
+    # The model's matched, reciprocal cascade needs no complex table: every
+    # format and the band metrics read this one loss array.
+    loss = cascade_loss_db(design, grid)
     profile = CLAIM_PROFILES[args.claims or "default"]
+
+    def band_metric(band):
+        # a matched model reflects nothing: its return loss is -inf
+        return band_figures(band, loss[band_points(grid.f, band)], -math.inf)
+
     # the metric rows and the claims read one evaluation of each band
-    metrics = metrics_by_band(table, [claim.band for claim in profile])
+    metrics = metrics_by_band(band_metric, [claim.band for claim in profile])
     report = judge_claims(profile, metrics) if args.claims else None
     doc = {
         "command": "analyze",
@@ -329,13 +342,21 @@ def _cmd_analyze(args) -> int:
     # the band metrics and claim verdicts that CSV and Touchstone's --out
     # write as text lines
     notes = _metric_lines(doc["band_metrics"]) + _claim_lines(doc["claims"] or [])
+    # 0 - x is -x, and +0 where x is 0; in place, as the loss is read no more
+    s21_db = np.subtract(0.0, loss, out=loss)
     if args.format == "touchstone":
-        _emit(touchstone_blocks(table, fmt="DB", unit="GHZ"), args.out)
+        # DB pairs: s21's magnitude and its phase in degrees; s11 = 0 writes
+        # as the -400 dB floor at 0 degrees
+        phase = transmission_phase(design, grid.f)
+        s21 = (np.maximum(s21_db, DB_FLOOR, out=s21_db), np.degrees(phase, out=phase))
+        s11 = (np.broadcast_to(DB_FLOOR, len(grid)), np.broadcast_to(0.0, len(grid)))
+        label = f"cascade model, {design.sections} sections"
+        _emit(touchstone_text(grid.f, (s11, s21, s21, s11), "DB", "GHZ", 50.0, label), args.out)
         if args.out:
             _emit(["\n".join(notes) + "\n"], None)
     else:
         # CSV keeps the -inf s11_db of a matched filter
-        columns = (table.f, -insertion_loss_db(table.s21), return_loss_db(table.s11))
+        columns = (grid.f, s21_db, np.broadcast_to(-math.inf, len(grid)))
         entries = list(zip(("frequency_hz", "s21_db", "s11_db"), columns, ["%.12g"] * 3))
         if args.format == "json":
             blocks = _json_blocks(doc, "response", entries)
@@ -454,7 +475,7 @@ def _cmd_compare(args) -> int:
     design = _load_design(args.design)
     profile = CLAIM_PROFILES[args.claims or "default"]
     report = check_claims(measured, profile)
-    model = filter_response(design, measured.grid)
+    model_il = cascade_loss_db(design, measured.grid)
     s11, s12, s21, s22 = measured.s11, measured.s12, measured.s21, measured.s22
     if measured.mag_only:
         # The phases are unknown. Whatever they are, the largest singular
@@ -466,7 +487,7 @@ def _cmd_compare(args) -> int:
 
     # Equal losses differ by 0, also where both are infinite (no
     # transmission measured or modelled), which inf - inf would make NaN.
-    measured_il, model_il = insertion_loss_db(measured.s21), insertion_loss_db(model.s21)
+    measured_il = insertion_loss_db(measured.s21)
     deltas = np.zeros(len(measured_il))
     np.subtract(measured_il, model_il, out=deltas, where=measured_il != model_il)
     deltas = np.abs(deltas)

@@ -18,6 +18,12 @@ from .model import FilterDesign, positive_violations, raise_violations, swept_co
 from .model import value_class, with_aperture
 from .modes import corner_frequency
 
+# dB per unit of the natural log of a power ratio: 10 / ln 10.
+DB_PER_LN = 10.0 / math.log(10.0)
+
+# The smallest normal float.
+_TINY = 2.0**-1022
+
 
 @value_class
 class InbandLossBreakdown:
@@ -44,9 +50,18 @@ def evanescent_gamma(design: FilterDesign, fc, f):
     neither a NaN nor a signed zero."""
     scale = 2.0 * math.pi * design.aperture_fill.refractive_index / C0
     if type(fc) is float and fc < 2.0**500:
-        one = 0.0 < fc and type(f) is float and 0.0 < f < math.inf
-        sqrt, maximum = (_float64_sqrt, max) if one else (np.sqrt, np.maximum)
-        return scale * sqrt(maximum(fc - f, 0.0) * (fc + f))
+        if 0.0 < fc and type(f) is float and 0.0 < f < math.inf:
+            return scale * _float64_sqrt(max(fc - f, 0.0) * (fc + f))
+        if type(f) is not np.ndarray or not f.ndim:
+            return scale * np.sqrt(np.maximum(fc - f, 0.0) * (fc + f))
+        # the same steps in place: each fresh array of a long grid costs its
+        # page faults
+        gamma = np.subtract(fc, f)
+        np.maximum(gamma, 0.0, out=gamma)
+        gamma *= fc + f
+        np.sqrt(gamma, out=gamma)
+        gamma *= scale
+        return gamma
     # Past about 1e154 Hz the product overflows. From 2**500 Hz up, fc and f
     # are first scaled by 2**-513, which keeps the product of any float
     # corner finite and normal. Scaling by a power of two is exact, so a
@@ -68,11 +83,13 @@ def _float64_sqrt(x: float) -> np.float64:
 def decay_amplitude(gamma, depth, one: bool):
     """exp(-gamma depth), for one value (``one``) or an array: 0 where the
     product overflows. One value is multiplied in Python floats, which round
-    as numpy's do and do not warn; an array with numpy's warning off."""
+    as numpy's do and do not warn; an array with numpy's warning off, and
+    its exponential taken in place."""
     if one:
         return np.exp(float(gamma) * -depth)
     with np.errstate(over="ignore"):
-        return np.exp(gamma * -depth)
+        amp = gamma * -depth
+    return np.exp(amp, out=amp)
 
 
 def all_true(one: bool, values) -> bool:
@@ -112,27 +129,61 @@ def _inband(design: FilterDesign, f):
     return one, evanescent_gamma(design, fc, freqs)
 
 
+def log_pass(gamma, depth, one: bool):
+    """ln(1 - amp**2), amp = exp(-gamma depth): the natural log of the power
+    one aperture of depth ``depth`` passes, where its mode decays by
+    ``gamma`` (0 where amp is 0, -inf where gamma is 0), for one value
+    (``one``) or an array.
+
+    Where amp**2 <= 1/2 this is log1p(-amp**2), which keeps every digit of
+    a small loss. Above 1/2, 1 - amp**2 would cancel, so the log is taken
+    of -expm1(-2 gamma depth) instead (:func:`_log_shallow`); that happens
+    only just below the corner or for a very shallow aperture. numpy runs
+    the same loop for one value as for an array, so a figure has the same
+    bits either way."""
+    amp = decay_amplitude(gamma, depth, one)
+    if one:
+        sq = amp * amp
+        return _log_shallow(gamma, depth) if sq > 0.5 else np.log1p(-sq)
+    # the same steps on an array, in place
+    amp *= amp
+    near = amp > 0.5
+    np.negative(amp, out=amp)
+    if not near.any():
+        return np.log1p(amp, out=amp)
+    # log1p(-1) is -inf where gamma is 0; those rows are replaced
+    with np.errstate(divide="ignore"):
+        np.log1p(amp, out=amp)
+    amp[near] = _log_shallow(gamma[near], depth if np.ndim(depth) == 0 else depth[near])
+    return amp
+
+
+def _log_shallow(gamma, depth):
+    """ln(1 - exp(-2 gamma depth)) where gamma depth is small, as
+    ln(-expm1(-2 gamma depth)). Below the normal float range the product
+    keeps few digits or underflows to 0, and the value is ln(2 gamma depth)
+    there: a sum of logs, -inf where gamma is 0."""
+    with np.errstate(divide="ignore"):
+        x = gamma * depth
+        shallow = np.log(-np.expm1(-2.0 * x))
+        tiny = x < _TINY
+        if tiny.any():
+            shallow = np.where(tiny, np.log(2.0 * gamma) + np.log(depth), shallow)[()]
+    return shallow
+
+
 def _transmission(design: FilterDesign, gamma, depth, one: bool):
     """In-band loss [dB] past all of the design's apertures, each of depth
-    ``depth`` with its mode decaying by ``gamma``: infinite where the
-    transmission underflows to 0, and +0, not -0, where it is exactly 1.
-    np.power runs the same loop for one value as for an array, so a figure
-    has the same bits either way (a numpy scalar's ** calls the C library's
-    pow instead)."""
-    amp = decay_amplitude(gamma, depth, one)
-    total = np.power(1.0 - amp * amp, design.total_apertures)
-    if all_true(one, total):
-        loss = -10.0 * np.log10(total)
-    else:
-        with np.errstate(divide="ignore"):
-            loss = -10.0 * np.log10(total)
-    return loss + 0.0
+    ``depth`` with its mode decaying by ``gamma``: -10/ln 10 times the
+    aperture count times :func:`log_pass`, infinite only where gamma is 0,
+    and +0, not -0, where amp is 0."""
+    return (-DB_PER_LN * design.total_apertures) * log_pass(gamma, depth, one) + 0.0
 
 
 def inband_transmission(design: FilterDesign, f) -> InbandLossBreakdown:
-    """Total in-band transmission with loss additive over all apertures.
-
-    A transmission that underflows to 0 is an infinite loss.
+    """Total in-band transmission with loss additive over all apertures,
+    worked as a sum of logs, so a loss too large for its transmission to be
+    a float is still finite.
     """
     one, gamma = _inband(design, f)
     loss = _transmission(design, gamma, design.aperture.depth_d, one)
@@ -182,7 +233,8 @@ def min_depth_for_budget(design: FilterDesign, f, budget_db: float):
     if not (math.isfinite(budget_db) and budget_db > 0.0):
         raise DomainError(f"budget must be finite and > 0 dB (got {budget_db!r})")
     one, gamma = _inband(design, f)
-    amp_required = math.sqrt(1.0 - 10.0 ** (-budget_db / (10.0 * design.total_apertures)))
+    # 1 - 10**(-b/10A) would cancel for a large aperture count A.
+    amp_required = math.sqrt(-math.expm1(-budget_db * math.log(10.0) / (10.0 * design.total_apertures)))
     if not 0.0 < amp_required <= 1.0:
         raise InfeasibleDesignError(
             f"no aperture depth satisfies the {budget_db!r} dB budget at {f!r} Hz"

@@ -1,8 +1,8 @@
 """Exact decimal text of float64 arrays, a column at a time.
 
 A column's text is a NUL-padded ``uint8`` matrix, one row per value; a block
-of rows is laid out as one matrix of its columns and the fixed texts between
-them, and turned into text by deleting the NULs. The bytes are those of
+of rows is laid out, a piece at a time, as one matrix of its columns and the
+fixed texts between them, and turned into text by deleting the NULs. The bytes are those of
 CPython's ``"%.17g" % x``, ``"%.12g" % x``, ``"%d" % x`` and ``repr(x)``.
 
 Digits come from exact arithmetic. For 1e-6 <= |x| < 1e17, with
@@ -11,12 +11,12 @@ error-free product (Dekker 1971) gives x * 10**s = p + e exactly: the first
 17 digits D = p + floor(e) and the remainder e - floor(e), from which any
 shorter precision rounds half-even like CPython's dtoa. ``repr`` takes the
 first of the correctly rounded 15-, 16- and 17-digit values that reads back
-as x, read back by Clinger's exact fast path (Clinger 1990): an integer that
-is exact as a float, times or divided by an exact power of ten. Every other
-value (zero, -0, non-finite, subnormal, outside the range; under ``repr`` a
-power of two, whose rounding interval is lopsided, and a value whose
-16-digit integer is not exact as a float) is formatted by CPython, one value
-at a time. ``"%d"`` is written as ``"%.17g"`` of each value's integer
+as x: that lies within half an ulp of x, a bound that is exact at the same
+scale (a power of two times 10**s). Every other value (zero, -0,
+non-finite, subnormal, outside the range; under ``repr`` a power of two,
+whose rounding interval is lopsided, and a value with a 15- or 16-digit
+decimal at the end of its interval) is formatted by CPython, one value at
+a time. ``"%d"`` is written as ``"%.17g"`` of each value's integer
 part, which has the same text below 1e17.
 """
 
@@ -100,32 +100,41 @@ def _rounded(D, e, floor, X, digits):
     return d, X + carry
 
 
-def _reads_back(d, X, digits, a):
-    """Whether the decimal d * 10**(X - digits + 1) reads back as ``a``,
-    for d exact as a float (Clinger's fast path: one correctly rounded
-    product or quotient of exact floats)."""
-    k = X - (digits - 1)
-    f = d.astype(np.float64)
-    power = _POW10[np.abs(k)]
-    return np.where(k >= 0, f * power, f / power) == a
+def _reads_back(d, x, digits, D, e, floor, X, half_ulp):
+    """Whether the rounded decimal ``d`` of ``digits`` digits, exponent
+    ``x``, reads back as a = (D + e - floor(e)) * 10**(X - 16): whether it
+    lies within a's rounding interval, a +- ``half_ulp`` at that scale. And
+    where it lies too near the interval's end for the test to tell, a tie
+    included: those lanes are left to CPython."""
+    # the decimal at a's scale, an integer within 50 of D
+    c = d * 10 ** (17 - digits)
+    c[x > X] *= 10
+    # one rounding, of a number below 128: off by at most 2**-46
+    distance = np.abs(((c - D).astype(np.float64) + floor) - e)
+    return distance < half_ulp - _NEAR, np.abs(distance - half_ulp) <= _NEAR
+
+
+# Far more than the rounding error of a distance in _reads_back.
+_NEAR = 1e-9
 
 
 def _shortest(a, fast):
     """repr's digits of ``a`` as 17-digit integers (trailing zeros beyond
-    its shortest digits), their exponents, and the lanes left to CPython."""
+    its shortest digits), their exponents, and the lanes left to CPython.
+
+    A decimal reads back as ``a`` where it lies within half an ulp of it.
+    At a's 17-digit scale, 10**(16 - X), that half ulp is exact, a power
+    of two times an exact power of ten; a lane where a decimal lies at its
+    end, a tie, is left to CPython."""
     D, e, floor, X, exact = _seventeen(a)
     fast &= exact
+    half_ulp = np.spacing(a) * (0.5 * _POW10.take(16 - X, mode="clip"))
     d15, x15 = _rounded(D, e, floor, X, 15)
     d16, x16 = _rounded(D, e, floor, X, 16)
     d17, x17 = _rounded(D, e, floor, X, 17)
-    # every 15-digit integer is exact as a float; a 16-digit one where it
-    # is below 2**53 or even
-    ok15 = _reads_back(d15, x15, 15, a)
-    exact16 = (d16 < 2**53) | (d16 & 1 == 0)
-    ok16 = exact16 & _reads_back(d16, x16, 16, a)
-    # Past a failed 15-digit check, 17 digits are due only where the
-    # 16-digit value could be checked.
-    fast &= ok15 | exact16
+    ok15, tie15 = _reads_back(d15, x15, 15, D, e, floor, X, half_ulp)
+    ok16, tie16 = _reads_back(d16, x16, 16, D, e, floor, X, half_ulp)
+    fast &= ~(tie15 | (~ok15 & tie16))
     d = np.where(ok15, d15 * 100, np.where(ok16, d16 * 10, d17))
     X = np.where(ok15, x15, np.where(ok16, x16, x17))
     return d, X, fast
@@ -295,19 +304,31 @@ def column_text(values: np.ndarray, style: str) -> np.ndarray:
     return out
 
 
-def block_text(matrices, texts) -> str:
-    """The rows of one block as text: per row, ``texts[0]``, the row of the
-    first matrix, ``texts[1]``, ..., the row of the last, ``texts[-1]``.
-    The texts are ASCII without NUL."""
+# A block's text is laid out and turned into text this many bytes of layout
+# at a time. Buffers of that size are reused from the heap, where a block's
+# layout, its bytes and its text (hundreds of KB each) would be fresh memory
+# in each block and cost their page faults.
+PIECE_BYTES = 1 << 16
+
+
+def block_pieces(matrices, texts):
+    """The rows of one block as text, in pieces of whole rows: per row,
+    ``texts[0]``, the row of the first matrix, ``texts[1]``, ..., the row
+    of the last, ``texts[-1]``. The texts are ASCII without NUL. Each piece
+    is laid out in at most ``PIECE_BYTES`` bytes, or holds one row."""
     fixed = [np.frombuffer(text.encode("ascii"), np.uint8) for text in texts]
     rows = len(matrices[0])
     width = sum(map(len, fixed)) + sum(m.shape[1] for m in matrices)
-    out = np.empty((rows, width), np.uint8)
-    at = 0
-    for text, matrix in zip(fixed, [*matrices, None]):
-        out[:, at : at + len(text)] = text
-        at += len(text)
-        if matrix is not None:
-            out[:, at : at + matrix.shape[1]] = matrix
-            at += matrix.shape[1]
-    return out.tobytes().translate(None, b"\0").decode("ascii")
+    step = max(1, PIECE_BYTES // width)
+    out = np.empty((min(rows, step), width), np.uint8)
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
+        part = out[: stop - start]
+        at = 0
+        for text, matrix in zip(fixed, [*matrices, None]):
+            part[:, at : at + len(text)] = text
+            at += len(text)
+            if matrix is not None:
+                part[:, at : at + matrix.shape[1]] = matrix[start:stop]
+                at += matrix.shape[1]
+        yield part.tobytes().translate(None, b"\0").decode("ascii")

@@ -28,10 +28,11 @@ FORMATS = ("RI", "MA", "DB")
 
 # Zero magnitude cannot be written in DB format; clamp at -400 dB (1e-20),
 # indistinguishable from zero at any metric tolerance used here.
-_DB_FLOOR = -400.0
+DB_FLOOR = -400.0
 
 # Written rows are formatted this many at a time (``row_blocks``), so the
-# text of a long table is never held whole, only its arrays.
+# text of a long table is never held whole, only its arrays; each block's
+# text is written in pieces of ``numtext.PIECE_BYTES``.
 WRITE_BLOCK_ROWS = 4096
 
 
@@ -261,7 +262,7 @@ def _complex_to_pairs(fmt: str, values: np.ndarray) -> tuple[np.ndarray, np.ndar
     if fmt == "MA":
         return mag, ang
     with np.errstate(divide="ignore"):
-        return np.maximum(20.0 * np.log10(mag), _DB_FLOOR), ang
+        return np.maximum(20.0 * np.log10(mag), DB_FLOOR), ang
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -292,8 +293,9 @@ def _column_text(values: np.ndarray, bits: np.ndarray, style: str) -> np.ndarray
 
 
 def row_blocks(columns, styles, texts):
-    """The rows of the equal-length float64 ``columns`` as text, in blocks
-    of ``WRITE_BLOCK_ROWS`` rows: each row is ``texts[0]``, the first
+    """The rows of the equal-length float64 ``columns`` as text, formatted
+    in blocks of ``WRITE_BLOCK_ROWS`` rows and yielded in pieces of whole
+    rows (``numtext.block_pieces``): each row is ``texts[0]``, the first
     column's value, ``texts[1]``, ..., the last column's value,
     ``texts[-1]``, with each value written in its column's style.
 
@@ -309,7 +311,7 @@ def row_blocks(columns, styles, texts):
     fixed text between its neighbours. A column with the style and bits of
     an earlier one (a model's s12 beside its s21) reuses that column's text.
     Each block formats only the remaining columns (``_column_text``), and a
-    table of constant columns only repeats its one row.
+    table of constant columns only repeats its one row, one piece a block.
     """
     rows = len(columns[0])
     if not rows:
@@ -320,7 +322,7 @@ def row_blocks(columns, styles, texts):
         values = np.asarray(column, dtype=np.float64)
         bits = values.view(np.int64)
         if (bits == bits[0]).all():
-            value = numtext.block_text([numtext.column_text(values[:1], style)], ["", ""])
+            value = "".join(numtext.block_pieces([numtext.column_text(values[:1], style)], ["", ""]))
             fixed[-1] += value + text
             continue
         for source, (_, seen, seen_style) in enumerate(formatted):
@@ -335,7 +337,7 @@ def row_blocks(columns, styles, texts):
         stop = min(start + WRITE_BLOCK_ROWS, rows)
         if formatted:
             block = [_column_text(v[start:stop], b[start:stop], style) for v, b, style in formatted]
-            yield numtext.block_text([block[source] for source in sources], fixed)
+            yield from numtext.block_pieces([block[source] for source in sources], fixed)
         else:
             yield fixed[0] * (stop - start)
 
@@ -356,14 +358,23 @@ def touchstone_blocks(table: SParamTable, fmt: str = "RI", unit: str = "HZ"):
     s21 = _complex_to_pairs(fmt, table.s21)
     s12 = s21 if _same_bits(table.s12, table.s21) else _complex_to_pairs(fmt, table.s12)
     s22 = s11 if _same_bits(table.s22, table.s11) else _complex_to_pairs(fmt, table.s22)
-    columns = [table.f / FREQUENCY_UNITS[unit], *s11, *s21, *s12, *s22]
-    lines = [f"! herd S-parameter table: {table.label or table.provenance.value}"]
-    if table.mag_only:
+    label = table.label or table.provenance.value
+    yield from touchstone_text(table.f, (s11, s21, s12, s22), fmt, unit, table.z0, label, table.mag_only)
+
+
+def touchstone_text(f, pairs, fmt: str, unit: str, z0: float, label: str, mag_only: bool = False):
+    """Touchstone v1 text in pieces, 17 significant digits: the header
+    lines, then the rows of the grid ``f`` [Hz] in blocks. ``pairs`` holds
+    the two columns of s11, s21, s12 and s22 in order, already in the
+    format ``fmt`` (a valid one, as is ``unit``)."""
+    lines = [f"! herd S-parameter table: {label}"]
+    if mag_only:
         lines.append("!MAGONLY")
-    lines.append(f"# {unit} S {fmt} R {table.z0:.17g}")
+    lines.append(f"# {unit} S {fmt} R {z0:.17g}")
     yield "\n".join(lines) + "\n"
+    columns = [f / FREQUENCY_UNITS[unit], *(column for pair in pairs for column in pair)]
     # A matched model's s11 and s22 pairs are constant, so row_blocks writes
-    # those four columns once per table; s12's pair reuses s21's matrices,
+    # those four columns once per table; s12's pair reuses s21's arrays,
     # which leaves three of the nine columns formatted in each block.
     yield from row_blocks(columns, ["%.17g"] * len(columns), ["", *[" "] * 8, "\n"])
 
@@ -387,16 +398,21 @@ def return_loss_db(s11):
         return 20.0 * np.log10(np.abs(s11))
 
 
-def band_metrics(table: SParamTable, band: tuple[float, float]) -> BandMetric:
-    """Insertion-loss / attenuation / ripple / return-loss figures over the
-    closed band, from the grid points inside it."""
+def band_points(f: np.ndarray, band: tuple[float, float]) -> np.ndarray:
+    """Which points of the grid ``f`` lie inside the closed band; the band
+    must be ordered and hold at least one point."""
     lo, hi = band
     if not lo < hi:
         raise DomainError(f"band must satisfy f_low < f_high (got {lo!r}, {hi!r})")
-    inside = (table.f >= lo) & (table.f <= hi)
+    inside = (f >= lo) & (f <= hi)
     if not inside.any():
         raise DomainError(f"no grid points inside band [{lo!r}, {hi!r}] Hz")
-    losses = insertion_loss_db(table.s21[inside])
+    return inside
+
+
+def band_figures(band: tuple[float, float], losses: np.ndarray, worst_return_loss_db: float) -> BandMetric:
+    """The figures of a band from the insertion losses [dB] at its grid
+    points and the worst return loss there."""
     worst_loss = float(losses.max())
     least_loss = float(losses.min())
     return BandMetric(
@@ -404,8 +420,16 @@ def band_metrics(table: SParamTable, band: tuple[float, float]) -> BandMetric:
         max_insertion_loss_db=worst_loss,
         min_attenuation_db=least_loss,
         max_ripple_db=worst_loss - least_loss,
-        worst_return_loss_db=float(return_loss_db(table.s11[inside]).max()),
+        worst_return_loss_db=worst_return_loss_db,
     )
+
+
+def band_metrics(table: SParamTable, band: tuple[float, float]) -> BandMetric:
+    """Insertion-loss / attenuation / ripple / return-loss figures over the
+    closed band, from the grid points inside it."""
+    inside = band_points(table.f, band)
+    rl = float(return_loss_db(table.s11[inside]).max())
+    return band_figures(band, insertion_loss_db(table.s21[inside]), rl)
 
 
 # The BandMetric figure each claim kind reads, and the test the figure must
@@ -417,13 +441,13 @@ _CLAIM_FIGURES = {
 }
 
 
-def metrics_by_band(table: SParamTable, bands) -> dict:
-    """Each distinct band of ``bands``, in order, mapped to its
-    :func:`band_metrics`, or to the DomainError that the band raises."""
+def metrics_by_band(metric, bands) -> dict:
+    """Each distinct band of ``bands``, in order, mapped to ``metric(band)``
+    (a :class:`BandMetric`), or to the DomainError that the band raises."""
     metrics = {}
     for band in dict.fromkeys(bands):
         try:
-            metrics[band] = band_metrics(table, band)
+            metrics[band] = metric(band)
         except DomainError as exc:
             metrics[band] = exc
     return metrics
@@ -447,4 +471,5 @@ def judge_claims(claims: list[Claim], metrics: dict) -> ComplianceReport:
 def check_claims(table: SParamTable, claims: list[Claim]) -> ComplianceReport:
     """Evaluate each claim against the table; a band without data yields an
     error row rather than an exception."""
-    return judge_claims(claims, metrics_by_band(table, [claim.band for claim in claims]))
+    bands = [claim.band for claim in claims]
+    return judge_claims(claims, metrics_by_band(lambda band: band_metrics(table, band), bands))

@@ -6,14 +6,18 @@ randomized suites elsewhere.
 """
 
 import cmath
+import json
 import math
 import random
 import time
 from contextlib import contextmanager
 from dataclasses import replace
-from decimal import Decimal, getcontext
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, getcontext, localcontext
 
+import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from herd import (
     AIR,
@@ -39,7 +43,11 @@ from herd import (
     with_aperture,
     write_touchstone,
 )
+from herd import DomainError, DominantModeAxis, ParseError, loads_design
+from herd.cascade import cascade_loss_db, section_attenuation_db
 from herd.cli import main
+from herd.leakage import evanescent_gamma
+from herd.model import DEFAULT_TRANSITION_WIDTH, DESIGN_FILE, LOGISTIC_SHARPNESS
 
 
 @contextmanager
@@ -252,3 +260,181 @@ def test_11_end_to_end_cli(tmp_path, capsys):
         code = main(["analyze", "--design", str(halved), "--claims", "default"])
         capsys.readouterr()
         assert code == 1
+
+
+# --- losses against a Decimal reference ----------------------------------------
+
+_SMALL = Decimal("1e-30")
+
+
+def _expm1(y: Decimal) -> Decimal:
+    return y + y * y / 2 + y * y * y / 6 if abs(y) < _SMALL else y.exp() - 1
+
+
+def _log1p(s: Decimal) -> Decimal:
+    return s - s * s / 2 + s * s * s / 3 if abs(s) < _SMALL else (1 + s).ln()
+
+
+def _decimal_losses(design, f: float) -> tuple[Decimal, Decimal | None]:
+    """(loss of one section, in-band loss over all apertures or None at and
+    above the corner) [dB] at ``f``, in 80-digit Decimal arithmetic with an
+    unbounded exponent, from the model's float gamma and logistic argument:
+    the blend (1 - w) (1 - amp**2)**A + w (1 - kappa)**A of one section and
+    (1 - amp**2)**(sections A) in band, with amp = exp(-gamma depth).
+
+    Below 1e-30 the differences from 1 that the closed form takes go through
+    their series, so that no digit of a small loss is lost to precision."""
+    with localcontext(Context(prec=80, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+        fc = corner_frequency(design)
+        arg = Decimal(min(f - fc, fc) * (LOGISTIC_SHARPNESS / (DEFAULT_TRANSITION_WIDTH * fc)))
+        tail = (-arg).exp()
+        weight, rest = 1 / (1 + tail), tail / (1 + tail)
+        n_ap = design.apertures_per_section
+        ln_above = n_ap * _log1p(-Decimal(design.stopband_kappa))
+        ln_below, inband = Decimal("-Infinity"), None
+        if f < fc:
+            gamma = float(evanescent_gamma(design, fc, f))
+            two_x = 2 * Decimal(gamma) * Decimal(design.aperture.depth_d)
+            # ln(1 - exp(-2x)) of the field power one aperture passes
+            if two_x > 1:
+                ln_pass = _log1p(-(-two_x).exp())
+            else:
+                ln_pass = (-_expm1(-two_x)).ln() if two_x else Decimal("-Infinity")
+            ln_below = n_ap * ln_pass
+            inband = -10 * design.total_apertures * ln_pass / Decimal(10).ln()
+        less_one = rest * _expm1(ln_below) + weight * _expm1(ln_above)
+        if less_one > Decimal("-0.5"):
+            ln_power = _log1p(less_one)
+        else:
+            power = rest * ln_below.exp() + weight * ln_above.exp()
+            ln_power = power.ln() if power else Decimal("-Infinity")
+        return -10 * ln_power / Decimal(10).ln(), inband
+
+
+def _agrees(got: float, want: Decimal) -> bool:
+    """Within 1e-12 relative of the reference, or within 1e-300 dB of it: a
+    smaller figure comes from a field power below the normal float range,
+    which holds fewer digits."""
+    if want.is_infinite() or math.isinf(got):
+        return Decimal(got) == want
+    return abs(Decimal(got) - want) <= Decimal("1e-12") * abs(want) + Decimal("1e-300")
+
+
+# A section whose power is below the smallest positive float passes none.
+_NO_POWER_DB = -10 * Decimal("5e-324").log10()
+
+# The fields the losses read, each kept or scaled by 10**u with u in [-8, 8]
+# or [-300, 300], as tests/test_input_harness.py scales them; the counts are
+# clipped to 1..10**6.
+_STOCK = DESIGN_FILE.values(prototype_design())
+_EXPONENTS = st.one_of(st.floats(-8.0, 8.0), st.floats(-300.0, 300.0))
+
+
+def _scaled(value):
+    if isinstance(value, int):
+        grown = _EXPONENTS.map(lambda u: round(min(max(value * 10.0**u, 1.0), 1e6)))
+        return st.one_of(st.just(value), grown)
+    return st.one_of(st.just(value), _EXPONENTS.map(lambda u: value * 10.0**u))
+
+
+_DESIGNS = st.fixed_dictionaries(
+    {
+        **{key: st.just(value) for key, value in _STOCK.items()},
+        **{key: _scaled(_STOCK[key]) for key in ("a_m", "b_m", "d_m", "aperture_eps_r",
+                                                 "apertures_per_section", "sections", "stopband_kappa")},
+        "dominant_mode_axis": st.sampled_from([axis.value for axis in DominantModeAxis]),
+    }
+)
+# A frequency as a share of the corner: the corner, the floats next to it, a
+# point of the blend band or a share from 1e-12 to 1e12.
+_SHARES = st.one_of(
+    st.sampled_from([1.0, 1.0 - 2.0**-53, 1.0 + 2.0**-52]),
+    st.floats(0.5, 2.0),
+    st.floats(-12.0, 12.0).map(lambda u: 10.0**u),
+)
+
+
+@given(values=_DESIGNS, shares=st.lists(_SHARES, min_size=1, max_size=8))
+def _check_losses_against_the_reference(values, shares):
+    try:
+        design = loads_design("".join(f"{key} = {value}\n" for key, value in values.items()))
+    except (DomainError, ParseError):
+        assume(False)
+    fc = corner_frequency(design)
+    freqs = sorted({fc * share for share in shares if 0.0 < fc * share < math.inf})
+    assume(freqs)
+    refs = [_decimal_losses(design, f) for f in freqs]
+    # a loss next to the no-power bound may round to either side of it
+    assume(all(abs(section - _NO_POWER_DB) > Decimal("1e-9") * _NO_POWER_DB for section, _ in refs))
+    for f, (section, inband) in zip(freqs, refs):
+        if inband is not None:
+            assert _agrees(inband_transmission(design, f).insertion_loss_db, inband), f
+        if section > _NO_POWER_DB:
+            with pytest.raises(DomainError, match="zero transmission"):
+                section_attenuation_db(design, f)
+            continue
+        assert _agrees(section_attenuation_db(design, f), section), f
+    if all(section <= _NO_POWER_DB for section, _ in refs):
+        try:
+            losses = cascade_loss_db(design, FrequencyGrid(tuple(freqs)))
+        except DomainError as exc:
+            # the phase across one section past the float range
+            assert "overflows" in str(exc)
+            return
+        for got, (section, _) in zip(losses.tolist(), refs):
+            assert _agrees(got, design.sections * section)
+
+
+def test_12_losses_match_the_decimal_reference():
+    with criterion(12, "section, in-band and cascaded losses within 1e-12 of an 80-digit reference"):
+        _check_losses_against_the_reference()
+
+
+def _run_json(argv, capsys):
+    code = main([*argv, "--format", "json"])
+    out = capsys.readouterr().out
+    return code, json.loads(out)
+
+
+def test_13_a_lossless_hole_writes_no_gain(tmp_path, capsys):
+    with criterion(13, "a 1e307 m deep hole: analyze writes no s21 above 0 dB in any format"):
+        deep = tmp_path / "deep.design"
+        deep.write_text(dumps_design(with_aperture(prototype_design(), depth_d=1e307)))
+        argv = ["analyze", "--design", str(deep), "--claims", "default"]
+        code, doc = _run_json(argv, capsys)
+        assert code == 0
+        assert all(row["s21_db"] <= 0.0 for row in doc["response"])
+        assert all(band["max_insertion_loss_db"] >= 0.0 for band in doc["band_metrics"])
+        assert main(argv) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:] if line[0] != "#"]
+        assert all(float(row[1]) <= 0.0 for row in rows)
+        assert main([*argv, "--format", "touchstone"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert all(float(line.split()[3]) <= 0.0 for line in lines if line[0] not in "!#")
+
+
+def test_14_analyze_and_sections_agree_on_a_nearly_lossless_design(tmp_path, capsys):
+    with criterion(14, "d = 12 mm at 1 GHz: analyze and sections write the same bits, within 1e-12"):
+        design = with_aperture(prototype_design(), depth_d=0.012)
+        path = tmp_path / "thick.design"
+        path.write_text(dumps_design(design))
+        _, doc = _run_json(["analyze", "--design", str(path), "--fstart", "1e9", "--fstop", "2e10",
+                            "--points", "5"], capsys)
+        _, rows = _run_json(["sections", "--design", str(path), "--freqs", "1e9",
+                             "--max-sections", str(design.sections)], capsys)
+        analyzed = doc["response"][0]["s21_db"]
+        (listed,) = rows["rows"][-1]["attenuation_db"]
+        assert analyzed == -listed
+        section, _ = _decimal_losses(design, 1e9)
+        assert _agrees(listed, design.sections * section)
+        # the figure the complex route wrote wrong in its 9th digit
+        assert listed == pytest.approx(9.1852508947e-07, rel=1e-10)
+
+
+def test_15_a_huge_target_meets_its_passband_budget():
+    with criterion(15, "a 637584653 dB target (42505397 sections) keeps a passband margin >= 0"):
+        spec = DesignSpec(50.0, 10e9, 0.15, 25.3e9, 637584653.0, Material(2.2), AIR)
+        report = synthesize(spec)
+        assert report.design.sections == 42505397
+        assert report.margin_passband_db >= 0.0
+        assert math.isfinite(report.margin_stopband_db)

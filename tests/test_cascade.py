@@ -32,7 +32,7 @@ from herd import (
 )
 from herd import cascade, model
 from herd.cascade import section_attenuation_db
-from herd.leakage import decay_amplitude, evanescent_gamma
+from herd.leakage import evanescent_gamma
 from herd.model import DEFAULT_TRANSITION_WIDTH, DESIGN_FILE, LOGISTIC_SHARPNESS
 from herd.synthesis import verify
 
@@ -318,22 +318,7 @@ class TestAttenuationVsSections:
         assert built == ["FrequencyGrid", "filter_response", "SParamTable"]
 
 
-def reference_power(design, fc, f):
-    """The section power as the full blend (1 - w) * t_below + w * t_above,
-    with the below-cutoff branch evaluated at every frequency, above the
-    corner too."""
-    n_ap = design.apertures_per_section
-    one = type(f) is float
-    amp = decay_amplitude(evanescent_gamma(design, fc, f), design.aperture.depth_d, one)
-    t_below = np.power(1.0 - amp * amp, n_ap)
-    t_above = (1.0 - design.stopband_kappa) ** n_ap
-    minimum = min if one else np.minimum
-    arg = minimum(f - fc, fc) * (LOGISTIC_SHARPNESS / (DEFAULT_TRANSITION_WIDTH * fc))
-    weight = 1.0 / (1.0 + np.exp(-arg))
-    return (1.0 - weight) * t_below + weight * t_above
-
-
-# The fields the section power reads, each kept or scaled by 10**u with u in
+# The fields the section loss reads, each kept or scaled by 10**u with u in
 # [-8, 8] or [-300, 300], as tests/test_input_harness.py scales them; the
 # count is clipped to 1..10**6.
 _STOCK = DESIGN_FILE.values(prototype_design())
@@ -391,16 +376,15 @@ def _bits(value) -> bytes:
     return np.asarray(value, dtype=float).tobytes()
 
 
-class TestSectionPower:
+class TestSectionLoss:
     def test_one_frequency_has_the_bits_of_the_same_frequency_in_a_grid(self, proto):
-        # Below the corner t_below = (1 - amp**2)**8 is raised by np.power,
-        # whose loop is the same for one value as for an array.
+        # numpy runs the same loop for one value as for an array
         rng = np.random.default_rng(20)
         fc = corner_frequency(proto)
         f = rng.uniform(1e8, 0.999 * fc, 2000)
-        grid_power = cascade._section_power(proto, fc, f)
-        one_power = [cascade._section_power(proto, fc, x) for x in f.tolist()]
-        assert np.array_equal(np.array(one_power), grid_power)
+        grid_loss = cascade._section_loss_db(proto, fc, f)
+        one_loss = [cascade._section_loss_db(proto, fc, x) for x in f.tolist()]
+        assert np.array_equal(np.array(one_loss), grid_loss)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("width", [4.0e-3, 3.1e-143, 3e-143, 1e-300, 1e306])
@@ -416,34 +400,34 @@ class TestSectionPower:
         shares = [1e-9, 0.5, 0.95, 1.0 - 2.0**-52, 1.0, 1.0 + 2.0**-52, 1.05, 2.0, 1e3, 1e300]
         freqs = [f for f in [fc * share for share in shares] + [1.0, 10e9, 1e30] if f < math.inf]
         for f in freqs:
-            power = cascade._section_power(design, fc, np.array([f]))
-            att = float(-10.0 * np.log10(power[0])) + 0.0
+            loss = cascade._section_loss_db(design, fc, np.array([f]))
             kinds = [f, np.float64(f), np.array(f)] + ([int(f)] if f.is_integer() else [])
             for one in kinds:
-                got = (cascade._section_power(design, fc, one), section_attenuation_db(design, one))
-                assert [np.float64(x).tobytes() for x in got] == [power[0].tobytes(), np.float64(att).tobytes()]
+                got = (cascade._section_loss_db(design, fc, one), section_attenuation_db(design, one))
+                assert [np.float64(x).tobytes() for x in got] == [loss[0].tobytes()] * 2
 
     @pytest.mark.filterwarnings("error")
     def test_far_above_a_tiny_corner_the_blend_does_not_overflow(self, proto):
         # Corner 1.5e-305 Hz: (f - fc) times the blend's scale would exceed
-        # the float range at 1e30 Hz. The weight there is 1.
+        # the float range at 1e30 Hz. The weight there is 1 less 1e-40, so
+        # the loss is the drain's, -10/ln 10 A log1p(-kappa).
         design = replace(proto, aperture=model.RectAperture(1e306, 1e-3, 1e-3),
                          aperture_fill=Material(1e14))
         fc = corner_frequency(design)
         table = filter_response(design, FrequencyGrid((fc, 1e30)))
         t_above = (1.0 - design.stopband_kappa) ** design.apertures_per_section
         assert np.abs(table.s21[1]) ** 2 == pytest.approx(t_above**design.sections, rel=1e-12)
-        assert cascade._section_power(design, fc, 1e30) == t_above
-
+        drain = -10.0 / math.log(10.0) * (design.apertures_per_section * math.log1p(-design.stopband_kappa))
+        assert cascade._section_loss_db(design, fc, 1e30) == drain
 
     # Only frequencies strictly below the corner evaluate the below-cutoff
-    # branch; every figure keeps the bits of the full blend.
+    # branch; a frequency has the same bits alone and in any array.
     @given(
         values=st.one_of(_SCALED_DESIGNS, _EDGE_DESIGNS),
         points=st.lists(_POINTS, max_size=24),
         order=st.sampled_from(["drawn", "sorted", "repeated"]),
     )
-    def test_power_and_attenuation_have_the_bits_of_the_full_blend(self, values, points, order):
+    def test_one_frequency_and_any_array_have_the_same_bits(self, values, points, order):
         design = _design(values)
         fc = corner_frequency(design)
         freqs = [f for f in (_frequency(fc, point) for point in points) if 0.0 < f < math.inf]
@@ -452,29 +436,31 @@ class TestSectionPower:
         elif order == "repeated":
             freqs = freqs + freqs[::-1]
         f = np.array(freqs, dtype=float)
-        want = reference_power(design, fc, f)
-        got = cascade._section_power(design, fc, f)
-        assert type(got) is np.ndarray and _bits(got) == _bits(want)
-        if want.all():
-            assert _bits(section_attenuation_db(design, f)) == _bits(-10.0 * np.log10(want) + 0.0)
+        got = cascade._section_loss_db(design, fc, f)
+        assert type(got) is np.ndarray and got.shape == f.shape
+        assert not (np.signbit(got) | np.isnan(got)).any()
+        ones = [cascade._section_loss_db(design, fc, x) for x in freqs]
+        assert all(type(one) is np.float64 for one in ones)
+        assert _bits(got) == _bits(ones)
+        if (got <= cascade._NO_POWER_DB).all():
+            assert _bits(section_attenuation_db(design, f)) == _bits(got)
         else:
             with pytest.raises(DomainError, match="zero transmission"):
                 section_attenuation_db(design, f)
-        for x in freqs[:4]:
-            one = reference_power(design, fc, x)
+        for x, loss in zip(freqs[:4], ones):
             kinds = [x, np.float64(x), np.array(x)] + ([int(x)] if x.is_integer() else [])
             for kind in kinds:
-                power = cascade._section_power(design, fc, kind)
-                assert type(power) is np.float64 and _bits(power) == _bits(reference_power(design, fc, kind))
-                if one:
+                one = cascade._section_loss_db(design, fc, kind)
+                assert type(one) is np.float64 and _bits(one) == _bits(loss)
+                if loss <= cascade._NO_POWER_DB:
                     att = section_attenuation_db(design, kind)
-                    assert type(att) is float and _bits(att) == _bits(float(-10.0 * np.log10(one)) + 0.0)
+                    assert type(att) is float and _bits(att) == _bits(loss)
 
     def test_a_nan_frequency_gives_nan(self, proto):
         fc = corner_frequency(proto)
-        power = cascade._section_power(proto, fc, np.array([0.5 * fc, math.nan, 2.0 * fc]))
-        assert np.isnan(power[1]) and not np.isnan(power[[0, 2]]).any()
-        assert math.isnan(cascade._section_power(proto, fc, math.nan))
+        loss = cascade._section_loss_db(proto, fc, np.array([0.5 * fc, math.nan, 2.0 * fc]))
+        assert np.isnan(loss[1]) and not np.isnan(loss[[0, 2]]).any()
+        assert math.isnan(cascade._section_loss_db(proto, fc, math.nan))
 
 
 class TestBelowCutoffBranchOnlyBelowTheCorner:
@@ -495,8 +481,9 @@ class TestBelowCutoffBranchOnlyBelowTheCorner:
         fc = corner_frequency(proto)
         ladder = attenuation_vs_sections(proto, 2.0 * fc, 4)
         assert reached == []
-        t_above = (1.0 - proto.stopband_kappa) ** proto.apertures_per_section
-        assert ladder[0][1] == float(-10.0 * np.log10(t_above)) + 0.0
+        # at twice the corner the weight is 1 less 1e-40: the drain's loss
+        drain = -10.0 / math.log(10.0) * (proto.apertures_per_section * math.log1p(-proto.stopband_kappa))
+        assert ladder[0][1] == drain
 
     def test_at_most_one_in_verify_of_the_reference_design(self, reached):
         spec = loads_design_spec((CONFIGS / "reference_targets.spec").read_text())

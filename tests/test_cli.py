@@ -172,10 +172,11 @@ class TestAnalyze:
 
 
     def test_an_infinite_figure_is_na_on_every_text_line(self, capsys, tmp_path, proto):
-        # 450 sections: S21 underflows to 0 over the stopband, so its least
-        # attenuation, and the figure the stopband claim observes, is infinite
+        # 10**308 sections of 15 dB each: over the stopband the cascade's
+        # loss exceeds the float range, so its least attenuation, and the
+        # figure the stopband claim observes, is infinite
         design = tmp_path / "deep.design"
-        design.write_text(dumps_design(replace(proto, sections=450)))
+        design.write_text(dumps_design(replace(proto, sections=10**308)))
         argv = ["analyze", "--design", str(design), "--points", "50", "--claims", "default"]
         code, out, _ = run(capsys, argv)
         assert code == 1
@@ -192,16 +193,16 @@ class TestAnalyze:
         # one evaluation of each. Below 12 GHz the stopband has no points:
         # its metric row and its claim carry the same error.
         bands = []
-        band_metrics = tsio.band_metrics
+        band_points = tsio.band_points
 
-        def counting(table, band):
+        def counting(f, band):
             bands.append(band)
-            return band_metrics(table, band)
+            return band_points(f, band)
 
         # wherever herd looks the function up
         for module in (tsio, cli):
-            if hasattr(module, "band_metrics"):
-                monkeypatch.setattr(module, "band_metrics", counting)
+            if hasattr(module, "band_points"):
+                monkeypatch.setattr(module, "band_points", counting)
         argv = ["analyze", "--design", proto_file, "--fstop", "12e9", "--points", "40",
                 "--claims", "strict12", "--format", fmt]
         code, out, _ = run(capsys, argv)
@@ -291,17 +292,20 @@ class TestSweep:
             assert row["insertion_loss_db"] == expected
             assert row["corner_frequency_hz"] > 10e9
 
-    def test_vanishing_depth_gives_na_loss(self, capsys, proto_file):
-        # a femtometre-deep aperture passes the whole field, so the
-        # transmission underflows to 0: an infinite loss, written n/a
+    def test_vanishing_depth_gives_a_finite_loss(self, capsys, proto_file):
+        # a femtometre-deep aperture passes nearly the whole field, so its
+        # 32 apertures transmit less than a float holds; the loss, a sum of
+        # logs, is still a number (80-digit references 3789.08130034727 and
+        # 3692.7517017349 dB)
         argv = ["sweep", "--design", proto_file, "--param", "d", "--from", "1e-15",
                 "--to", "2e-15", "--steps", "2"]
         code, out, _ = run(capsys, argv)
         assert code == 0
-        assert [r[2] for r in self._rows(out)] == ["n/a", "n/a"]
+        assert [r[2] for r in self._rows(out)] == ["3789.08130035", "3692.75170173"]
         code, out, _ = run(capsys, [*argv, "--format", "json"])
         assert code == 0
-        assert [row["insertion_loss_db"] for row in json.loads(out)["rows"]] == [None, None]
+        losses = [row["insertion_loss_db"] for row in json.loads(out)["rows"]]
+        assert losses == pytest.approx([3789.08130034727, 3692.7517017349], rel=1e-12)
 
     @pytest.mark.parametrize(
         "span", [["--from", "0", "--to", "12e-3"], ["--from", "nan", "--to", "12e-3"]]
@@ -324,8 +328,9 @@ class TestSweep:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_a_zero_loss_is_written_without_a_sign(self, capsys, proto_file, fmt):
-        # half a metre deep, the field through a hole rounds to nothing
-        argv = ["sweep", "--design", proto_file, "--param", "d", "--from", "0.5", "--to", "1",
+        # a metre deep, the field power through a hole, exp(-1442), rounds
+        # to nothing
+        argv = ["sweep", "--design", proto_file, "--param", "d", "--from", "1", "--to", "2",
                 "--steps", "2", "--format", fmt]
         code, out, _ = run(capsys, argv)
         assert code == 0
@@ -399,8 +404,10 @@ class TestSections:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_a_zero_attenuation_is_written_without_a_sign(self, capsys, tmp_path, proto, fmt):
+        # no field passes a hole half a metre deep, and a drain of 1e-300
+        # at a blend weight of 1e-38 rounds to nothing
         path = tmp_path / "deep.design"
-        path.write_text(dumps_design(with_aperture(proto, depth_d=0.5)))
+        path.write_text(dumps_design(replace(with_aperture(proto, depth_d=0.5), stopband_kappa=1e-300)))
         argv = ["sections", "--design", str(path), "--freqs", "1e9", "--max-sections", "2",
                 "--format", fmt]
         code, out, _ = run(capsys, argv)
@@ -542,10 +549,10 @@ class TestCompare:
         assert code == 2
 
     def test_no_transmission_on_both_sides_differs_by_zero(self, capsys, tmp_path, proto):
-        # 450 sections: the model's S21 underflows to 0 at 80 GHz, as the
-        # measured S21 is; both losses are infinite there.
+        # 10**308 sections: the model's loss at 80 GHz exceeds the float
+        # range, and the measured S21 is 0; both losses are infinite there.
         design = tmp_path / "deep.design"
-        design.write_text(dumps_design(replace(proto, sections=450)))
+        design.write_text(dumps_design(replace(proto, sections=10**308)))
         s21 = np.array([0.99, 0.0], dtype=complex)
         zeros = np.zeros(2, dtype=complex)
         table = SParamTable(

@@ -1,9 +1,10 @@
 """The array in-band leakage model against a scalar per-point reference.
 
-``_scalar_*`` keep the per-frequency in-band math that ``leakage`` and
-``synthesis.verify`` evaluated one point at a time before the model became
-one array kernel: the dominant-mode gamma in closed form, the amplitude,
-the additive transmission loss, the depth inverse and verify's passband loop.
+``_scalar_*`` evaluate the in-band math of ``leakage`` and
+``synthesis.verify`` one point at a time, in Python floats: the
+dominant-mode gamma in closed form, the amplitude, the additive loss
+-10/ln 10 A log1p(-amp**2), its expm1 inverse for the depth, and verify's
+passband loop.
 The kernel must agree with them to 1e-12 relative, for one frequency and for
 arrays, and raise the same errors with the same messages.
 """
@@ -58,12 +59,12 @@ def _scalar_transmission(design, f):
     """(leak power per aperture, insertion loss dB)."""
     amp = _scalar_amplitude(design, f)
     leak = amp * amp
-    return leak, -10.0 * math.log10((1.0 - leak) ** design.total_apertures)
+    return leak, -10.0 / math.log(10.0) * design.total_apertures * math.log1p(-leak)
 
 
 def _scalar_depth(design, f, budget_db):
     gamma = _scalar_gamma(design, f)
-    amp_required = math.sqrt(1.0 - 10.0 ** (-budget_db / (10.0 * design.total_apertures)))
+    amp_required = math.sqrt(-math.expm1(-budget_db * math.log(10.0) / (10.0 * design.total_apertures)))
     return max(-math.log(amp_required) / gamma, 0.0)
 
 
@@ -213,8 +214,9 @@ def test_first_bad_frequency_named_with_the_scalar_message(proto, bad):
 
 
 def test_infeasible_budget_names_the_frequency_as_given(proto):
-    # a budget so small that no depth meets it: 10**(-budget/10A) rounds to 1
+    # a budget so small that no depth meets it: budget ln 10 / 10A underflows
+    # to 0, so the field it lets through is 0
     for f in (10e9, np.array([10e9, 12e9])):
         with pytest.raises(InfeasibleDesignError) as err:
-            min_depth_for_budget(proto, f, 1e-300)
-        assert str(err.value) == f"no aperture depth satisfies the 1e-300 dB budget at {f!r} Hz"
+            min_depth_for_budget(proto, f, 5e-324)
+        assert str(err.value) == f"no aperture depth satisfies the 5e-324 dB budget at {f!r} Hz"

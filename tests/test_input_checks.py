@@ -29,6 +29,7 @@ from herd import (
 )
 from herd import cascade, cli, model, modes
 from herd.cli import main
+from herd.cascade import section_attenuation_db
 from herd.leakage import aperture_sweep
 from herd.model import build_part, with_aperture
 from herd.synthesis import SPEC_FILE, validate_spec
@@ -477,14 +478,22 @@ def test_sections_refuses_more_figures_than_the_bound(capsys, tmp_path, proto, m
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_a_depth_past_the_float_range_writes_nothing_on_stderr(capsys, tmp_path, proto, argv, fmt):
     # gamma * depth overflows: no field passes, and the in-band loss is 0 dB
+    deep = with_aperture(proto, depth_d=1e307)
     path = tmp_path / "deep.design"
-    path.write_text(dumps_design(with_aperture(proto, depth_d=1e307)))
+    path.write_text(dumps_design(deep))
     assert main([*argv, "--design", str(path), "--format", fmt]) == 0
     out, err = capsys.readouterr()
     assert err == ""
-    if fmt == "csv" and argv[0] != "analyze":
-        # the in-band loss of each swept width, and of each section count
-        assert all(line.endswith(",0") for line in out.splitlines() if line[0].isdigit())
+    rows = [line for line in out.splitlines() if line[0].isdigit()]
+    if fmt == "csv" and argv[0] == "sweep":
+        # the in-band loss of each swept width
+        assert all(line.endswith(",0") for line in rows)
+    if fmt == "csv" and argv[0] == "sections":
+        # a section still loses the drain's share at a blend weight of 1e-38:
+        # 1.95383406180777e-38 dB at 1 GHz (80-digit reference)
+        att = section_attenuation_db(deep, 1e9)
+        assert att == pytest.approx(1.95383406180777e-38, rel=1e-12)
+        assert rows == [f"{n},{n * att:.12g}" for n in range(1, 9)]
 
 
 def test_attenuation_vs_sections_refuses_more_rows_than_the_bound(proto, monkeypatch):

@@ -28,6 +28,8 @@ r_outer_m = <n>
 single_mode_limit_hz = <n>
 """
 
+MODES_SOLVE_CSV = "".join(f"# {line}\n" for line in MODES_SCALARS.splitlines())
+
 MODES_TEXT = MODES_SCALARS + """\
 corner_frequency_hz = <n>
 mode chart (m, n, cutoff_hz):
@@ -313,7 +315,7 @@ CASES = {
     "modes-csv": (MODES + ["--format", "csv"], MODES_CSV),
     "modes-json": (MODES + ["--format", "json"], MODES_JSON),
     "modes-solve-text": (SOLVE, MODES_SCALARS),
-    "modes-solve-csv": (SOLVE + ["--format", "csv"], MODES_SCALARS),
+    "modes-solve-csv": (SOLVE + ["--format", "csv"], MODES_SOLVE_CSV),
     "modes-solve-json": (SOLVE + ["--format", "json"], MODES_SOLVE_JSON),
     "analyze-csv": (ANALYZE + ["--points", "3"], ANALYZE_CSV),
     "analyze-json": (ANALYZE + ["--points", "2", "--format", "json"], ANALYZE_JSON),

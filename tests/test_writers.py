@@ -3,7 +3,9 @@
 ``_oracle_write_touchstone`` formats every value of every row with one
 ``%.17g`` row template, and ``_oracle_response`` builds the per-point dicts
 that ``json.dumps(indent=2)`` rendered for ``herd analyze --format json``;
-``_ORACLE_CSV_ROW`` is the CSV row template. The writers must reproduce their
+``_ORACLE_CSV_ROW`` is the CSV row template. ``herd analyze`` writes the
+model's figures, ``cascade_loss_db`` and ``transmission_phase``, with no
+table between; the oracles format the same figures row by row. The writers must reproduce their
 output byte for byte. ``herd analyze`` writes its rows in blocks of
 ``tsio.WRITE_BLOCK_ROWS``; a run that spans several blocks must write the
 bytes of the same run in one block, and hold little more than its arrays.
@@ -32,6 +34,7 @@ from herd import (
     write_touchstone,
 )
 from herd import numtext, tsio
+from herd.cascade import cascade_loss_db, transmission_phase
 from herd.cli import main
 from herd.tsio import FREQUENCY_UNITS
 
@@ -44,6 +47,8 @@ UNITS = ("HZ", "KHZ", "MHZ", "GHZ")
 
 # Enough sections that the stopband s21 underflows to exactly 0.
 UNDERFLOW_SECTIONS = 450
+# Enough sections that the stopband loss exceeds the float range.
+OVERFLOW_SECTIONS = 10**308
 
 
 def _oracle_pairs(fmt, values):
@@ -75,15 +80,31 @@ def _oracle_json_column(values):
     return column.tolist()
 
 
-def _oracle_response(table):
-    s21_db = -insertion_loss_db(table.s21)
-    s11_db = return_loss_db(table.s11)
+def _model_columns(design, grid):
+    """The figures `herd analyze` writes: s21 [dB], +0 where lossless, and
+    its phase [deg]."""
+    return 0.0 - cascade_loss_db(design, grid), np.degrees(transmission_phase(design, grid.f))
+
+
+def _oracle_response(grid, s21_db):
+    # a matched model's s11 is 0: s11_db is -inf, null in JSON
+    s11_db = np.full(len(grid), -math.inf)
     return [
         {"frequency_hz": f, "s21_db": s21, "s11_db": s11}
         for f, s21, s11 in zip(
-            table.f.tolist(), _oracle_json_column(s21_db), _oracle_json_column(s11_db)
+            grid.f.tolist(), _oracle_json_column(s21_db), _oracle_json_column(s11_db)
         )
     ]
+
+
+def _oracle_analyze_touchstone(design, grid):
+    s21_db, phase = _model_columns(design, grid)
+    floor, zero = np.full(len(grid), _DB_FLOOR), np.zeros(len(grid))
+    s21 = (np.maximum(s21_db, _DB_FLOOR), phase)
+    columns = [grid.f / FREQUENCY_UNITS["GHZ"], floor, zero, *s21, *s21, floor, zero]
+    lines = [f"! herd S-parameter table: cascade model, {design.sections} sections", "# GHZ S DB R 50"]
+    lines.extend(map(_ORACLE_ROW_FORMAT.__mod__, zip(*(column.tolist() for column in columns))))
+    return "\n".join(lines) + "\n"
 
 
 def _grid(log, points=401):
@@ -244,13 +265,11 @@ def test_each_block_formats_its_distinct_values_once(monkeypatch, style):
     s21 = np.full(rows, -123.25)
     s21[:96] = np.linspace(-0.5, -60.0, 96)
     counts = _count_formatted(monkeypatch)
-    blocks = list(tsio.row_blocks([f, s21, s21.copy()], [style] * 3, ["<", "|", "|", ">\n"]))
+    pieces = list(tsio.row_blocks([f, s21, s21.copy()], [style] * 3, ["<", "|", "|", ">\n"]))
     assert counts == [BLOCK, 96 + 1, BLOCK, 1, 1, 1]
-    assert len(blocks) == 3
-    for start, text in zip(range(0, rows, BLOCK), blocks):
-        f_strings = _reference(f[start : start + BLOCK], style)
-        s21_strings = _reference(s21[start : start + BLOCK], style)
-        assert text == "".join(f"<{a}|{b}|{b}>\n" for a, b in zip(f_strings, s21_strings))
+    assert all(piece.endswith(">\n") for piece in pieces)
+    f_strings, s21_strings = _reference(f, style), _reference(s21, style)
+    assert "".join(pieces) == "".join(f"<{a}|{b}|{b}>\n" for a, b in zip(f_strings, s21_strings))
 
 
 @pytest.mark.parametrize("style", _STYLES)
@@ -380,10 +399,9 @@ def test_a_table_constant_column_is_formatted_once_per_table(monkeypatch, style)
     constant = np.full(rows, -400.0)
     texts = ["<", "|", "|", ">\n"]
     counts = _count_formatted(monkeypatch)
-    blocks = list(tsio.row_blocks([f, constant, phase], [style] * 3, texts))
+    pieces = list(tsio.row_blocks([f, constant, phase], [style] * 3, texts))
     assert counts == [1, BLOCK, BLOCK, BLOCK, BLOCK, 1, 1]
-    assert _rows("".join(blocks)) == _expected_rows([f, constant, phase], style, texts)
-    assert [block.count("\n") for block in blocks] == [BLOCK, BLOCK, 1]
+    assert _rows("".join(pieces)) == _expected_rows([f, constant, phase], style, texts)
 
 
 @pytest.mark.parametrize("position", [0, 1, 2])
@@ -424,6 +442,23 @@ def test_all_constant_tables_repeat_their_row(monkeypatch, style, full_blocks):
     assert counts == [1, 1, 1]
     assert _rows("".join(blocks)) == _expected_rows(columns, style, texts)
     assert [block.count("\n") for block in blocks] == [BLOCK] * full_blocks + [1]
+
+
+@pytest.mark.parametrize("piece_bytes", [1, 100, numtext.PIECE_BYTES])
+@pytest.mark.parametrize("style", _STYLES)
+def test_pieces_hold_whole_rows_within_the_piece_bytes(monkeypatch, style, piece_bytes):
+    # Each block is written in pieces of whole rows, laid out in at most
+    # PIECE_BYTES bytes (so its text is no longer), or of one row where a
+    # row is wider.
+    monkeypatch.setattr(numtext, "PIECE_BYTES", piece_bytes)
+    rows = BLOCK + 1
+    columns = list(_varying(style, rows))
+    texts = ["<", "|", ">\n"]
+    pieces = list(tsio.row_blocks(columns, [style] * 2, texts))
+    assert _rows("".join(pieces)) == _expected_rows(columns, style, texts)
+    assert all(piece.endswith(">\n") for piece in pieces)
+    for piece in pieces:
+        assert len(piece) <= piece_bytes or piece.count("\n") == 1
 
 
 def _csv_text(value):
@@ -556,6 +591,30 @@ def test_engine_matches_cpython_on_short_decimals(style):
     assert _written(values, style) == _expected(values, style)
 
 
+def test_repr_reads_back_at_the_ends_of_the_rounding_interval():
+    # The floats nearest to random 15- and 16-digit decimals and their
+    # neighbours, whose shortest digits lie near the end of the interval;
+    # and the floats either side of a tie, a 16-digit decimal halfway
+    # between two floats (above 2**54, where the floats are 4 to 16 apart).
+    rng = np.random.default_rng(8)
+    near = []
+    for digits in (15, 16):
+        mantissas = rng.integers(10 ** (digits - 1), 10**digits, 20_000).tolist()
+        exponents = rng.integers(-21, 2, 20_000).tolist()
+        near += [float(f"{m}e{k}") for m, k in zip(mantissas, exponents)]
+    near = np.array(near)
+    ties = []
+    for binade in range(54, 57):
+        spacing = 2 ** (binade - 52)
+        low = rng.integers(2**binade, 2 ** (binade + 1), 200_000) // spacing * spacing
+        low = low[((low + spacing // 2) % 10 == 0) & (low + spacing < 10**17)]
+        ties += [low, low + spacing]
+    values = np.concatenate([near, np.nextafter(near, 0), np.nextafter(near, np.inf),
+                             np.concatenate(ties).astype(np.float64)])
+    assert len(values) > 150_000
+    assert _written(values, "json") == _expected(values, "json")
+
+
 @pytest.mark.parametrize("style", _ENGINE_STYLES)
 def test_column_text_takes_values_in_any_order(style):
     # The writers hand the engine sorted values, whose exponents form runs;
@@ -594,7 +653,6 @@ def test_a_model_table_formats_three_columns_per_block(monkeypatch, proto, fmt):
     table = filter_response(proto, FrequencyGrid.linear(1e8, 145e9, 2 * BLOCK + 1))
     counts = _count_formatted(monkeypatch)
     blocks = list(tsio.touchstone_blocks(table, fmt=fmt))
-    assert len(blocks) == 1 + 3
     assert counts[:4] == [1] * 4
     assert len(counts) == 4 + 3 * 3
     assert "".join(blocks) == _oracle_write_touchstone(table, fmt, "HZ")
@@ -645,30 +703,27 @@ def _analyze(tmp_path, capsys, design, fmt, log, claims):
     code = main(argv)
     capsys.readouterr()
     assert code in (0, 1)
-    return out.read_text(), filter_response(design, _grid(log))
+    return out.read_text(), _grid(log)
 
 
 @pytest.mark.parametrize("claims", ["default", "strict12"])
 @pytest.mark.parametrize("log", [False, True])
 @pytest.mark.parametrize("fmt", ["csv", "json", "touchstone"])
-@pytest.mark.parametrize("sections", [4, UNDERFLOW_SECTIONS])
+@pytest.mark.parametrize("sections", [4, UNDERFLOW_SECTIONS, pytest.param(OVERFLOW_SECTIONS, id="1e308")])
 def test_analyze_matches_the_oracle(tmp_path, capsys, proto, sections, fmt, log, claims):
     design = replace(proto, sections=sections)
-    text, table = _analyze(tmp_path, capsys, design, fmt, log, claims)
+    text, grid = _analyze(tmp_path, capsys, design, fmt, log, claims)
+    s21_db, _ = _model_columns(design, grid)
     if fmt == "touchstone":
-        expected = _oracle_write_touchstone(table, "DB", "GHZ")
+        expected = _oracle_analyze_touchstone(design, grid)
     elif fmt == "json":
         doc = json.loads(text)
-        expected = json.dumps({**doc, "response": _oracle_response(table)}, indent=2) + "\n"
-        if sections == UNDERFLOW_SECTIONS:
+        expected = json.dumps({**doc, "response": _oracle_response(grid, s21_db)}, indent=2) + "\n"
+        if sections == OVERFLOW_SECTIONS:
             assert any(row["s21_db"] is None for row in doc["response"])
         assert all(row["s11_db"] is None for row in doc["response"])
     else:
-        rows = zip(
-            table.f.tolist(),
-            (-insertion_loss_db(table.s21)).tolist(),
-            return_loss_db(table.s11).tolist(),
-        )
+        rows = zip(grid.f.tolist(), s21_db.tolist(), [-math.inf] * len(grid))
         data = list(map(_ORACLE_CSV_ROW.__mod__, rows))
         comments = [line for line in text.splitlines() if line.startswith("#")]
         expected = "\n".join(["frequency_hz,s21_db,s11_db", *data, *comments]) + "\n"
@@ -706,7 +761,8 @@ def test_row_blocks_write_the_bytes_of_one_block(
         text = blocks[3] if to_file else blocks[1]
         doc = json.loads(text)
         assert text == json.dumps(doc, indent=2) + "\n"
-        assert doc["response"] == _oracle_response(filter_response(proto, _grid(True, points)))
+        grid = _grid(True, points)
+        assert doc["response"] == _oracle_response(grid, _model_columns(proto, grid)[0])
 
 
 # A streamed run holds its arrays (40 bytes per point in the model table, and
