@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 
 import numpy as np
 
@@ -188,55 +189,44 @@ def _section_loss_db(design: FilterDesign, fc: float, f):
     ``np.minimum`` does: with fc > 0 the operands are never two zeros, and a
     NaN f - fc comes first. The logistic argument it gives lies within about
     +-92, so working it in Python floats loses no overflow warning. An array
-    is worked in place, step by step, since each fresh array of a long grid
-    costs its page faults; the steps, and so the bits, are those of one
-    frequency."""
+    takes the steps of one frequency, so a figure has the same bits either
+    way."""
     scale = LOGISTIC_SHARPNESS / (DEFAULT_TRANSITION_WIDTH * fc)
     # ln t_above; a valid kappa lies strictly between 0 and 1
     drain = design.apertures_per_section * math.log1p(-design.stopband_kappa)
-    if type(f) is not np.ndarray or not f.ndim:
-        arg = (min if type(f) is float else np.minimum)(f - fc, fc) * scale
-        tail = np.exp(-arg)
-        if f < fc:
-            return -DB_PER_LN * _log_power_below(design, fc, f, True, tail, drain)
-        return -DB_PER_LN * (drain - np.log1p(tail))
-    tail = np.subtract(f, fc)
-    np.minimum(tail, fc, out=tail)
-    tail *= -scale
-    np.exp(tail, out=tail)
-    log_power = np.log1p(tail)
-    np.subtract(drain, log_power, out=log_power)
-    below = f < fc
-    count = np.count_nonzero(below)
-    if count:
-        # on a sorted grid the points below the corner come first: a view
-        part = slice(0, count) if below[:count].all() else below
-        log_power[part] = _log_power_below(design, fc, f[part], False, tail[part], drain)
-    log_power *= -DB_PER_LN
-    return log_power
+    one = type(f) is not np.ndarray or not f.ndim
+    arg = (min if type(f) is float else np.minimum)(f - fc, fc) * scale
+    tail = np.exp(-arg)
+    if one and f < fc:
+        return -DB_PER_LN * _log_power_below(design, fc, f, True, tail, drain)
+    log_power = drain - np.log1p(tail)
+    if not one:
+        below = f < fc
+        if np.count_nonzero(below):
+            log_power[below] = _log_power_below(design, fc, f[below], False, tail[below], drain)
+    return -DB_PER_LN * log_power
 
 
 def _log_power_below(design: FilterDesign, fc: float, f, one: bool, tail, drain):
     """ln of the blended power at frequencies ``f`` below the corner (one
     frequency if ``one``), from ``tail`` = e**-arg and ln t_above
-    (``drain``); see :func:`_section_loss_db`. An array is worked in place
-    where a step allows it."""
-    log_below = log_pass(evanescent_gamma(design, fc, f), design.aperture.depth_d, one)
-    log_below *= design.apertures_per_section
-    weight = 1.0 + tail
-    weight = 1.0 / weight if one else np.divide(1.0, weight, out=weight)
+    (``drain``); see :func:`_section_loss_db`."""
+    gamma = evanescent_gamma(design, fc, f)
+    log_below = design.apertures_per_section * log_pass(gamma, design.aperture.depth_d, one)
+    weight = 1.0 / (1.0 + tail)
     rest = 1.0 - weight
     # the power less 1, a sum of two terms of one sign
-    s = np.expm1(log_below)
-    s *= rest
-    s += weight * math.expm1(drain)
+    s = rest * np.expm1(log_below) + weight * math.expm1(drain)
     small = s <= -0.5
     if one:
         return _log_sum(log_below, rest, weight, drain) if small else np.log1p(s)
-    np.log1p(s, out=s, where=~small)
-    if small.any():
-        s[small] = _log_sum(log_below[small], rest[small], weight[small], drain)
-    return s
+    if not small.any():
+        return np.log1p(s)
+    # log1p(-1) is -inf where the power is 0; those rows are replaced
+    with np.errstate(divide="ignore"):
+        log = np.log1p(s)
+    log[small] = _log_sum(log_below[small], rest[small], weight[small], drain)
+    return log
 
 
 def _log_sum(log_below, rest, weight, drain):
@@ -282,37 +272,31 @@ def cascade_loss_db(design: FilterDesign, grid: FrequencyGrid) -> np.ndarray:
     return loss
 
 
-# Up to this cascade phase [rad], subtracting the nearest whole number of
-# turns wraps it to within 2e-13 rad of its exact reduction.
-_WRAP_LIMIT = 1024.0
-
-# Past about 2**53 rad no float resolves a phase to within a turn, so the
-# section count is capped here for the phase, which keeps it finite.
-_PHASE_COUNT_CAP = 2**1000
+# Past this many sections the cascade's phase, up to sections * pi, may
+# exceed the float range.
+_MAX_PHASE_SECTIONS = sys.float_info.max / math.pi
 
 
 def transmission_phase(design: FilterDesign, f: np.ndarray) -> np.ndarray:
     """Phase of the cascade's s21 [rad] at the grid frequencies ``f``:
-    -sections * delay * f wrapped into (-pi, pi], as np.angle wraps it,
-    with no complex exponential: the nearest whole number of turns is
-    taken off, and a value that rounding leaves outside the interval is
-    moved by one turn. Where the cascade's phase exceeds ``_WRAP_LIMIT`` (or
-    the float range), one section's phase is first reduced exactly, through
-    sin and cos. Each point is wrapped on its own, in place."""
-    count = min(design.sections, _PHASE_COUNT_CAP)
-    total = _phase_delay(design, f) * f
-    far = total > _WRAP_LIMIT / count
-    if far.any():
-        total[far] = np.arctan2(np.sin(total[far]), np.cos(total[far]))
-    total *= count
-    phase = total * (0.5 / math.pi)
-    np.rint(phase, out=phase)
-    phase *= 2.0 * math.pi
-    phase -= total
-    outside = (phase <= -math.pi) | (phase > math.pi)
-    if outside.any():
-        phase[outside] -= np.copysign(2.0 * math.pi, phase[outside])
-    return phase
+    -sections * delay * f wrapped into [-pi, pi], as np.angle wraps it,
+    with no complex exponential. One section's phase is first reduced into
+    [-pi, pi] through sin and cos, which reduce it exactly: a phase of many
+    turns times the section count would lose its digits.
+
+    Raises where the phase across one section overflows, and for more than
+    ``_MAX_PHASE_SECTIONS`` sections, whose phase has no float value."""
+    theta = _phase_delay(design, f) * f
+    if not design.sections <= _MAX_PHASE_SECTIONS:
+        raise DomainError(f"the phase across {design.sections} sections exceeds the float range")
+    theta = np.arctan2(np.sin(theta), np.cos(theta))
+    return math.pi - np.remainder(design.sections * theta + math.pi, 2.0 * math.pi)
+
+
+def model_label(design: FilterDesign) -> str:
+    """The label of the design's modelled response, as its tables and
+    Touchstone headers carry it."""
+    return f"cascade model, {design.sections} sections"
 
 
 def filter_response(design: FilterDesign, grid: FrequencyGrid) -> SParamTable:
@@ -327,7 +311,7 @@ def filter_response(design: FilterDesign, grid: FrequencyGrid) -> SParamTable:
     return SParamTable(
         grid,
         Provenance.MODEL,
-        f"cascade model, {design.sections} sections",
+        model_label(design),
         s11=s11,
         s21=s21,
         s12=s21,

@@ -17,7 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .cascade import cascade_loss_db, max_singular_value, section_attenuation_db, transmission_phase
+from .cascade import (
+    cascade_loss_db,
+    max_singular_value,
+    model_label,
+    section_attenuation_db,
+    transmission_phase,
+)
 from .errors import DomainError, InfeasibleDesignError, ParseError
 from .leakage import aperture_sweep
 from .model import (
@@ -40,7 +46,6 @@ from .modes import (
 )
 from .synthesis import loads_design_spec, synthesize
 from .tsio import (
-    DB_FLOOR,
     Claim,
     ClaimKind,
     band_figures,
@@ -49,9 +54,9 @@ from .tsio import (
     insertion_loss_db,
     judge_claims,
     metrics_by_band,
+    model_touchstone_blocks,
     parse_touchstone,
     row_blocks,
-    touchstone_text,
 )
 
 EXIT_OK = 0
@@ -342,21 +347,15 @@ def _cmd_analyze(args) -> int:
     # the band metrics and claim verdicts that CSV and Touchstone's --out
     # write as text lines
     notes = _metric_lines(doc["band_metrics"]) + _claim_lines(doc["claims"] or [])
-    # 0 - x is -x, and +0 where x is 0; in place, as the loss is read no more
-    s21_db = np.subtract(0.0, loss, out=loss)
     if args.format == "touchstone":
-        # DB pairs: s21's magnitude and its phase in degrees; s11 = 0 writes
-        # as the -400 dB floor at 0 degrees
         phase = transmission_phase(design, grid.f)
-        s21 = (np.maximum(s21_db, DB_FLOOR, out=s21_db), np.degrees(phase, out=phase))
-        s11 = (np.broadcast_to(DB_FLOOR, len(grid)), np.broadcast_to(0.0, len(grid)))
-        label = f"cascade model, {design.sections} sections"
-        _emit(touchstone_text(grid.f, (s11, s21, s21, s11), "DB", "GHZ", 50.0, label), args.out)
+        _emit(model_touchstone_blocks(grid.f, loss, phase, model_label(design), unit="GHZ"), args.out)
         if args.out:
             _emit(["\n".join(notes) + "\n"], None)
     else:
-        # CSV keeps the -inf s11_db of a matched filter
-        columns = (grid.f, s21_db, np.broadcast_to(-math.inf, len(grid)))
+        # CSV keeps the -inf s11_db of a matched filter; 0 - loss is +0,
+        # not -0, where the cascade is lossless
+        columns = (grid.f, 0.0 - loss, np.broadcast_to(-math.inf, len(grid)))
         entries = list(zip(("frequency_hz", "s21_db", "s11_db"), columns, ["%.12g"] * 3))
         if args.format == "json":
             blocks = _json_blocks(doc, "response", entries)

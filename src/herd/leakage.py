@@ -50,18 +50,9 @@ def evanescent_gamma(design: FilterDesign, fc, f):
     neither a NaN nor a signed zero."""
     scale = 2.0 * math.pi * design.aperture_fill.refractive_index / C0
     if type(fc) is float and fc < 2.0**500:
-        if 0.0 < fc and type(f) is float and 0.0 < f < math.inf:
-            return scale * _float64_sqrt(max(fc - f, 0.0) * (fc + f))
-        if type(f) is not np.ndarray or not f.ndim:
-            return scale * np.sqrt(np.maximum(fc - f, 0.0) * (fc + f))
-        # the same steps in place: each fresh array of a long grid costs its
-        # page faults
-        gamma = np.subtract(fc, f)
-        np.maximum(gamma, 0.0, out=gamma)
-        gamma *= fc + f
-        np.sqrt(gamma, out=gamma)
-        gamma *= scale
-        return gamma
+        one = 0.0 < fc and type(f) is float and 0.0 < f < math.inf
+        sqrt, maximum = (_float64_sqrt, max) if one else (np.sqrt, np.maximum)
+        return scale * sqrt(maximum(fc - f, 0.0) * (fc + f))
     # Past about 1e154 Hz the product overflows. From 2**500 Hz up, fc and f
     # are first scaled by 2**-513, which keeps the product of any float
     # corner finite and normal. Scaling by a power of two is exact, so a
@@ -83,13 +74,11 @@ def _float64_sqrt(x: float) -> np.float64:
 def decay_amplitude(gamma, depth, one: bool):
     """exp(-gamma depth), for one value (``one``) or an array: 0 where the
     product overflows. One value is multiplied in Python floats, which round
-    as numpy's do and do not warn; an array with numpy's warning off, and
-    its exponential taken in place."""
+    as numpy's do and do not warn; an array with numpy's warning off."""
     if one:
         return np.exp(float(gamma) * -depth)
     with np.errstate(over="ignore"):
-        amp = gamma * -depth
-    return np.exp(amp, out=amp)
+        return np.exp(gamma * -depth)
 
 
 def all_true(one: bool, values) -> bool:
@@ -142,20 +131,17 @@ def log_pass(gamma, depth, one: bool):
     the same loop for one value as for an array, so a figure has the same
     bits either way."""
     amp = decay_amplitude(gamma, depth, one)
+    sq = amp * amp
     if one:
-        sq = amp * amp
         return _log_shallow(gamma, depth) if sq > 0.5 else np.log1p(-sq)
-    # the same steps on an array, in place
-    amp *= amp
-    near = amp > 0.5
-    np.negative(amp, out=amp)
+    near = sq > 0.5
     if not near.any():
-        return np.log1p(amp, out=amp)
+        return np.log1p(-sq)
     # log1p(-1) is -inf where gamma is 0; those rows are replaced
     with np.errstate(divide="ignore"):
-        np.log1p(amp, out=amp)
-    amp[near] = _log_shallow(gamma[near], depth if np.ndim(depth) == 0 else depth[near])
-    return amp
+        log = np.log1p(-sq)
+    log[near] = _log_shallow(gamma[near], depth if np.ndim(depth) == 0 else depth[near])
+    return log
 
 
 def _log_shallow(gamma, depth):

@@ -2,8 +2,9 @@
 
 A column's text is a NUL-padded ``uint8`` matrix, one row per value; a block
 of rows is laid out, a piece at a time, as one matrix of its columns and the
-fixed texts between them, and turned into text by deleting the NULs. The bytes are those of
-CPython's ``"%.17g" % x``, ``"%.12g" % x``, ``"%d" % x`` and ``repr(x)``.
+fixed texts between them, and turned into text by deleting the NULs. The
+bytes are those of CPython's ``"%.17g" % x``, ``"%.12g" % x``,
+``"%d" % x`` and ``repr(x)``.
 
 Digits come from exact arithmetic. For 1e-6 <= |x| < 1e17, with
 s = 16 - floor(log10 |x|) in [0, 22], 10**s is an exact float and Dekker's
@@ -11,12 +12,12 @@ error-free product (Dekker 1971) gives x * 10**s = p + e exactly: the first
 17 digits D = p + floor(e) and the remainder e - floor(e), from which any
 shorter precision rounds half-even like CPython's dtoa. ``repr`` takes the
 first of the correctly rounded 15-, 16- and 17-digit values that reads back
-as x: that lies within half an ulp of x, a bound that is exact at the same
-scale (a power of two times 10**s). Every other value (zero, -0,
-non-finite, subnormal, outside the range; under ``repr`` a power of two,
-whose rounding interval is lopsided, and a value with a 15- or 16-digit
-decimal at the end of its interval) is formatted by CPython, one value at
-a time. ``"%d"`` is written as ``"%.17g"`` of each value's integer
+as x, read back by Clinger's exact fast path (Clinger 1990): an integer that
+is exact as a float, times or divided by an exact power of ten. Every other
+value (zero, -0, non-finite, subnormal, outside the range; under ``repr`` a
+power of two, whose rounding interval is lopsided, and a value whose
+16-digit integer is not exact as a float) is formatted by CPython, one value
+at a time. ``"%d"`` is written as ``"%.17g"`` of each value's integer
 part, which has the same text below 1e17.
 """
 
@@ -100,41 +101,32 @@ def _rounded(D, e, floor, X, digits):
     return d, X + carry
 
 
-def _reads_back(d, x, digits, D, e, floor, X, half_ulp):
-    """Whether the rounded decimal ``d`` of ``digits`` digits, exponent
-    ``x``, reads back as a = (D + e - floor(e)) * 10**(X - 16): whether it
-    lies within a's rounding interval, a +- ``half_ulp`` at that scale. And
-    where it lies too near the interval's end for the test to tell, a tie
-    included: those lanes are left to CPython."""
-    # the decimal at a's scale, an integer within 50 of D
-    c = d * 10 ** (17 - digits)
-    c[x > X] *= 10
-    # one rounding, of a number below 128: off by at most 2**-46
-    distance = np.abs(((c - D).astype(np.float64) + floor) - e)
-    return distance < half_ulp - _NEAR, np.abs(distance - half_ulp) <= _NEAR
-
-
-# Far more than the rounding error of a distance in _reads_back.
-_NEAR = 1e-9
+def _reads_back(d, X, digits, a):
+    """Whether the decimal d * 10**(X - digits + 1) reads back as ``a``,
+    for d exact as a float (Clinger's fast path: one correctly rounded
+    product or quotient of exact floats)."""
+    k = X - (digits - 1)
+    f = d.astype(np.float64)
+    power = _POW10[np.abs(k)]
+    return np.where(k >= 0, f * power, f / power) == a
 
 
 def _shortest(a, fast):
     """repr's digits of ``a`` as 17-digit integers (trailing zeros beyond
-    its shortest digits), their exponents, and the lanes left to CPython.
-
-    A decimal reads back as ``a`` where it lies within half an ulp of it.
-    At a's 17-digit scale, 10**(16 - X), that half ulp is exact, a power
-    of two times an exact power of ten; a lane where a decimal lies at its
-    end, a tie, is left to CPython."""
+    its shortest digits), their exponents, and the lanes left to CPython."""
     D, e, floor, X, exact = _seventeen(a)
     fast &= exact
-    half_ulp = np.spacing(a) * (0.5 * _POW10.take(16 - X, mode="clip"))
     d15, x15 = _rounded(D, e, floor, X, 15)
     d16, x16 = _rounded(D, e, floor, X, 16)
     d17, x17 = _rounded(D, e, floor, X, 17)
-    ok15, tie15 = _reads_back(d15, x15, 15, D, e, floor, X, half_ulp)
-    ok16, tie16 = _reads_back(d16, x16, 16, D, e, floor, X, half_ulp)
-    fast &= ~(tie15 | (~ok15 & tie16))
+    # every 15-digit integer is exact as a float; a 16-digit one where it
+    # is below 2**53 or even
+    ok15 = _reads_back(d15, x15, 15, a)
+    exact16 = (d16 < 2**53) | (d16 & 1 == 0)
+    ok16 = exact16 & _reads_back(d16, x16, 16, a)
+    # Past a failed 15-digit check, 17 digits are due only where the
+    # 16-digit value could be checked.
+    fast &= ok15 | exact16
     d = np.where(ok15, d15 * 100, np.where(ok16, d16 * 10, d17))
     X = np.where(ok15, x15, np.where(ok16, x16, x17))
     return d, X, fast

@@ -28,7 +28,7 @@ FORMATS = ("RI", "MA", "DB")
 
 # Zero magnitude cannot be written in DB format; clamp at -400 dB (1e-20),
 # indistinguishable from zero at any metric tolerance used here.
-DB_FLOOR = -400.0
+_DB_FLOOR = -400.0
 
 # Written rows are formatted this many at a time (``row_blocks``), so the
 # text of a long table is never held whole, only its arrays; each block's
@@ -262,7 +262,7 @@ def _complex_to_pairs(fmt: str, values: np.ndarray) -> tuple[np.ndarray, np.ndar
     if fmt == "MA":
         return mag, ang
     with np.errstate(divide="ignore"):
-        return np.maximum(20.0 * np.log10(mag), DB_FLOOR), ang
+        return np.maximum(20.0 * np.log10(mag), _DB_FLOOR), ang
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -360,6 +360,17 @@ def touchstone_blocks(table: SParamTable, fmt: str = "RI", unit: str = "HZ"):
     s22 = s11 if _same_bits(table.s22, table.s11) else _complex_to_pairs(fmt, table.s22)
     label = table.label or table.provenance.value
     yield from touchstone_text(table.f, (s11, s21, s12, s22), fmt, unit, table.z0, label, table.mag_only)
+
+
+def model_touchstone_blocks(f, loss_db, phase, label: str, unit: str = "HZ"):
+    """The Touchstone v1 text, in DB pairs and the layout of
+    :func:`touchstone_blocks`, of a matched reciprocal model over the grid
+    ``f`` [Hz] from its loss [dB] and the phase of its s21 [rad]: s21 = s12
+    at -loss dB (0 dB where lossless, the floor past it), s11 = s22 at the
+    floor and 0 degrees. ``unit`` is a key of ``FREQUENCY_UNITS``."""
+    s21 = (np.maximum(0.0 - loss_db, _DB_FLOOR), np.degrees(phase))
+    s11 = (np.broadcast_to(_DB_FLOOR, len(f)), np.broadcast_to(0.0, len(f)))
+    yield from touchstone_text(f, (s11, s21, s21, s11), "DB", unit, 50.0, label)
 
 
 def touchstone_text(f, pairs, fmt: str, unit: str, z0: float, label: str, mag_only: bool = False):
