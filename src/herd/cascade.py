@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
 
 import numpy as np
 
@@ -253,8 +252,7 @@ def _phase_delay(design: FilterDesign, f) -> float:
 
 def cascade_loss_db(design: FilterDesign, grid: FrequencyGrid) -> np.ndarray:
     """Loss of the cascade over a frequency grid [dB]: ``sections`` times
-    the loss of one section, so -s21 in dB, >= +0 everywhere (and inf
-    where it exceeds the float range).
+    the loss of one section, so -s21 in dB, >= +0 and finite everywhere.
 
     Raises where the phase across one section overflows (as
     :func:`filter_response` must build it) and where a section passes no
@@ -266,15 +264,8 @@ def cascade_loss_db(design: FilterDesign, grid: FrequencyGrid) -> np.ndarray:
     loss = _section_loss_db(design, corner_frequency(design), f)
     if not (loss <= _NO_POWER_DB).all():
         raise DomainError("cannot cascade a two-port with zero transmission (s21 = 0)")
-    # Enough sections attenuate past the float range: the loss is then inf.
-    with np.errstate(over="ignore"):
-        loss *= design.sections
+    loss *= design.sections
     return loss
-
-
-# Past this many sections the cascade's phase, up to sections * pi, may
-# exceed the float range.
-_MAX_PHASE_SECTIONS = sys.float_info.max / math.pi
 
 
 def transmission_phase(design: FilterDesign, f: np.ndarray) -> np.ndarray:
@@ -284,11 +275,8 @@ def transmission_phase(design: FilterDesign, f: np.ndarray) -> np.ndarray:
     [-pi, pi] through sin and cos, which reduce it exactly: a phase of many
     turns times the section count would lose its digits.
 
-    Raises where the phase across one section overflows, and for more than
-    ``_MAX_PHASE_SECTIONS`` sections, whose phase has no float value."""
+    Raises where the phase across one section overflows."""
     theta = _phase_delay(design, f) * f
-    if not design.sections <= _MAX_PHASE_SECTIONS:
-        raise DomainError(f"the phase across {design.sections} sections exceeds the float range")
     theta = np.arctan2(np.sin(theta), np.cos(theta))
     return math.pi - np.remainder(design.sections * theta + math.pi, 2.0 * math.pi)
 
@@ -364,4 +352,5 @@ def calibrate_kappa(design: FilterDesign, target_total_db: float) -> float:
     """
     if not (math.isfinite(target_total_db) and target_total_db >= 0.0):
         raise DomainError(f"target attenuation must be finite and >= 0 dB (got {target_total_db!r})")
-    return 1.0 - 10.0 ** (-target_total_db / (10.0 * design.total_apertures))
+    # the drain's exact inverse: 1 - 10**(-t/(10 A)) cancels for many apertures
+    return -math.expm1(-target_total_db * math.log(10.0) / (10.0 * design.total_apertures))

@@ -88,9 +88,11 @@ GAIN_TOL_DB = 0.05
 
 
 def _fmt(x) -> str:
-    """12 significant digits; ``n/a`` for a value the model does not give
-    or that is not finite, as the ``"text"`` style of ``tsio.row_blocks``
-    writes it."""
+    """An int as ``%d``, any other number to 12 significant digits; ``n/a``
+    for a value the model does not give or that is not finite, as the
+    ``"text"`` style of ``tsio.row_blocks`` writes it."""
+    if type(x) is int:
+        return str(x)
     return "n/a" if x is None or not math.isfinite(x) else format(float(x), ".12g")
 
 
@@ -484,12 +486,7 @@ def _cmd_compare(args) -> int:
         sigma = max_singular_value(s11, s12, s21, s22)
     gain_f = measured.f[sigma > 10.0 ** (GAIN_TOL_DB / 20.0)]
 
-    # Equal losses differ by 0, also where both are infinite (no
-    # transmission measured or modelled), which inf - inf would make NaN.
-    measured_il = insertion_loss_db(measured.s21)
-    deltas = np.zeros(len(measured_il))
-    np.subtract(measured_il, model_il, out=deltas, where=measured_il != model_il)
-    deltas = np.abs(deltas)
+    deltas = np.abs(insertion_loss_db(measured.s21) - model_il)
     deviations = []
     for lo, hi in dict.fromkeys(claim.band for claim in profile):
         inside = (measured.f >= lo) & (measured.f <= hi)

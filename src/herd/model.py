@@ -46,6 +46,11 @@ LOGISTIC_SHARPNESS = 2.0 * math.log(99.0)
 # refused before its arrays are allocated.
 MAX_GRID_POINTS = 10_000_000
 
+# Largest section or aperture count: 2**53, up to which a float holds every
+# integer. With at most this many sections of at most about 3233 dB each,
+# a cascade's loss stays below 2.9e19 dB.
+MAX_COUNT = 2**53
+
 
 def value_class(cls=None, /, *, eq=True):
     """``dataclass(frozen=True, eq=eq)``, with an ``__init__`` of the same
@@ -322,12 +327,19 @@ PTFE = Material(eps_r=2.2)
 
 def count_violations(name: str, count) -> list[str]:
     """Violations of a count, named ``name``: an integer (``int``, ``bool``
-    or a numpy integer, as ``operator.index`` takes them) of at least 1."""
+    or a numpy integer, as ``operator.index`` takes them) from 1 to
+    ``MAX_COUNT``, so that a float holds it exactly, as
+    :func:`real_violations` asks of a float field."""
     try:
         count = operator.index(count)
     except TypeError:
         return [f"{name} must be an integer (got {count!r})"]
-    return [] if count >= 1 else [f"{name} must be >= 1 (got {count!r})"]
+    if 1 <= count <= MAX_COUNT:
+        return []
+    # Python writes no int of more than 4300 digits as text.
+    got = repr(count) if count.bit_length() <= 4096 else f"an integer of {count.bit_length()} bits"
+    rule = ">= 1" if count < 1 else f"<= 2**53 = {MAX_COUNT}"
+    return [f"{name} must be {rule} (got {got})"]
 
 
 def validate(design: FilterDesign) -> list[str]:

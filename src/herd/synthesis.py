@@ -14,7 +14,7 @@ from .constants import C0
 from .errors import DomainError, InfeasibleDesignError
 from .leakage import inband_transmission, min_depth_for_budget
 from .model import DEFAULT_APERTURES_PER_SECTION, DEFAULT_STOPBAND_KAPPA, FilterDesign, FrequencyGrid
-from .model import Field, KeyValueFormat, Material, RectAperture, count_violations
+from .model import MAX_COUNT, Field, KeyValueFormat, Material, RectAperture, count_violations
 from .model import build_part, positive_violations, raise_violations, value_class, with_aperture
 from .modes import corner_frequency, solve_inner_radius
 
@@ -104,9 +104,13 @@ def synthesize(spec: DesignSpec) -> SynthesisReport:
             f"{face!r} m face of the {OCTAGON_FACES}-sided outer body"
         )
 
-    sections = math.ceil(
-        spec.stopband_min_attenuation_db / per_section_attenuation_db(spec.apertures_per_section)
-    )
+    per_section = per_section_attenuation_db(spec.apertures_per_section)
+    sections = math.ceil(spec.stopband_min_attenuation_db / per_section)
+    if sections > MAX_COUNT:
+        raise InfeasibleDesignError(
+            f"binding constraint: stopband_min_attenuation_db = {spec.stopband_min_attenuation_db!r} dB "
+            f"takes {float(sections):.6g} sections of {per_section!r} dB, more than 2**53"
+        )
 
     draft = FilterDesign(
         coax=coax,

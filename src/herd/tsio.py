@@ -265,13 +265,6 @@ def _complex_to_pairs(fmt: str, values: np.ndarray) -> tuple[np.ndarray, np.ndar
         return np.maximum(20.0 * np.log10(mag), _DB_FLOOR), ang
 
 
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether two float or complex arrays hold the same bits (so ``-0.0``
-    and ``0.0`` differ and a NaN equals itself)."""
-    bits = (np.ascontiguousarray(x).view(np.int64) for x in (a, b))
-    return np.array_equal(*bits)
-
-
 def _column_text(values: np.ndarray, bits: np.ndarray, style: str) -> np.ndarray:
     """``numtext.column_text`` of ``values``, each distinct value (by its
     ``bits``) formatted once. A strictly increasing column (a frequency
@@ -352,14 +345,9 @@ def touchstone_blocks(table: SParamTable, fmt: str = "RI", unit: str = "HZ"):
     if unit not in FREQUENCY_UNITS:
         raise DomainError(f"unit must be one of {tuple(FREQUENCY_UNITS)} (got {unit!r})")
 
-    # A model table's s12 equals its s21 and its s22 its s11, bit for bit:
-    # each distinct array is converted once.
-    s11 = _complex_to_pairs(fmt, table.s11)
-    s21 = _complex_to_pairs(fmt, table.s21)
-    s12 = s21 if _same_bits(table.s12, table.s21) else _complex_to_pairs(fmt, table.s12)
-    s22 = s11 if _same_bits(table.s22, table.s11) else _complex_to_pairs(fmt, table.s22)
+    pairs = [_complex_to_pairs(fmt, s) for s in (table.s11, table.s21, table.s12, table.s22)]
     label = table.label or table.provenance.value
-    yield from touchstone_text(table.f, (s11, s21, s12, s22), fmt, unit, table.z0, label, table.mag_only)
+    yield from touchstone_text(table.f, pairs, fmt, unit, table.z0, label, table.mag_only)
 
 
 def model_touchstone_blocks(f, loss_db, phase, label: str, unit: str = "HZ"):

@@ -1,6 +1,7 @@
 import cmath
 import math
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -517,6 +518,18 @@ class TestCalibrateKappa:
         k4 = calibrate_kappa(proto, 60.0)
         k8 = calibrate_kappa(replace(proto, sections=8), 60.0)
         assert k8 < k4
+
+    @pytest.mark.parametrize("sections", [4, 10**6, 10**9, 10**12])
+    def test_matches_the_decimal_reference(self, proto, sections):
+        # 1 - 10**(-t/(10 A)) at 60 digits. Its float form cancels for many
+        # apertures: 2.5e-12 relative at 1e6 sections, 7.6e-6 at 1e12.
+        design = replace(proto, sections=sections)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            exponent = -Decimal(60) / (10 * Decimal(design.total_apertures))
+            reference = 1 - Decimal(10) ** exponent
+            error = abs((Decimal(calibrate_kappa(design, 60.0)) - reference) / reference)
+        assert error <= Decimal("2.5e-16")
 
     def test_round_trip_to_target(self, proto):
         kappa = calibrate_kappa(proto, 60.0)

@@ -102,6 +102,9 @@ def test_prototype_round_trip_is_exact():
     [
         ({"sections": np.int64(3)}, "sections = 3"),
         ({"sections": True}, "sections = 1"),
+        # the largest count a float holds exactly, with every one below it
+        ({"sections": 2**53}, "sections = 9007199254740992"),
+        ({"apertures_per_section": np.int64(2**53)}, "apertures_per_section = 9007199254740992"),
         ({"section_pitch": np.float64(0.01)}, "section_pitch_m = 0.01"),
     ],
 )
@@ -132,6 +135,34 @@ def test_numpy_spec_target_is_written_as_a_number():
 def test_a_count_that_is_not_an_integer_is_refused(name, count):
     with pytest.raises(DomainError, match=f"^{name} must be an integer"):
         replace(prototype_design(), **{name: count})
+
+
+@pytest.mark.parametrize(
+    "count, got",
+    [
+        (2**53 + 1, "9007199254740993"),
+        (np.uint64(2**64 - 1), "18446744073709551615"),
+        (10**309, str(10**309)),
+        # Python writes no int of more than 4300 digits as text
+        (10**5000, "an integer of 16610 bits"),
+    ],
+    ids=["2**53+1", "uint64", "1e309", "1e5000"],
+)
+@pytest.mark.parametrize("name", ["sections", "apertures_per_section"])
+def test_a_count_no_float_holds_is_refused(name, count, got):
+    with pytest.raises(DomainError) as err:
+        replace(prototype_design(), **{name: count})
+    assert str(err.value) == f"{name} must be <= 2**53 = 9007199254740992 (got {got})"
+
+
+def test_a_count_past_2_53_is_refused_in_a_file():
+    design = dumps_design(prototype_design()).replace("sections = 4", "sections = 9007199254740993")
+    with pytest.raises(ParseError, match=r"^invalid design: sections must be <= 2\*\*53 "):
+        loads_design(design)
+    spec = (Path(__file__).resolve().parent.parent / "configs/reference_targets.spec").read_text()
+    spec = spec.replace("apertures_per_section = 8", "apertures_per_section = 9007199254740993")
+    with pytest.raises(ParseError, match=r"^invalid spec: apertures_per_section must be <= 2\*\*53 "):
+        loads_design_spec(spec)
 
 
 @pytest.mark.parametrize("value", [10**400, Fraction(1, 3), 2**53 + 1, "0.01", None])

@@ -1,8 +1,10 @@
 """Input harness: random design and spec files through every command line.
 
 Each numeric field of the stock design and the reference spec is kept, or
-scaled by 10**u with u in [-8, 8] or in [-300, 300]; counts are clipped to
-1..10**6. Every command must end in a result or a refusal: an exit code of
+scaled by 10**u with u in [-8, 8] or in [-300, 300]. A count is kept,
+scaled by 10**u with u in [-8, 8] and rounded to at least 1, or scaled by
+10**k with k a whole number, up to 10**320; past 2**53 it is refused. Every
+command must end in a result or a refusal: an exit code of
 0-3, no exception or warning, nothing on stderr unless the input was
 refused or the design is infeasible, and no NaN or infinity in JSON's
 spelling on stdout. Each `analyze` table that is written holds all of its
@@ -36,12 +38,14 @@ EXPONENTS = st.one_of(st.floats(-8.0, 8.0), st.floats(-300.0, 300.0))
 
 
 def scaled(value):
-    """``value`` kept or scaled by 10**u; a count is clipped to 1..10**6."""
+    """``value`` kept or scaled by 10**u; a count stays an integer, from 1
+    to 10**320."""
     if isinstance(value, str):  # the dominant-mode axis
         return st.sampled_from([axis.value for axis in DominantModeAxis])
     if isinstance(value, int):
-        grown = EXPONENTS.map(lambda u: round(min(max(value * 10.0**u, 1.0), 1e6)))
-        return st.one_of(st.just(value), grown)
+        near = st.floats(-8.0, 8.0).map(lambda u: max(round(value * 10.0**u), 1))
+        grown = st.integers(0, 320 - len(str(value))).map(lambda k: value * 10**k)
+        return st.one_of(st.just(value), near, grown)
     return st.one_of(st.just(value), EXPONENTS.map(lambda u: value * 10.0**u))
 
 
