@@ -149,11 +149,6 @@ class _TwoPortView:
             yield TwoPort(s11=s11, s12=s12, s21=s21, s22=s22)
 
 
-# A section whose loss exceeds this passes less power than the smallest
-# positive float, 5e-324: it passes none that a float can hold.
-_NO_POWER_DB = -10.0 * math.log10(5e-324)
-
-
 def _section_loss_db(design: FilterDesign, fc: float, f):
     """Loss of one section [dB], -10 log10 of its power transmission, at
     ``f``, with ``fc`` the design's :func:`corner_frequency`: an
@@ -234,36 +229,13 @@ def _log_sum(log_below, rest, weight, drain):
     return np.logaddexp(log_below + np.log(rest), np.log(weight) + drain)
 
 
-def _phase_delay(design: FilterDesign, f) -> float:
-    """Phase across one section per hertz [rad/Hz], after checking that the
-    phase at the grid's last (largest) frequency of ``f`` is finite."""
-    delay = 2.0 * math.pi * design.section_pitch * design.coax_fill.refractive_index / C0
-    # Past the float range the phase has no value, and numpy would warn and
-    # give NaN.
-    top = f[-1].item()
-    if not delay * top < math.inf:
-        raise DomainError(
-            "the phase across one section, 2 pi section_pitch sqrt(coax_fill.eps_r) f / c0, "
-            f"overflows at {top!r} Hz (section_pitch = {design.section_pitch!r} m, "
-            f"coax_fill.eps_r = {design.coax_fill.eps_r!r})"
-        )
-    return delay
-
-
 def cascade_loss_db(design: FilterDesign, grid: FrequencyGrid) -> np.ndarray:
     """Loss of the cascade over a frequency grid [dB]: ``sections`` times
     the loss of one section, so -s21 in dB, >= +0 and finite everywhere.
-
-    Raises where the phase across one section overflows (as
-    :func:`filter_response` must build it) and where a section passes no
-    power. Every point is computed independently, so the result does not
-    depend on how the grid is split or ordered.
+    Every point is computed independently, so the result does not depend on
+    how the grid is split or ordered.
     """
-    f = grid.f
-    _phase_delay(design, f)
-    loss = _section_loss_db(design, corner_frequency(design), f)
-    if not (loss <= _NO_POWER_DB).all():
-        raise DomainError("cannot cascade a two-port with zero transmission (s21 = 0)")
+    loss = _section_loss_db(design, corner_frequency(design), grid.f)
     loss *= design.sections
     return loss
 
@@ -275,8 +247,17 @@ def transmission_phase(design: FilterDesign, f: np.ndarray) -> np.ndarray:
     [-pi, pi] through sin and cos, which reduce it exactly: a phase of many
     turns times the section count would lose its digits.
 
-    Raises where the phase across one section overflows."""
-    theta = _phase_delay(design, f) * f
+    Raises where the phase across one section overflows at the grid's last
+    (largest) frequency, where numpy would warn and give NaN."""
+    delay = 2.0 * math.pi * design.section_pitch * design.coax_fill.refractive_index / C0
+    top = f[-1].item()
+    if not delay * top < math.inf:
+        raise DomainError(
+            "the phase across one section, 2 pi section_pitch sqrt(coax_fill.eps_r) f / c0, "
+            f"overflows at {top!r} Hz (section_pitch = {design.section_pitch!r} m, "
+            f"coax_fill.eps_r = {design.coax_fill.eps_r!r})"
+        )
+    theta = delay * f
     theta = np.arctan2(np.sin(theta), np.cos(theta))
     return math.pi - np.remainder(design.sections * theta + math.pi, 2.0 * math.pi)
 
@@ -312,20 +293,14 @@ def section_attenuation_db(design: FilterDesign, f):
     than -0 where |s21| is exactly 1: a float at one frequency ``f``, an
     array at an array of them, with the same bits either way.
 
-    Each frequency must be finite and > 0, and the section must pass some
-    power there. The first frequency that fails raises, in order, as one
-    call per frequency would."""
+    Each frequency must be finite and > 0; the first that is not is
+    named."""
     one, freqs = frequencies(f)
     inside = (freqs > 0.0) & (freqs < math.inf)
-    bad = None if all_true(one, inside) else int(np.argmin(inside))
-    # A zero transmission before the first bad frequency is the first fault.
-    head = freqs if bad is None else np.reshape(freqs, -1)[:bad]
-    att = _section_loss_db(design, corner_frequency(design), head)
-    if not all_true(type(head) is float, att <= _NO_POWER_DB):
-        raise DomainError("cannot cascade a two-port with zero transmission (s21 = 0)")
-    if bad is not None:
-        got = np.reshape(freqs, -1)[bad].item()
-        raise DomainError(f"frequency grid points must be finite and > 0 (got {got!r})")
+    if not all_true(one, inside):
+        bad = np.reshape(freqs, -1)[int(np.argmin(inside))].item()
+        raise DomainError(f"frequency grid points must be finite and > 0 (got {bad!r})")
+    att = _section_loss_db(design, corner_frequency(design), freqs)
     return float(att) if one else att
 
 

@@ -384,7 +384,8 @@ def _cmd_sweep(args) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.linspace(args.sweep_from, args.sweep_to, args.steps)
     # The in-band loss is n/a (null in JSON) on rows whose corner lies at or
-    # below --fref, and where the transmission underflows to an infinite loss.
+    # below --fref, and where the aperture mode's decay constant is 0, the
+    # only place the loss is infinite.
     corner, loss = aperture_sweep(design, _SWEEP_FIELDS[args.param], values, args.fref)
 
     keys = ("value_m", "corner_frequency_hz", "insertion_loss_db")

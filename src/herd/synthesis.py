@@ -12,7 +12,7 @@ import math
 from .cascade import section_attenuation_db
 from .constants import C0
 from .errors import DomainError, InfeasibleDesignError
-from .leakage import inband_transmission, min_depth_for_budget
+from .leakage import DB_PER_LN, inband_transmission, min_depth_for_budget
 from .model import DEFAULT_APERTURES_PER_SECTION, DEFAULT_STOPBAND_KAPPA, FilterDesign, FrequencyGrid
 from .model import MAX_COUNT, Field, KeyValueFormat, Material, RectAperture, count_violations
 from .model import build_part, positive_violations, raise_violations, value_class, with_aperture
@@ -64,8 +64,9 @@ def octagon_face_width(r_outer: float) -> float:
 
 
 def per_section_attenuation_db(apertures_per_section: int) -> float:
-    """Stopband attenuation of one section at ``DEFAULT_STOPBAND_KAPPA`` [dB]."""
-    return -10.0 * apertures_per_section * math.log10(1.0 - DEFAULT_STOPBAND_KAPPA)
+    """Stopband attenuation of one section at ``DEFAULT_STOPBAND_KAPPA`` [dB],
+    far above the corner: the cascade kernel's drain, bit for bit."""
+    return -DB_PER_LN * (apertures_per_section * math.log1p(-DEFAULT_STOPBAND_KAPPA))
 
 
 def validate_spec(spec: DesignSpec) -> list[str]:
@@ -105,10 +106,16 @@ def synthesize(spec: DesignSpec) -> SynthesisReport:
         )
 
     per_section = per_section_attenuation_db(spec.apertures_per_section)
-    sections = math.ceil(spec.stopband_min_attenuation_db / per_section)
+    # the fewest sections whose product with per_section, as verify forms
+    # it, meets the target: the quotient may round onto either side of a
+    # whole count
+    target = spec.stopband_min_attenuation_db
+    sections = math.ceil(target / per_section)
+    sections += sections * per_section < target
+    sections -= sections > 1 and (sections - 1) * per_section >= target
     if sections > MAX_COUNT:
         raise InfeasibleDesignError(
-            f"binding constraint: stopband_min_attenuation_db = {spec.stopband_min_attenuation_db!r} dB "
+            f"binding constraint: stopband_min_attenuation_db = {target!r} dB "
             f"takes {float(sections):.6g} sections of {per_section!r} dB, more than 2**53"
         )
 

@@ -385,7 +385,7 @@ def write_touchstone(table: SParamTable, fmt: str = "RI", unit: str = "HZ") -> s
 
 def insertion_loss_db(s21):
     """-20 log10 |s21| [dB], elementwise over an array or for one value;
-    +inf for zero transmission."""
+    +inf where s21 is 0."""
     with np.errstate(divide="ignore"):
         return -20.0 * np.log10(np.abs(s21))
 

@@ -31,7 +31,7 @@ from herd import (
     parse_touchstone,
     write_touchstone,
 )
-from herd.cascade import DEFAULT_TRANSITION_WIDTH, max_singular_value
+from herd.cascade import DEFAULT_TRANSITION_WIDTH, cascade_loss_db, max_singular_value
 from herd.cli import main
 
 REL = 1e-12
@@ -143,23 +143,22 @@ def test_extreme_frequencies_agree(proto, sections):
     assert np.all(np.abs(table.s21) > 0.0)
 
 
-# --- errors ------------------------------------------------------------------
-
-
-def _both_raise(design, grid):
-    with pytest.raises(DomainError) as want:
-        _scalar_response(design, grid)
-    with pytest.raises(DomainError) as got:
-        filter_response(design, grid)
-    assert str(got.value) == str(want.value)
+# --- a drained stopband ------------------------------------------------------
 
 
 @pytest.mark.parametrize("sections", [1, 2, 4])
 def test_zero_transmission(proto, sections):
-    # (1 - kappa)**21 = 2**-1113 rounds to 0, and far above the corner the
-    # blend weight is exactly 1, so s21 is exactly 0 there
+    # (1 - kappa)**21 = 2**-1113 rounds to 0, but its loss is a finite
+    # figure; far above the corner the blend weight is exactly 1, and the
+    # s21 of two or more sections, 2**(-556.5 sections), is exactly 0
     drained = replace(proto, stopband_kappa=1.0 - 2.0**-53, apertures_per_section=21, sections=sections)
-    _both_raise(drained, FrequencyGrid.linear(1e9, 300e9, 40))
+    grid = FrequencyGrid.linear(1e9, 300e9, 40)
+    loss = cascade_loss_db(drained, grid)
+    drain = -10.0 / math.log(10.0) * (21 * math.log1p(-drained.stopband_kappa))
+    assert np.isfinite(loss).all() and loss[-1] == sections * drain
+    table = filter_response(drained, grid)
+    np.testing.assert_allclose(np.abs(table.s21), 10.0 ** (loss / -20.0), rtol=1e-12, atol=0.0)
+    assert (table.s21[-1] == 0.0) == (sections > 1)
 
 
 # --- CLI ---------------------------------------------------------------------

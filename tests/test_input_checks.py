@@ -536,12 +536,29 @@ def test_synthesize_names_an_underflowing_aperture_by_its_role(capsys, tmp_path)
     )
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json", "touchstone"])
+# A pitch of 1e203 m in a fill of eps_r = 1e204: 2 pi pitch n f / c0
+# overflows at 145 GHz, where numpy would warn and write NaN phases.
+LONG = {"section_pitch": 1e203, "coax_fill": Material(eps_r=1e204)}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_analyze_writes_magnitudes_past_the_phase_range(capsys, tmp_path, proto, fmt):
+    # CSV and JSON write no phase: the magnitudes are those of any pitch
+    outputs = []
+    for name, design in (("long", replace(proto, **LONG)), ("stock", proto)):
+        path = tmp_path / f"{name}.design"
+        path.write_text(dumps_design(design))
+        argv = ["analyze", "--design", str(path), "--points", "3", "--format", fmt]
+        assert main([*argv, "--out", str(tmp_path / f"{name}.{fmt}")]) == 0
+        assert main(argv) == 0
+        outputs.append((capsys.readouterr(), (tmp_path / f"{name}.{fmt}").read_bytes()))
+    assert outputs[0] == outputs[1] and outputs[0][0].out and outputs[0][1]
+
+
+@pytest.mark.parametrize("fmt", ["touchstone"])
 def test_analyze_refuses_a_section_phase_past_the_float_range(capsys, tmp_path, proto, fmt):
-    # A pitch of 1e203 m in a fill of eps_r = 1e204: 2 pi pitch n f / c0
-    # overflows at 145 GHz, where numpy would warn and write NaN phases.
     path = tmp_path / "long.design"
-    path.write_text(dumps_design(replace(proto, section_pitch=1e203, coax_fill=Material(eps_r=1e204))))
+    path.write_text(dumps_design(replace(proto, **LONG)))
     assert main(["analyze", "--design", str(path), "--points", "3", "--format", fmt]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -553,6 +570,6 @@ def test_analyze_refuses_a_section_phase_past_the_float_range(capsys, tmp_path, 
 
 def test_a_section_phase_at_the_edge_of_the_float_range_is_kept(proto):
     # The same design up to 1e8 Hz: the phase stays finite, and so does s21.
-    design = replace(proto, section_pitch=1e203, coax_fill=Material(eps_r=1e204))
+    design = replace(proto, **LONG)
     table = cascade.filter_response(design, FrequencyGrid.linear(1e7, 1e8, 3))
     assert np.isfinite(table.s21).all()

@@ -2,6 +2,8 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from herd import (
     AIR,
@@ -18,6 +20,7 @@ from herd import (
     synthesize,
     verify,
 )
+from herd.cascade import section_attenuation_db
 
 PTFE_LIKE = Material(eps_r=2.2)
 
@@ -56,11 +59,49 @@ class TestSynthesize:
         assert corner_frequency(design) == pytest.approx(spec.f_stopband_start, rel=1e-3)
 
     def test_single_section_floor(self):
-        spec = replace(headline_spec(), stopband_min_attenuation_db=15.0)
-        assert synthesize(spec).design.sections == 1
+        # at 5e-324 dB the quotient by per_section underflows to 0
+        for target in (15.0, 5e-324):
+            spec = replace(headline_spec(), stopband_min_attenuation_db=target)
+            assert synthesize(spec).design.sections == 1
 
     def test_per_section_attenuation_default(self):
         assert per_section_attenuation_db(8) == pytest.approx(15.0, abs=0.001)
+
+    @pytest.mark.parametrize("apertures", range(1, 65))
+    def test_per_section_attenuation_is_the_cascade_drain(self, apertures):
+        spec = replace(headline_spec(), apertures_per_section=apertures)
+        design = synthesize(spec).design
+        far = section_attenuation_db(design, 2.0 * spec.f_stopband_start)
+        assert per_section_attenuation_db(apertures) == far
+
+    @given(
+        apertures=st.integers(1, 64),
+        count=st.integers(1, 59),
+        side=st.sampled_from([-math.inf, None, math.inf]),
+    )
+    def test_a_target_on_a_whole_count_of_sections_is_met(self, apertures, count, side):
+        # count x per_section and its float neighbours: a quotient that
+        # rounds onto either side of a whole count must neither leave the
+        # target short nor add a section it does not need
+        target = count * per_section_attenuation_db(apertures)
+        if side is not None:
+            target = math.nextafter(target, side)
+        spec = replace(headline_spec(), stopband_min_attenuation_db=target, apertures_per_section=apertures)
+        report = synthesize(spec)
+        assert report.margin_passband_db >= 0.0
+        assert report.margin_stopband_db >= 0.0
+        sections = report.design.sections
+        if sections > 1:
+            fewer = replace(report.design, sections=sections - 1)
+            assert verify(fewer, spec).margin_stopband_db < 0.0
+
+    def test_two_thousand_apertures_per_section(self):
+        # 2000 x 1.87 dB per section: no power a float holds passes one
+        # section, and its loss is a finite figure
+        report = synthesize(replace(headline_spec(), apertures_per_section=2000))
+        assert report.design.sections == 1
+        assert 0.0 <= report.margin_stopband_db < math.inf
+        assert report.margin_passband_db >= 0.0
 
     def test_tightening_budget_only_deepens_apertures(self):
         loose = synthesize(headline_spec()).design
